@@ -1,68 +1,79 @@
-"""Exact integer linear algebra for small symmetric matrices."""
+"""Exact sparse elimination for symmetric integer matrices."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-__all__ = ["symmetric_signature", "integer_determinant"]
+__all__ = ["symmetric_inertia"]
 
 
-def symmetric_signature(rows: Sequence[Sequence[int]]) -> int:
-    """Signature (positive minus negative eigenvalue count) of a symmetric
-    integer matrix, by congruence diagonalization over the rationals."""
+def symmetric_inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """Signature and determinant of a symmetric integer matrix.
+
+    Sparse symmetric LDL^T over the rationals, each row kept as a dict of
+    its nonzeros.  Each step pivots on the nonzero diagonal entry whose row
+    has the fewest nonzeros, lowest index first (minimum degree).  When
+    every remaining diagonal entry is zero, an off-diagonal entry b is
+    eliminated with its pair as the 2x2 block [[0, b], [b, 0]], which adds
+    nothing to the signature and a factor -b^2 to the determinant.  If only
+    zero rows remain the determinant is 0; otherwise it is the exact
+    product of the pivots.
+    """
     n = len(rows)
-    m = [[Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    a = {i: {j: Fraction(v) for j, v in enumerate(row) if v} for i, row in enumerate(rows)}
+    for i, row in a.items():
+        for j, v in row.items():
+            if a[j].get(i) != v:
                 raise ValueError("matrix is not symmetric")
-    active = list(range(n))
     sig = 0
-    while active:
-        pivot = next((i for i in active if m[i][i] != 0), None)
-        if pivot is not None:
-            d = m[pivot][pivot]
+    det = Fraction(1)
+    while a:
+        fewest = min(((len(row), i) for i, row in a.items() if i in row), default=None)
+        if fewest is not None:
+            p = fewest[1]
+            d = a[p][p]
             sig += 1 if d > 0 else -1
-            rest = [i for i in active if i != pivot]
-            for r in rest:
-                f = m[r][pivot] / d
-                if f:
-                    for c in rest:
-                        m[r][c] -= f * m[pivot][c]
-            active = rest
+            det *= d
+            (col,) = _remove(a, (p,))
+            _subtract(a, {r: v / d for r, v in col.items()}, col)
             continue
-        off = next(((i, j) for i in active for j in active if i < j and m[i][j] != 0), None)
-        if off is None:
-            break
-        i, j = off
-        # Hyperbolic pair: contributes one +1 and one -1, so nothing to sig.
-        a = m[i][j]
-        rest = [k for k in active if k not in (i, j)]
-        for r in rest:
-            for c in rest:
-                m[r][c] -= (m[r][i] * m[j][c] + m[r][j] * m[i][c]) / a
-        active = rest
-    return sig
+        fewest = min(((len(row), i) for i, row in a.items() if row), default=None)
+        if fewest is None:
+            return sig, 0
+        i = fewest[1]
+        j = min(a[i])
+        b = a[i][j]
+        det *= -b * b
+        u, w = _remove(a, (i, j))
+        _subtract(a, {r: v / b for r, v in u.items()}, w)
+        _subtract(a, {r: v / b for r, v in w.items()}, u)
+    if det.denominator != 1:
+        raise AssertionError("determinant of an integer matrix is not an integer")
+    return sig, int(det)
 
 
-def integer_determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _remove(a: dict[int, dict[int, Fraction]],
+            block: tuple[int, ...]) -> list[dict[int, Fraction]]:
+    """Delete the rows and columns of ``block``; return each removed
+    column restricted to the rows that remain."""
+    cols = [{r: v for r, v in a.pop(p).items() if r not in block} for p in block]
+    for p, col in zip(block, cols):
+        for r in col:
+            del a[r][p]
+    return cols
+
+
+def _subtract(a: dict[int, dict[int, Fraction]], left: dict[int, Fraction],
+              right: dict[int, Fraction]) -> None:
+    """Subtract the outer product of ``left`` and ``right`` in place."""
+    for r, f in left.items():
+        row = a[r]
+        for c, g in right.items():
+            v = row.get(c, 0) - f * g
+            if v:
+                row[c] = v
+            else:
+                del row[c]

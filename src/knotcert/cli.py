@@ -7,7 +7,8 @@ index bound, and ``certify`` runs the no-Seifert-fibered-surgery pipeline
 for one parameter pair or a parameter grid.
 
 Exit codes: 0 success (certified, for ``certify``), 1 inconclusive
-certification, 2 usage or parameter error, 3 internal consistency failure.
+certification, 2 usage or parameter error, 3 internal consistency failure,
+141 standard output closed early (as for a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import pathlib
 import sys
 
@@ -40,6 +42,7 @@ EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse_word(args: argparse.Namespace) -> BraidWord:
@@ -314,6 +317,13 @@ def main(argv: list[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except BrokenPipeError:
+        # The reader went away (``knotcert ... | head``).  Point stdout at
+        # devnull so the interpreter's flush at exit does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

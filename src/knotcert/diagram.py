@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from ._matrix import integer_determinant, symmetric_signature
+from ._matrix import symmetric_inertia
 from .braid import BraidWord
 
 __all__ = [
@@ -259,17 +259,20 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
     return LinkDiagram(tuple(out), d.free_loops)
 
 
-def _is_connected(d: LinkDiagram) -> bool:
-    if d.free_loops:
-        return not d.crossings and d.free_loops == 1
-    if not d.crossings:
-        return False
+def _piece_count(d: LinkDiagram) -> int:
+    """Connected pieces of the crossing graph, free loops not counted."""
     uf = _UnionFind()
     for ci, c in enumerate(d.crossings):
         uf.find(("x", ci))
         for a in c.arcs:
             uf.union(("x", ci), ("a", a))
-    return uf.classes() == 1
+    return uf.classes()
+
+
+def _is_connected(d: LinkDiagram) -> bool:
+    if d.free_loops:
+        return not d.crossings and d.free_loops == 1
+    return _piece_count(d) == 1
 
 
 def faces(d: LinkDiagram) -> list[list[tuple[int, int]]]:
@@ -302,14 +305,11 @@ def faces(d: LinkDiagram) -> list[list[tuple[int, int]]]:
 
 @dataclasses.dataclass(frozen=True)
 class GoeritzData:
-    """Checkerboard data: faces, their colors, the reduced white-face matrix
-    (one white face deleted), and the orientation correction term."""
+    """Checkerboard data: the reduced white-face matrix (one white face
+    deleted) and the orientation correction term."""
 
-    faces: tuple[tuple[tuple[int, int], ...], ...]
-    colors: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]
     correction: int
-    deleted_face: int
 
 
 def goeritz(d: LinkDiagram) -> GoeritzData:
@@ -370,13 +370,7 @@ def goeritz(d: LinkDiagram) -> GoeritzData:
     for i in range(m):
         full[i][i] = -sum(full[i][j] for j in range(m) if j != i)
     reduced = tuple(tuple(full[i][j] for j in range(m) if j != 0) for i in range(m) if i != 0)
-    return GoeritzData(
-        faces=tuple(tuple(f) for f in face_list),
-        colors=tuple("white" if col == white_class else "black" for col in colors),
-        matrix=reduced,
-        correction=correction,
-        deleted_face=white[0],
-    )
+    return GoeritzData(matrix=reduced, correction=correction)
 
 
 def signature(d: LinkDiagram) -> int:
@@ -386,7 +380,7 @@ def signature(d: LinkDiagram) -> int:
     if not d.crossings:
         return 0
     data = goeritz(d)
-    return symmetric_signature(data.matrix) - data.correction
+    return symmetric_inertia(data.matrix)[0] - data.correction
 
 
 def determinant(d: LinkDiagram) -> int:
@@ -397,7 +391,7 @@ def determinant(d: LinkDiagram) -> int:
     if not _is_connected(d):
         return 0
     data = goeritz(d)
-    return abs(integer_determinant(data.matrix))
+    return abs(symmetric_inertia(data.matrix)[1])
 
 
 def to_pd_text(d: LinkDiagram) -> str:
@@ -428,4 +422,9 @@ def from_pd_text(text: str) -> LinkDiagram:
         if parts[5] not in ("+", "-"):
             raise ValueError(f"line {lineno}: sign must be '+' or '-', got {parts[5]!r}")
         crossings.append(Crossing(arcs, 1 if parts[5] == "+" else -1))
-    return LinkDiagram(tuple(crossings))
+    d = LinkDiagram(tuple(crossings))
+    # Each piece drawn on its own sphere has V + 2 faces; fewer means the
+    # slot order does not describe a planar embedding.
+    if len(faces(d)) != len(d.crossings) + 2 * _piece_count(d):
+        raise ValueError("PD code is not planar: face count fails Euler's formula")
+    return d

@@ -1,11 +1,23 @@
 """End-to-end runs of the command line front end via main(argv)."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import knotcert
 from knotcert import cli
-from knotcert.cli import EXIT_INCONCLUSIVE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from knotcert.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_INCONCLUSIVE,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    main,
+)
 
 TREFOIL = ["--braid", "1 1 1", "-n", "2"]
 
@@ -139,6 +151,23 @@ class TestCertify:
         monkeypatch.setattr(cli, "certify_no_sfs", boom)
         assert main(["certify", "3", "3"]) == EXIT_INTERNAL
         assert "internal error" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_without_traceback(self):
+        # `knotcert certify 3 3 | head -0`, made deterministic: the pipe has
+        # no reader before the process starts.
+        src = str(pathlib.Path(knotcert.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "knotcert.cli", "certify", "3", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == EXIT_BROKEN_PIPE
 
 
 class TestCertifyGrid:

@@ -279,6 +279,18 @@ class TestPDText:
         with pytest.raises(ValueError):
             from_pd_text("X 0 1 2\n")
 
+    def test_parse_rejects_non_planar_code(self):
+        with pytest.raises(ValueError, match="planar"):
+            from_pd_text("X 1 2 3 4 +\nX 3 1 4 2 +\n")
+
+    def test_parse_accepts_split_diagram(self):
+        text = to_pd_text(RIGHT_TREFOIL)
+        shifted = "".join(
+            "X " + " ".join(str(int(a) + 100) for a in line.split()[1:5])
+            + " " + line.split()[5] + "\n" for line in text.splitlines())
+        d = from_pd_text(text + shifted)
+        assert determinant(d) == 0
+
     def test_free_loops_have_no_pd(self):
         with pytest.raises(ValueError):
             to_pd_text(braid_closure(BraidWord(1, ())))

@@ -1,0 +1,76 @@
+"""Sparse symmetric elimination against the dense oracle in oracles.py.
+
+_symmetric_sig_det diagonalizes by dense congruence and shares no code
+with knotcert._matrix; it returns the absolute value of the determinant.
+"""
+
+import pytest
+
+from knotcert._matrix import symmetric_inertia
+
+from oracles import _symmetric_sig_det
+
+
+def _random_symmetric(rng, n: int) -> list[list[int]]:
+    density = rng.random()
+    zero_diagonal = rng.random()
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and rng.random() < zero_diagonal:
+                continue
+            if rng.random() < density:
+                m[i][j] = m[j][i] = rng.randint(-4, 4)
+    if n and rng.random() < 0.2:
+        # a repeated row and column makes the matrix singular
+        k, src = rng.randrange(n), rng.randrange(n)
+        for i in range(n):
+            m[k][i] = m[i][k] = m[src][i]
+        m[k][k] = m[src][src]
+    return m
+
+
+def test_matches_dense_oracle(rng):
+    for _ in range(1000):
+        m = _random_symmetric(rng, rng.randint(0, 9))
+        sig, det = symmetric_inertia(m)
+        assert (sig, abs(det)) == _symmetric_sig_det(m), m
+
+
+def test_hyperbolic_pair_is_a_block_pivot():
+    assert symmetric_inertia([[0, 1], [1, 0]]) == (0, -1)
+
+
+def test_zero_diagonal_four_by_four():
+    m = [[0, 2, 1, 0],
+         [2, 0, 0, 3],
+         [1, 0, 0, 1],
+         [0, 3, 1, 0]]
+    # Leibniz expansion gives det 1; trace 0 and det > 0 force two
+    # negative eigenvalues, so the signature is 0.
+    assert symmetric_inertia(m) == (0, 1)
+    assert _symmetric_sig_det(m) == (0, 1)
+
+
+def test_zero_matrix_is_singular():
+    assert symmetric_inertia([[0] * 3 for _ in range(3)]) == (0, 0)
+
+
+def test_row_cancelled_to_zero_is_singular():
+    # rank one: the first pivot leaves a zero row behind
+    assert symmetric_inertia([[1, 1], [1, 1]]) == (1, 0)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 3], [2, 1, 0]],
+    [[1, 2], [2]],
+    [[1]] * 2,
+])
+def test_rejects_non_square(rows):
+    with pytest.raises(ValueError, match="square"):
+        symmetric_inertia(rows)
+
+
+def test_rejects_asymmetric():
+    with pytest.raises(ValueError, match="symmetric"):
+        symmetric_inertia([[1, 2], [3, 1]])
