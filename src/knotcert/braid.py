@@ -21,6 +21,8 @@ from __future__ import annotations
 import dataclasses
 
 __all__ = [
+    "MAX_INPUT_STRANDS",
+    "MAX_INPUT_LETTERS",
     "PermutationBraid",
     "BraidWord",
     "GarsideNormalForm",
@@ -35,6 +37,10 @@ __all__ = [
     "quotient_braid_even",
     "torus_braid",
 ]
+
+# Bounds on braid text input, checked before anything of that size is built.
+MAX_INPUT_STRANDS = 256
+MAX_INPUT_LETTERS = 2000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -209,9 +215,19 @@ class GarsideNormalForm:
 
 
 def parse_braid(text: str, strands: int) -> BraidWord:
-    """Parse whitespace-separated signed generator indices into a braid word."""
+    """Parse whitespace-separated signed generator indices into a braid word.
+
+    Inputs with more than MAX_INPUT_STRANDS strands or MAX_INPUT_LETTERS
+    letters are rejected.
+    """
+    if strands > MAX_INPUT_STRANDS:
+        raise ValueError(f"strand count {strands} exceeds the input limit {MAX_INPUT_STRANDS}")
+    tokens = text.split()
+    if len(tokens) > MAX_INPUT_LETTERS:
+        raise ValueError(
+            f"braid word of {len(tokens)} letters exceeds the input limit {MAX_INPUT_LETTERS}")
     letters = []
-    for tok in text.split():
+    for tok in tokens:
         try:
             e = int(tok)
         except ValueError:

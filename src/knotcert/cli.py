@@ -34,7 +34,7 @@ from .diagram import (
     writhe,
 )
 from .homfly import homfly, mfw_bound
-from .invariants import InvariantRecord, positive_genus, rasmussen_positive
+from .invariants import positive_genus, rasmussen_positive
 
 __all__ = ["main", "build_parser"]
 
@@ -43,6 +43,9 @@ EXIT_INCONCLUSIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 EXIT_BROKEN_PIPE = 141
+
+# Bound on --pretzel input, checked before the diagram is built.
+MAX_PRETZEL_CROSSINGS = 2000
 
 
 def _parse_word(args: argparse.Namespace) -> BraidWord:
@@ -61,6 +64,10 @@ def _diagram_from_args(args: argparse.Namespace) -> LinkDiagram:
             twists.append(int(tok))
         except ValueError:
             raise ValueError(f"bad pretzel twist count {tok!r}: not an integer") from None
+    total = sum(abs(t) for t in twists)
+    if total > MAX_PRETZEL_CROSSINGS:
+        raise ValueError(
+            f"pretzel of {total} crossings exceeds the input limit {MAX_PRETZEL_CROSSINGS}")
     return pretzel_diagram(twists)
 
 
@@ -69,6 +76,25 @@ def _emit(text: str, out: str | None):
         pathlib.Path(out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
+
+
+@dataclasses.dataclass(frozen=True)
+class InvariantRecord:
+    """Bundle of diagram invariants for reporting; None marks an invariant
+    that the available certified methods cannot compute for this diagram,
+    with the reason in notes."""
+
+    crossings: int
+    components: int
+    seifert_circles: int
+    writhe: int
+    positive: bool
+    determinant: int
+    signature: int | None = None
+    rasmussen: int | None = None
+    genus: int | None = None
+    slice_genus: int | None = None
+    notes: tuple[str, ...] = ()
 
 
 def invariant_record(d: LinkDiagram) -> InvariantRecord:
@@ -261,9 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit JSON instead of text")
     common.add_argument("--out", metavar="PATH",
                         help="write the result to PATH (a directory for --grid)")
-    common.add_argument("--seed", type=int, metavar="U64",
-                        help="seed for randomized runs; accepted everywhere for "
-                             "reproducible scripting")
 
     parser = argparse.ArgumentParser(
         prog="knotcert",

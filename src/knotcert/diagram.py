@@ -367,9 +367,9 @@ def goeritz(d: LinkDiagram) -> GoeritzData:
             i, j = white_index[f1], white_index[f2]
             full[i][j] -= eta
             full[j][i] -= eta
-    for i in range(m):
-        full[i][i] = -sum(full[i][j] for j in range(m) if j != i)
-    reduced = tuple(tuple(full[i][j] for j in range(m) if j != 0) for i in range(m) if i != 0)
+            full[i][i] += eta
+            full[j][j] += eta
+    reduced = tuple(tuple(row[1:]) for row in full[1:])
     return GoeritzData(matrix=reduced, correction=correction)
 
 

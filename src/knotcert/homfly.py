@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from .braid import BraidWord, PermutationBraid, exponent_sum
+from .braid import BraidWord, exponent_sum
 from .laurent import LaurentPoly1, LaurentPoly2
 
 __all__ = [
@@ -40,68 +40,10 @@ MAX_TRACE_STRANDS = 6
 
 @dataclasses.dataclass(frozen=True)
 class HeckeElement:
-    """Element of H_n: permutation basis with Laurent coefficients in z."""
+    """Element of H_n: permutation basis with nonzero Laurent coefficients in z."""
 
     strands: int
     coeffs: dict[tuple[int, ...], LaurentPoly1]
-
-    def __post_init__(self):
-        clean = {w: c for w, c in self.coeffs.items() if not c.is_zero()}
-        object.__setattr__(self, "coeffs", clean)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HeckeElement):
-            return NotImplemented
-        return self.strands == other.strands and self.coeffs == other.coeffs
-
-    @staticmethod
-    def one(n: int) -> "HeckeElement":
-        return HeckeElement(n, {tuple(range(n)): LaurentPoly1.one()})
-
-    def times_generator(self, i: int, inverse: bool = False) -> "HeckeElement":
-        """Right multiplication by g_{i+1} or its inverse (i is 0-based)."""
-        n = self.strands
-        z = LaurentPoly1.term(1, 1)
-        out: dict[tuple[int, ...], LaurentPoly1] = {}
-
-        def add(w: tuple[int, ...], c: LaurentPoly1):
-            if w in out:
-                out[w] = out[w] + c
-            else:
-                out[w] = c
-
-        for w, c in self.coeffs.items():
-            ws = _swap_values(w, i)
-            if _value_ascent(w, i):
-                add(ws, c)
-            else:
-                add(ws, c)
-                add(w, c * z)
-        result = HeckeElement(n, out)
-        if inverse:
-            neg = {w: c * (-z) for w, c in self.coeffs.items()}
-            result = HeckeElement(n, _merge(result.coeffs, neg))
-        return result
-
-    def times(self, other: "HeckeElement") -> "HeckeElement":
-        """Algebra product, decomposing the right factor into generators."""
-        if self.strands != other.strands:
-            raise ValueError("strand counts differ")
-        total: dict[tuple[int, ...], LaurentPoly1] = {}
-        for w, c in other.coeffs.items():
-            part = self
-            for i in PermutationBraid(w).reduced_word():
-                part = part.times_generator(i)
-            scaled = {v: pc * c for v, pc in part.coeffs.items()}
-            total = _merge(total, scaled)
-        return HeckeElement(self.strands, total)
-
-
-def _merge(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out[k] + v if k in out else v
-    return out
 
 
 def _swap_values(w: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -117,25 +59,42 @@ def _value_ascent(w: tuple[int, ...], i: int) -> bool:
     return w.index(i) < w.index(i + 1)
 
 
+def _times_generator(terms: dict, i: int, z, inverse: bool = False) -> dict:
+    """Right-multiply sum c*g_w by g = g_{i+1}, or by its inverse g - z (i is 0-based).
+
+    z is the coefficient ring's z as a one-term polynomial.  g_w * g is
+    g_{ws} at an ascent of w and g_{ws} + z*g_w at a descent; the inverse
+    subtracts z*g_w, which cancels the descent term and leaves -z*g_w at an
+    ascent.  Zero coefficients are dropped.
+    """
+    extra = -z if inverse else z
+    out: dict = {}
+    for w, c in terms.items():
+        ws = _swap_values(w, i)
+        out[ws] = out[ws] + c if ws in out else c
+        if _value_ascent(w, i) == inverse:
+            out[w] = out[w] + c * extra if w in out else c * extra
+    return {w: c for w, c in out.items() if c}
+
+
 def hecke_image(w: BraidWord) -> HeckeElement:
     """Image of a braid word in the Hecke algebra."""
     if w.strands > MAX_TRACE_STRANDS:
         raise ValueError(
             f"Hecke computations are guarded to at most {MAX_TRACE_STRANDS} strands, "
             f"got {w.strands}")
-    elem = HeckeElement.one(w.strands)
+    z = LaurentPoly1.term(1, 1)
+    terms = {tuple(range(w.strands)): LaurentPoly1.one()}
     for e in w.letters:
-        elem = elem.times_generator(abs(e) - 1, inverse=e < 0)
-    return elem
-
-
-_ZC = ("z", "c")
+        terms = _times_generator(terms, abs(e) - 1, z, inverse=e < 0)
+    return HeckeElement(w.strands, terms)
 
 
 def _trace_polynomial(elem: HeckeElement) -> LaurentPoly2:
     """Markov trace as an integer polynomial in z and the trace parameter c."""
+    z = LaurentPoly2.term(1, 1, 0)
     level: dict[tuple[int, ...], LaurentPoly2] = {
-        w: LaurentPoly2({(e, 0): c for e, c in coeff.coeffs.items()}, names=_ZC)
+        w: LaurentPoly2({(e, 0): c for e, c in coeff.coeffs.items()})
         for w, coeff in elem.coeffs.items()
     }
     n = elem.strands
@@ -154,29 +113,12 @@ def _trace_polynomial(elem: HeckeElement) -> LaurentPoly2:
             v = [x - 1 if x > j else x for x in w[: n - 1]]
             term: dict[tuple[int, ...], LaurentPoly2] = {tuple(v): poly.mul_term(1, 0, 1)}
             for i in range(n - 3, j - 1, -1):
-                term = _times_generator_poly2(term, i)
+                term = _times_generator(term, i, z)
             for key, val in term.items():
                 add(key, val)
         level = nxt
         n -= 1
-    return level.get((0,), LaurentPoly2.zero(names=_ZC))
-
-
-def _times_generator_poly2(terms: dict[tuple[int, ...], LaurentPoly2], i: int
-                           ) -> dict[tuple[int, ...], LaurentPoly2]:
-    out: dict[tuple[int, ...], LaurentPoly2] = {}
-
-    def add(w: tuple[int, ...], p: LaurentPoly2):
-        out[w] = out[w] + p if w in out else p
-
-    for w, p in terms.items():
-        ws = _swap_values(w, i)
-        if _value_ascent(w, i):
-            add(ws, p)
-        else:
-            add(ws, p)
-            add(w, p.mul_term(1, 1, 0))
-    return {w: p for w, p in out.items() if not p.is_zero()}
+    return level.get((0,), LaurentPoly2.zero())
 
 
 def homfly(w: BraidWord) -> LaurentPoly2:

@@ -15,7 +15,6 @@ from .diagram import LinkDiagram, component_count, is_positive, seifert_circle_c
 
 __all__ = [
     "IntInterval",
-    "InvariantRecord",
     "torus_alexander",
     "det_from_alexander",
     "torus_det_4x",
@@ -201,22 +200,3 @@ def sharp_move_s_delta() -> int:
     """Drop in s across a four-crossing tangle move between positive
     diagrams with equal Seifert circle counts and crossing difference 8."""
     return 8
-
-
-@dataclasses.dataclass(frozen=True)
-class InvariantRecord:
-    """Bundle of diagram invariants for reporting; None marks an invariant
-    that the available certified methods cannot compute for this diagram,
-    with the reason in notes."""
-
-    crossings: int
-    components: int
-    seifert_circles: int
-    writhe: int
-    positive: bool
-    determinant: int
-    signature: int | None = None
-    rasmussen: int | None = None
-    genus: int | None = None
-    slice_genus: int | None = None
-    notes: tuple[str, ...] = ()

@@ -46,11 +46,6 @@ class LaurentPoly1:
             raise ValueError("zero polynomial has no exponents")
         return min(self.coeffs)
 
-    def max_exp(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no exponents")
-        return max(self.coeffs)
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -169,35 +164,33 @@ class LaurentPoly1:
 class LaurentPoly2:
     """Laurent polynomial in two variables with integer coefficients.
 
-    Keys are (i, j) exponent pairs. Variable names are cosmetic and only
-    affect printing; arithmetic never looks at them.
+    Keys are (i, j) exponent pairs; ``str`` prints them as a^i*z^j.
     """
 
-    __slots__ = ("coeffs", "names")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None,
-                 names: tuple[str, str] = ("a", "z")):
+    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
         if coeffs:
-            for key, c in coeffs.items():
-                i, j = key
+            for (i, j), c in coeffs.items():
+                if not (isinstance(i, int) and isinstance(j, int) and isinstance(c, int)):
+                    raise ValueError(f"bad term {c!r}*a^{i!r}*z^{j!r}: exponents and "
+                                     "coefficients must be int")
                 if c != 0:
-                    clean[(int(i), int(j))] = c
+                    clean[(i, j)] = c
         self.coeffs = clean
-        self.names = names
 
     @classmethod
-    def zero(cls, names: tuple[str, str] = ("a", "z")) -> "LaurentPoly2":
-        return cls(names=names)
+    def zero(cls) -> "LaurentPoly2":
+        return cls()
 
     @classmethod
-    def one(cls, names: tuple[str, str] = ("a", "z")) -> "LaurentPoly2":
-        return cls({(0, 0): 1}, names=names)
+    def one(cls) -> "LaurentPoly2":
+        return cls({(0, 0): 1})
 
     @classmethod
-    def term(cls, coeff: int, i: int, j: int,
-             names: tuple[str, str] = ("a", "z")) -> "LaurentPoly2":
-        return cls({(i, j): coeff}, names=names)
+    def term(cls, coeff: int, i: int, j: int) -> "LaurentPoly2":
+        return cls({(i, j): coeff})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -216,7 +209,7 @@ class LaurentPoly2:
         return hash(frozenset(self.coeffs.items()))
 
     def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2({k: -c for k, c in self.coeffs.items()}, names=self.names)
+        return LaurentPoly2({k: -c for k, c in self.coeffs.items()})
 
     def __add__(self, other: "LaurentPoly2 | int") -> "LaurentPoly2":
         if isinstance(other, int):
@@ -224,7 +217,7 @@ class LaurentPoly2:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
-        return LaurentPoly2(out, names=self.names)
+        return LaurentPoly2(out)
 
     __radd__ = __add__
 
@@ -235,20 +228,20 @@ class LaurentPoly2:
 
     def __mul__(self, other: "LaurentPoly2 | int") -> "LaurentPoly2":
         if isinstance(other, int):
-            return LaurentPoly2({k: c * other for k, c in self.coeffs.items()}, names=self.names)
+            return LaurentPoly2({k: c * other for k, c in self.coeffs.items()})
         out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
                 k = (i1 + i2, j1 + j2)
                 out[k] = out.get(k, 0) + c1 * c2
-        return LaurentPoly2(out, names=self.names)
+        return LaurentPoly2(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly2":
         if n < 0:
             raise ValueError("negative powers are not supported")
-        result = LaurentPoly2.one(names=self.names)
+        result = LaurentPoly2.one()
         base = self
         while n:
             if n & 1:
@@ -258,14 +251,10 @@ class LaurentPoly2:
         return result
 
     def mul_term(self, coeff: int, di: int, dj: int) -> "LaurentPoly2":
-        return LaurentPoly2({(i + di, j + dj): c * coeff for (i, j), c in self.coeffs.items()},
-                            names=self.names)
+        return LaurentPoly2({(i + di, j + dj): c * coeff for (i, j), c in self.coeffs.items()})
 
     def exponents_first(self) -> list[int]:
         return sorted({i for (i, _j) in self.coeffs})
-
-    def exponents_second(self) -> list[int]:
-        return sorted({j for (_i, j) in self.coeffs})
 
     def terms(self) -> list[tuple[int, int, int]]:
         """Sorted (i, j, coeff) triples."""
@@ -274,11 +263,7 @@ class LaurentPoly2:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        na, nz = self.names
-        parts = []
-        for (i, j) in sorted(self.coeffs):
-            parts.append(f"{self.coeffs[(i, j)]}*{na}^{i}*{nz}^{j}")
-        return " + ".join(parts)
+        return " + ".join(f"{self.coeffs[(i, j)]}*a^{i}*z^{j}" for (i, j) in sorted(self.coeffs))
 
     def __repr__(self) -> str:
         return f"LaurentPoly2({self.coeffs!r})"

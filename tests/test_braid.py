@@ -23,7 +23,7 @@ from knotcert import (
     quotient_braid_odd,
     torus_braid,
 )
-from knotcert.braid import PermutationBraid
+from knotcert.braid import MAX_INPUT_LETTERS, MAX_INPUT_STRANDS, PermutationBraid
 
 
 def legal_rewrite(rng: random.Random, letters: list[int], strands: int,
@@ -78,6 +78,14 @@ class TestParsing:
     def test_rejects_out_of_range_generator(self):
         with pytest.raises(ValueError, match="3"):
             parse_braid("1 3", 3)
+
+    def test_input_limits(self):
+        word = " ".join(["1"] * MAX_INPUT_LETTERS)
+        assert len(parse_braid(word, MAX_INPUT_STRANDS).letters) == MAX_INPUT_LETTERS
+        with pytest.raises(ValueError, match="input limit"):
+            parse_braid("1", MAX_INPUT_STRANDS + 1)
+        with pytest.raises(ValueError, match="input limit"):
+            parse_braid(word + " 1", 2)
 
     @given(st.lists(st.integers(min_value=-3, max_value=3).filter(lambda e: e != 0),
                     max_size=20))

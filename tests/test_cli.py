@@ -16,8 +16,10 @@ from knotcert.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_PRETZEL_CROSSINGS,
     main,
 )
+from knotcert.braid import MAX_INPUT_LETTERS, MAX_INPUT_STRANDS
 
 TREFOIL = ["--braid", "1 1 1", "-n", "2"]
 
@@ -65,6 +67,17 @@ class TestInvariants:
     def test_bad_pretzel_token_is_usage_error(self, capsys):
         assert main(["invariants", "--pretzel", "3,x,3"]) == EXIT_USAGE
         assert "'x'" in capsys.readouterr().err
+
+    def test_pretzel_over_crossing_limit_is_usage_error(self, capsys):
+        twists = f"3,{MAX_PRETZEL_CROSSINGS - 5},-3"
+        assert main(["invariants", "--pretzel", twists]) == EXIT_USAGE
+        assert "input limit" in capsys.readouterr().err
+
+    def test_braid_over_input_limits_is_usage_error(self, capsys):
+        long_word = " ".join(["1"] * (MAX_INPUT_LETTERS + 1))
+        for braid, strands in (("1", MAX_INPUT_STRANDS + 1), (long_word, 2)):
+            assert main(["invariants", "--braid", braid, "-n", str(strands)]) == EXIT_USAGE
+            assert "input limit" in capsys.readouterr().err
 
 
 class TestNormalForm:
@@ -124,6 +137,12 @@ class TestCertify:
     def test_even_q_is_usage_error(self, capsys):
         assert main(["certify", "3", "2"]) == EXIT_USAGE
         assert "more than one component" in capsys.readouterr().err
+
+    def test_removed_seed_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "3", "3", "--seed", "7"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
 
     def test_wrong_arity_is_usage_error(self, capsys):
         assert main(["certify", "3"]) == EXIT_USAGE
