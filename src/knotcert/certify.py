@@ -147,7 +147,11 @@ class SlopeReport:
     def from_dict(d: dict) -> "SlopeReport":
         cand = SlopeCandidate(d["r"], d["parity"], d["admitted_by"])
         verdicts = tuple(ExclusionVerdict.from_dict(v) for v in d["verdicts"])
-        return SlopeReport(cand, verdicts)
+        report = SlopeReport(cand, verdicts)
+        if d.get("excluded") is not report.excluded:  # a bool, not 0 or 1
+            raise ValueError(f"slope {cand.r}: recorded excluded {d.get('excluded')!r} "
+                             f"disagrees with its verdicts ({report.excluded})")
+        return report
 
 
 @dataclasses.dataclass(frozen=True)
@@ -159,11 +163,14 @@ class CertificateReport:
     assumptions: tuple[str, ...]
     notes: tuple[str, ...]
     slopes: tuple[SlopeReport, ...]
-    conclusion: str
 
     @property
     def certified(self) -> bool:
-        return self.conclusion == CERTIFIED
+        return all(s.excluded for s in self.slopes)
+
+    @property
+    def conclusion(self) -> str:
+        return CERTIFIED if self.certified else INCONCLUSIVE
 
     def to_dict(self) -> dict:
         return {
@@ -181,14 +188,17 @@ class CertificateReport:
         version = d.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported certificate schema version {version!r}")
-        return CertificateReport(
+        report = CertificateReport(
             family=d["family"],
             parameters=dict(d["parameters"]),
             assumptions=tuple(d["assumptions"]),
             notes=tuple(d["notes"]),
             slopes=tuple(SlopeReport.from_dict(s) for s in d["slopes"]),
-            conclusion=d["conclusion"],
         )
+        if d.get("conclusion") != report.conclusion:
+            raise ValueError(f"recorded conclusion {d.get('conclusion')!r} disagrees "
+                             f"with the slope verdicts ({report.conclusion!r})")
+        return report
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -599,12 +609,10 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
             )
             slopes.append(SlopeReport(cand, verdicts))
 
-    conclusion = CERTIFIED if all(s.excluded for s in slopes) else INCONCLUSIVE
     return CertificateReport(
         family=family,
         parameters=parameters,
         assumptions=assumptions,
         notes=notes,
         slopes=tuple(slopes),
-        conclusion=conclusion,
     )

@@ -125,17 +125,14 @@ def braid_closure(w: BraidWord) -> LinkDiagram:
         else:
             raw.append(((a, c, d, b), -1))
         current[i], current[i + 1] = c, d
-    uf = _UnionFind()
-    for arc in range(next_arc):
-        uf.find(arc)
-    for pos in range(n):
-        uf.union(current[pos], pos)
+    # Closing joins bottom arc current[pos] to top arc pos, and no other arc.
+    closing = {current[pos]: pos for pos in range(n)}
     touched = {abs(e) - 1 for e in w.letters} | {abs(e) for e in w.letters}
     free_loops = sum(1 for pos in range(n) if pos not in touched)
-    used_roots = sorted({uf.find(a) for arcs, _s in raw for a in arcs})
+    used_roots = sorted({closing.get(a, a) for arcs, _s in raw for a in arcs})
     relabel = {root: idx for idx, root in enumerate(used_roots)}
     crossings = tuple(
-        Crossing(tuple(relabel[uf.find(a)] for a in arcs), s) for arcs, s in raw)
+        Crossing(tuple(relabel[closing.get(a, a)] for a in arcs), s) for arcs, s in raw)
     return LinkDiagram(crossings, free_loops)
 
 

@@ -3,15 +3,19 @@
 A braid word maps into the Hecke algebra H_n spanned by permutation basis
 elements g_w, with generators obeying g_i^2 = z*g_i + 1 (so the inverse is
 g_i - z).  In this scaling every product of generators and inverses keeps
-integer polynomial coefficients in z.  The Markov trace is computed level
-by level: each w in S_n factors uniquely as v * (descending cycle through
-the last strand), and peeling that cycle multiplies the coefficient by the
-trace parameter c.  The closure invariant substitutes c = z/(1 - a^2) and
-normalizes by writhe and strand count:
+integer polynomial coefficients in z.  The Markov trace tr is computed level
+by level: each w in S_n either fixes the last strand or factors uniquely as
+v * (descending cycle through the last strand), and peeling that cycle
+multiplies the coefficient by the trace parameter c = z/(1 - a^2).  The
+closure invariant normalizes by writhe and strand count:
 
-    P(a, z) = a^(e-n+1) * sum_j C_j(z) * z^(j-n+1) * (1 - a^2)^(n-1-j)
+    P(a, z) = a^(e-n+1) * ((1 - a^2)/z)^(n-1) * tr(image of the word)
 
-where C_j collects the c^j part of the trace and e is the exponent sum.
+where e is the exponent sum.  The normalization spends one factor
+(1 - a^2)/z per level, so a peeled level contributes c * (1 - a^2)/z = 1
+and a level whose last strand closes to a trivial loop contributes
+(1 - a^2)/z; the whole computation stays in one ring of Laurent
+polynomials in a and z.
 The result is an exact Laurent polynomial satisfying the skein relation
 (1/a) P(L+) - a P(L-) = z P(L0) with P(unknot) = 1; the right trefoil maps
 to 2a^2 - a^4 + a^2 z^2.  Specializing a = 1, z^2 = -4 gives the knot
@@ -24,7 +28,7 @@ from __future__ import annotations
 import dataclasses
 
 from .braid import BraidWord, exponent_sum
-from .laurent import LaurentPoly1, LaurentPoly2
+from .laurent import LaurentPoly2
 
 __all__ = [
     "MAX_TRACE_STRANDS",
@@ -37,13 +41,16 @@ __all__ = [
 
 MAX_TRACE_STRANDS = 6
 
+_Z = LaurentPoly2.term(1, 0, 1)
+_UNPEELED = LaurentPoly2({(0, -1): 1, (2, -1): -1})  # (1 - a^2)/z
+
 
 @dataclasses.dataclass(frozen=True)
 class HeckeElement:
-    """Element of H_n: permutation basis with nonzero Laurent coefficients in z."""
+    """Element of H_n: permutation basis with nonzero polynomial coefficients in z."""
 
     strands: int
-    coeffs: dict[tuple[int, ...], LaurentPoly1]
+    coeffs: dict[tuple[int, ...], LaurentPoly2]
 
 
 def _swap_values(w: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -59,15 +66,14 @@ def _value_ascent(w: tuple[int, ...], i: int) -> bool:
     return w.index(i) < w.index(i + 1)
 
 
-def _times_generator(terms: dict, i: int, z, inverse: bool = False) -> dict:
+def _times_generator(terms: dict, i: int, inverse: bool = False) -> dict:
     """Right-multiply sum c*g_w by g = g_{i+1}, or by its inverse g - z (i is 0-based).
 
-    z is the coefficient ring's z as a one-term polynomial.  g_w * g is
-    g_{ws} at an ascent of w and g_{ws} + z*g_w at a descent; the inverse
-    subtracts z*g_w, which cancels the descent term and leaves -z*g_w at an
-    ascent.  Zero coefficients are dropped.
+    g_w * g is g_{ws} at an ascent of w and g_{ws} + z*g_w at a descent; the
+    inverse subtracts z*g_w, which cancels the descent term and leaves
+    -z*g_w at an ascent.  Zero coefficients are dropped.
     """
-    extra = -z if inverse else z
+    extra = -_Z if inverse else _Z
     out: dict = {}
     for w, c in terms.items():
         ws = _swap_values(w, i)
@@ -83,20 +89,15 @@ def hecke_image(w: BraidWord) -> HeckeElement:
         raise ValueError(
             f"Hecke computations are guarded to at most {MAX_TRACE_STRANDS} strands, "
             f"got {w.strands}")
-    z = LaurentPoly1.term(1, 1)
-    terms = {tuple(range(w.strands)): LaurentPoly1.one()}
+    terms = {tuple(range(w.strands)): LaurentPoly2.one()}
     for e in w.letters:
-        terms = _times_generator(terms, abs(e) - 1, z, inverse=e < 0)
+        terms = _times_generator(terms, abs(e) - 1, inverse=e < 0)
     return HeckeElement(w.strands, terms)
 
 
-def _trace_polynomial(elem: HeckeElement) -> LaurentPoly2:
-    """Markov trace as an integer polynomial in z and the trace parameter c."""
-    z = LaurentPoly2.term(1, 1, 0)
-    level: dict[tuple[int, ...], LaurentPoly2] = {
-        w: LaurentPoly2({(e, 0): c for e, c in coeff.coeffs.items()})
-        for w, coeff in elem.coeffs.items()
-    }
+def _normalized_trace(elem: HeckeElement) -> LaurentPoly2:
+    """((1 - a^2)/z)^(n-1) times the Markov trace of elem, at c = z/(1 - a^2)."""
+    level = elem.coeffs
     n = elem.strands
     while n > 1:
         nxt: dict[tuple[int, ...], LaurentPoly2] = {}
@@ -107,13 +108,13 @@ def _trace_polynomial(elem: HeckeElement) -> LaurentPoly2:
         for w, poly in level.items():
             j = w[n - 1]
             if j == n - 1:
-                add(w[: n - 1], poly)
+                add(w[: n - 1], poly * _UNPEELED)
                 continue
             # w = v . (cycle j -> j+1 -> ... -> n-1 -> j); peel one strand.
             v = [x - 1 if x > j else x for x in w[: n - 1]]
-            term: dict[tuple[int, ...], LaurentPoly2] = {tuple(v): poly.mul_term(1, 0, 1)}
+            term: dict[tuple[int, ...], LaurentPoly2] = {tuple(v): poly}
             for i in range(n - 3, j - 1, -1):
-                term = _times_generator(term, i, z)
+                term = _times_generator(term, i)
             for key, val in term.items():
                 add(key, val)
         level = nxt
@@ -123,16 +124,8 @@ def _trace_polynomial(elem: HeckeElement) -> LaurentPoly2:
 
 def homfly(w: BraidWord) -> LaurentPoly2:
     """Two-variable polynomial of the closure of a braid word."""
-    n = w.strands
-    trace = _trace_polynomial(hecke_image(w))
-    e = exponent_sum(w)
-    out = LaurentPoly2.zero()
-    for zi, cj, coeff in trace.terms():
-        piece = LaurentPoly2({(0, zi + cj - (n - 1)): coeff})
-        ring = LaurentPoly2({(0, 0): 1, (2, 0): -1})
-        piece = piece * ring ** (n - 1 - cj)
-        out = out + piece
-    return out.mul_term(1, e - n + 1, 0)
+    trace = _normalized_trace(hecke_image(w))
+    return trace.mul_term(1, exponent_sum(w) - w.strands + 1, 0)
 
 
 def mfw_bound(p: LaurentPoly2) -> int:

@@ -29,8 +29,6 @@ __all__ = [
     "sharp_move_s_delta",
 ]
 
-from .laurent import LaurentPoly1
-
 
 @dataclasses.dataclass(frozen=True)
 class IntInterval:
@@ -74,23 +72,62 @@ class IntInterval:
         return [self.lo, self.hi]
 
 
-def torus_alexander(a: int, b: int) -> LaurentPoly1:
+def _t_power_minus_one(k: int) -> list[int]:
+    """Coefficients of t^k - 1, from t^0 up."""
+    return [-1] + [0] * (k - 1) + [1]
+
+
+def _multiply(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(q):
+            out[i + j] += c * d
+    return out
+
+
+def _divexact(num: list[int], den: list[int]) -> list[int]:
+    """Quotient of polynomial division; raises if the remainder is nonzero."""
+    rem = list(num)
+    quo = [0] * (len(num) - len(den) + 1)
+    for k in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[k + len(den) - 1], den[-1])
+        if r:
+            raise ValueError("inexact polynomial division (leading coefficient)")
+        quo[k] = q
+        for i, d in enumerate(den):
+            rem[k + i] -= q * d
+    if any(rem):
+        raise ValueError("inexact polynomial division (nonzero remainder)")
+    return quo
+
+
+def _evaluate(p: list[int] | tuple[int, ...], x: int) -> int:
+    return sum(c * x**e for e, c in enumerate(p))
+
+
+def _derivative(p: list[int]) -> list[int]:
+    return [e * c for e, c in enumerate(p)][1:]
+
+
+def _torus_quotient(a: int, b: int) -> tuple[list[int], list[int]]:
+    """Numerator and denominator of (t^(ab) - 1)(t - 1) / ((t^a - 1)(t^b - 1))."""
+    return (_multiply(_t_power_minus_one(a * b), _t_power_minus_one(1)),
+            _multiply(_t_power_minus_one(a), _t_power_minus_one(b)))
+
+
+def torus_alexander(a: int, b: int) -> tuple[int, ...]:
     """Alexander polynomial of the (a, b) torus knot,
-    (t^(ab) - 1)(t - 1) / ((t^a - 1)(t^b - 1))."""
+    (t^(ab) - 1)(t - 1) / ((t^a - 1)(t^b - 1)), as coefficients from t^0 up."""
     if a < 1 or b < 1:
         raise ValueError(f"torus knot parameters must be positive, got ({a}, {b})")
     if math.gcd(a, b) != 1:
         raise ValueError(f"torus knot parameters must be coprime, got ({a}, {b})")
-    t = LaurentPoly1.term(1, 1)
-    one = LaurentPoly1.one()
-    num = (LaurentPoly1.term(1, a * b) - one) * (t - one)
-    den = (LaurentPoly1.term(1, a) - one) * (LaurentPoly1.term(1, b) - one)
-    return num.divexact(den)
+    return tuple(_divexact(*_torus_quotient(a, b)))
 
 
-def det_from_alexander(p: LaurentPoly1) -> int:
-    """Knot determinant |p(-1)|."""
-    return abs(p.evaluate(-1))
+def det_from_alexander(p: tuple[int, ...]) -> int:
+    """Knot determinant |p(-1)| of coefficients p from t^0 up."""
+    return abs(_evaluate(p, -1))
 
 
 def torus_det_4x(x: int) -> int:
@@ -103,18 +140,15 @@ def torus_det_4x(x: int) -> int:
     """
     if x < 1 or x % 2 == 0:
         raise ValueError(f"(4, x) torus knots need odd positive x, got {x}")
-    t = LaurentPoly1.term(1, 1)
-    one = LaurentPoly1.one()
-    num = (LaurentPoly1.term(1, 4 * x) - one) * (t - one)
-    den = (LaurentPoly1.term(1, 4) - one) * (LaurentPoly1.term(1, x) - one)
-    if num.evaluate(-1) != 0 or den.evaluate(-1) != 0:
+    num, den = _torus_quotient(4, x)
+    if _evaluate(num, -1) != 0 or _evaluate(den, -1) != 0:
         raise AssertionError("expected a 0/0 evaluation at t = -1")
-    dn = num.derivative().evaluate(-1)
-    dd = den.derivative().evaluate(-1)
+    dn = _evaluate(_derivative(num), -1)
+    dd = _evaluate(_derivative(den), -1)
     if dd == 0 or dn % dd != 0:
         raise AssertionError("derivative quotient at t = -1 is not an integer")
     via_derivative = abs(dn // dd)
-    via_division = det_from_alexander(num.divexact(den))
+    via_division = det_from_alexander(tuple(_divexact(num, den)))
     if via_derivative != via_division:
         raise AssertionError(
             f"determinant paths disagree for (4, {x}): {via_derivative} vs {via_division}")

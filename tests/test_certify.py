@@ -270,6 +270,20 @@ class TestSerialization:
         assert back == report
         assert back.to_json() == text
 
+    def test_tampered_conclusion_is_rejected(self):
+        data = json.loads(certify_no_sfs(3, 3).to_json())
+        data["conclusion"] = "inconclusive"
+        with pytest.raises(ValueError, match="conclusion"):
+            CertificateReport.from_dict(data)
+
+    def test_tampered_excluded_is_rejected(self):
+        data = json.loads(certify_no_sfs(3, 3).to_json())
+        for slope in data["slopes"]:
+            for verdict in slope["verdicts"]:
+                verdict["conclusion"] = "inconclusive"
+        with pytest.raises(ValueError, match="excluded"):
+            CertificateReport.from_dict(data)
+
     def test_schema_version_is_stamped(self):
         data = json.loads(certify_no_sfs(2, 3).to_json())
         assert data["schema_version"] == SCHEMA_VERSION

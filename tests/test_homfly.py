@@ -48,6 +48,14 @@ class TestAnchors:
         left = homfly(BraidWord(2, (-1, -1, -1)))
         assert left == mirror_poly(right)
 
+    def test_three_strand_values(self):
+        # Both closures leave a level whose last strand is a trivial loop.
+        figure_eight = LaurentPoly2({(-2, 0): 1, (0, 0): -1, (0, 2): -1, (2, 0): 1})
+        assert homfly(BraidWord(3, (1, -2, 1, -2))) == figure_eight
+        t34 = LaurentPoly2({(6, 0): 5, (6, 2): 10, (6, 4): 6, (6, 6): 1,
+                            (8, 0): -5, (8, 2): -5, (8, 4): -1, (10, 0): 1})
+        assert homfly(torus_braid(3, 4)) == t34
+
     def test_figure_eight_is_amphichiral(self):
         w = BraidWord(3, (1, -2, 1, -2))
         p = homfly(w)

@@ -92,6 +92,11 @@ class TestTorusFormulas:
         with pytest.raises(ValueError):
             torus_alexander(0, 3)
 
+    def test_alexander_coefficients(self):
+        assert torus_alexander(2, 3) == (1, -1, 1)
+        assert torus_alexander(2, 5) == (1, -1, 1, -1, 1)
+        assert torus_alexander(3, 4) == (1, -1, 0, 1, 0, -1, 1)
+
     def test_determinant_anchors(self):
         assert det_from_alexander(torus_alexander(2, 3)) == 3
         assert det_from_alexander(torus_alexander(2, 7)) == 7
