@@ -10,10 +10,11 @@ already finishes A_i.  Two words represent the same braid exactly when
 their normal forms coincide, which is what drives equality testing and
 full twist detection.
 
-Permutation braids are identified with permutations in one-line notation.
-The product convention is diagrammatic: ``a.then(b)`` is the permutation of
-the braid "a stacked above b", and a word's permutation sends the starting
-position of a strand to its ending position.
+Permutation braids are identified with permutations in one-line notation:
+``mapping[i]`` is the ending position of the strand that starts at position
+i, so a word's permutation sends starting positions to ending positions.
+The product convention is diagrammatic: the braid "a stacked above b" has
+the mapping ``tuple(b[x] for x in a)``.
 """
 
 from __future__ import annotations
@@ -58,61 +59,14 @@ class PermutationBraid:
         if sorted(self.mapping) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {self.mapping}")
 
-    @staticmethod
-    def identity(n: int) -> "PermutationBraid":
-        return PermutationBraid(tuple(range(n)))
-
-    @staticmethod
-    def half_twist(n: int) -> "PermutationBraid":
-        """The Garside element: every pair of strands crosses exactly once."""
-        return PermutationBraid(tuple(range(n - 1, -1, -1)))
-
-    @staticmethod
-    def transposition(n: int, i: int) -> "PermutationBraid":
-        """The generator braid on 0-based adjacent positions i, i+1."""
-        img = list(range(n))
-        img[i], img[i + 1] = img[i + 1], img[i]
-        return PermutationBraid(tuple(img))
-
     @property
     def strands(self) -> int:
         return len(self.mapping)
-
-    def then(self, other: "PermutationBraid") -> "PermutationBraid":
-        """Permutation of self stacked above other."""
-        return PermutationBraid(tuple(other.mapping[x] for x in self.mapping))
-
-    def inverse(self) -> "PermutationBraid":
-        img = [0] * len(self.mapping)
-        for i, v in enumerate(self.mapping):
-            img[v] = i
-        return PermutationBraid(tuple(img))
 
     def length(self) -> int:
         """Number of crossings: inversions of the one-line tuple."""
         m = self.mapping
         return sum(1 for i in range(len(m)) for j in range(i + 1, len(m)) if m[i] > m[j])
-
-    def start_indices(self) -> set[int]:
-        """0-based generator indices i such that some word for this braid starts with i."""
-        m = self.mapping
-        return {i for i in range(len(m) - 1) if m[i] > m[i + 1]}
-
-    def finish_indices(self) -> set[int]:
-        """0-based generator indices i such that some word for this braid ends with i."""
-        return self.inverse().start_indices()
-
-    def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.mapping))
-
-    def is_half_twist(self) -> bool:
-        n = len(self.mapping)
-        return all(v == n - 1 - i for i, v in enumerate(self.mapping))
-
-    def flip(self) -> "PermutationBraid":
-        """Conjugation by the half twist (an involution on permutation braids)."""
-        w0 = PermutationBraid.half_twist(len(self.mapping))
-        return w0.then(self).then(w0)
 
     def reduced_word(self) -> list[int]:
         """A word of 0-based generator indices realizing this permutation braid."""
@@ -148,11 +102,12 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.strands < 1:
-            raise ValueError(f"strand count must be at least 1, got {self.strands}")
+        n = self.strands
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise ValueError(f"strand count must be an integer >= 1, got {n!r}")
         object.__setattr__(self, "letters", tuple(self.letters))
         for e in self.letters:
-            if not isinstance(e, int) or e == 0:
+            if isinstance(e, bool) or not isinstance(e, int) or e == 0:
                 raise ValueError(f"bad braid letter {e!r}: letters are nonzero integers")
             if abs(e) > self.strands - 1:
                 raise ValueError(
@@ -263,73 +218,71 @@ def _half_twist_letters(n: int) -> list[int]:
     return letters
 
 
-def _left_weight_pair(a: PermutationBraid, b: PermutationBraid
-                      ) -> tuple[PermutationBraid, PermutationBraid, bool]:
-    """Slide initial generators of b into a until the pair is left weighted."""
-    changed = False
-    while True:
-        movable = b.start_indices() - a.finish_indices()
-        if not movable:
-            return a, b, changed
-        i = movable.pop()
-        n = a.strands
-        s = PermutationBraid.transposition(n, i)
-        a = a.then(s)
-        b = s.then(b)
-        changed = True
+def _left_weight(a: tuple[int, ...], b: tuple[int, ...]
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Slide initial generators of b into a until the pair is left weighted.
 
-
-def _normalize_factors(factors: list[PermutationBraid]) -> tuple[int, list[PermutationBraid]]:
-    """Left-weight a factor list; returns (half-twist shift, factors)."""
-    factors = [f for f in factors if not f.is_identity()]
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(factors) - 1:
-            a, b, moved = _left_weight_pair(factors[i], factors[i + 1])
-            if moved:
-                changed = True
-                if b.is_identity():
-                    factors[i] = a
-                    del factors[i + 1]
-                else:
-                    factors[i], factors[i + 1] = a, b
-                if i > 0:
-                    i -= 1
-                    continue
+    Generator i starts b when b[i] > b[i+1] and finishes a when value i+1 sits
+    before value i in a; moving it swaps those values of a and entries of b.
+    """
+    a, b = list(a), list(b)
+    where = [0] * len(a)
+    for x, v in enumerate(a):
+        where[v] = x
+    i = 0
+    while i < len(b) - 1:
+        if b[i] > b[i + 1] and where[i] < where[i + 1]:
+            x, y = where[i], where[i + 1]
+            a[x], a[y] = i + 1, i
+            where[i], where[i + 1] = y, x
+            b[i], b[i + 1] = b[i + 1], b[i]
+            i = max(i - 1, 0)  # the swap changed only the tests at i-1, i, i+1
+        else:
             i += 1
-    shift = 0
-    while factors and factors[0].is_half_twist():
-        shift += 1
-        del factors[0]
-    return shift, factors
+    return tuple(a), tuple(b)
 
 
 def normal_form(w: BraidWord) -> GarsideNormalForm:
-    """Left-greedy normal form of a braid word."""
+    """Left-greedy normal form of a braid word.
+
+    Each letter becomes a permutation braid, s_i or D s_i^-1 with one D^-1;
+    moving the D^-1 to the front conjugates by D every factor with an odd
+    number of them to its right.  Factors enter from the right, each followed
+    by one leftward pass of ``_left_weight`` that stops at the first pair it
+    leaves unchanged.  One pass suffices: in a left-weighted product no middle
+    factor becomes trivial, so only the incoming one may (it is dropped).
+    Half twists collect at the front and go into the infimum.
+    """
     n = w.strands
     if n == 1:
         return GarsideNormalForm(1, 0, ())
-    w0 = PermutationBraid.half_twist(n)
-    factors: list[PermutationBraid] = []
-    powers: list[int] = []
+    identity = tuple(range(n))
+    remaining = sum(1 for e in w.letters if e < 0)
+    infimum = -remaining
+    factors: list[tuple[int, ...]] = []
     for e in w.letters:
-        s = PermutationBraid.transposition(n, abs(e) - 1)
-        if e > 0:
-            factors.append(s)
-            powers.append(0)
-        else:
-            # sigma_i^-1 = D^-1 * (positive complement of sigma_i in D)
-            factors.append(w0.then(s))
-            powers.append(-1)
-    total = 0
-    for k in range(len(factors) - 1, -1, -1):
-        if total % 2:
-            factors[k] = factors[k].flip()
-        total += powers[k]
-    shift, normalized = _normalize_factors(factors)
-    return GarsideNormalForm(n, total + shift, tuple(normalized))
+        i = abs(e) - 1
+        if e < 0:
+            remaining -= 1
+        if remaining % 2:
+            i = n - 2 - i  # conjugation by D maps s_i to s_{n-2-i}
+        s = list(identity)
+        s[i], s[i + 1] = i + 1, i
+        factors.append(tuple(s) if e > 0 else tuple(reversed(s)))
+        k = len(factors) - 1
+        while k > 0:
+            a, b = _left_weight(factors[k - 1], factors[k])
+            if a == factors[k - 1]:
+                break
+            factors[k - 1], factors[k] = a, b
+            k -= 1
+        if factors[-1] == identity:
+            factors.pop()
+    lead = 0
+    while lead < len(factors) and factors[lead] == identity[::-1]:
+        lead += 1
+    return GarsideNormalForm(n, infimum + lead,
+                             tuple(PermutationBraid(f) for f in factors[lead:]))
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:

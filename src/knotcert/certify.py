@@ -31,7 +31,13 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from .braid import BraidWord, contains_full_twist, quotient_braid_even, quotient_braid_odd
+from .braid import (
+    MAX_INPUT_LETTERS,
+    BraidWord,
+    contains_full_twist,
+    quotient_braid_even,
+    quotient_braid_odd,
+)
 from .diagram import braid_closure, determinant, signature
 from .invariants import (
     IntInterval,
@@ -61,6 +67,7 @@ __all__ = [
     "exclude_seifert_link_two_components",
     "exclude_torus_knot",
     "torus_knot_genus_conflict",
+    "check_input_size",
     "certify_no_sfs",
 ]
 
@@ -83,6 +90,16 @@ _RULE_BRANCHES = {
     "toroidal-slope": ("montesinos", "seifert"),
 }
 _REQUIRED_BRANCHES = frozenset(("montesinos", "seifert"))
+
+
+def _check_fields(d, what: str, fields: dict[str, type]):
+    """Raise ValueError unless d is an object with exactly these fields, each
+    of its type (an int field takes no bool)."""
+    if not isinstance(d, dict) or d.keys() != fields.keys():
+        raise ValueError(f"{what} must be an object with the fields {sorted(fields)}")
+    for name, kind in fields.items():
+        if not isinstance(d[name], kind) or (kind is int and isinstance(d[name], bool)):
+            raise ValueError(f"{what} field {name!r} must be {kind.__name__}, got {d[name]!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,6 +135,7 @@ class ExclusionVerdict:
 
     @staticmethod
     def from_dict(d: dict) -> "ExclusionVerdict":
+        _check_fields(d, "verdict", {"rule": str, "conclusion": str, "evidence": dict})
         return ExclusionVerdict(d["rule"], d["conclusion"], d["evidence"])
 
 
@@ -145,11 +163,13 @@ class SlopeReport:
 
     @staticmethod
     def from_dict(d: dict) -> "SlopeReport":
+        _check_fields(d, "slope", {"r": int, "parity": str, "admitted_by": str,
+                                   "excluded": bool, "verdicts": list})
         cand = SlopeCandidate(d["r"], d["parity"], d["admitted_by"])
         verdicts = tuple(ExclusionVerdict.from_dict(v) for v in d["verdicts"])
         report = SlopeReport(cand, verdicts)
-        if d.get("excluded") is not report.excluded:  # a bool, not 0 or 1
-            raise ValueError(f"slope {cand.r}: recorded excluded {d.get('excluded')!r} "
+        if d["excluded"] != report.excluded:
+            raise ValueError(f"slope {cand.r}: recorded excluded {d['excluded']!r} "
                              f"disagrees with its verdicts ({report.excluded})")
         return report
 
@@ -185,9 +205,12 @@ class CertificateReport:
 
     @staticmethod
     def from_dict(d: dict) -> "CertificateReport":
-        version = d.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported certificate schema version {version!r}")
+        if isinstance(d, dict) and d.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(
+                f"unsupported certificate schema version {d.get('schema_version')!r}")
+        _check_fields(d, "certificate", {
+            "schema_version": int, "family": str, "parameters": dict, "assumptions": list,
+            "notes": list, "slopes": list, "conclusion": str})
         report = CertificateReport(
             family=d["family"],
             parameters=dict(d["parameters"]),
@@ -195,8 +218,8 @@ class CertificateReport:
             notes=tuple(d["notes"]),
             slopes=tuple(SlopeReport.from_dict(s) for s in d["slopes"]),
         )
-        if d.get("conclusion") != report.conclusion:
-            raise ValueError(f"recorded conclusion {d.get('conclusion')!r} disagrees "
+        if d["conclusion"] != report.conclusion:
+            raise ValueError(f"recorded conclusion {d['conclusion']!r} disagrees "
                              f"with the slope verdicts ({report.conclusion!r})")
         return report
 
@@ -546,6 +569,19 @@ _EVEN_ASSUMPTIONS = _COMMON_ASSUMPTIONS + (
 )
 
 
+def check_input_size(first: int, q: int):
+    """Reject P(first,q,q) when its quotient braid words would exceed
+    braid.MAX_INPUT_LETTERS letters.
+
+    The longest is the odd family's at r = 8, 6(first+q)+8 letters; the even
+    family's longest is 6(first+q)+1.
+    """
+    longest = 6 * (first + q) + 8
+    if longest > MAX_INPUT_LETTERS:
+        raise ValueError(f"P({first},{q},{q}) needs quotient braid words of up to {longest} "
+                         f"letters, over the input limit {MAX_INPUT_LETTERS}")
+
+
 def certify_no_sfs(first: int, q: int) -> CertificateReport:
     """Run the full slope-by-slope exclusion for P(first, q, q).
 
@@ -564,6 +600,7 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
     if q % 2 == 0:
         raise ValueError(
             f"P({first},{q},{q}) with even q has more than one component; q must be odd")
+    check_input_size(first, q)
 
     slopes: list[SlopeReport] = []
     if first % 2:

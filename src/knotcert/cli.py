@@ -21,7 +21,7 @@ import pathlib
 import sys
 
 from .braid import BraidWord, braids_equal, normal_form, parse_braid
-from .certify import CertificateReport, certify_no_sfs
+from .certify import CertificateReport, certify_no_sfs, check_input_size
 from .diagram import (
     LinkDiagram,
     braid_closure,
@@ -233,6 +233,9 @@ def _cmd_certify_grid(args: argparse.Namespace) -> int:
     q_range = _parse_range(args.grid[1], "q")
     if p_range.start < 2 or q_range.start < 2:
         raise ValueError("grid parameters start at 2")
+    odd_qs = [q for q in q_range if q % 2]
+    if odd_qs:
+        check_input_size(p_range[-1], odd_qs[-1])
     out_dir = pathlib.Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

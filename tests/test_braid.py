@@ -98,6 +98,12 @@ class TestWordLaws:
     def test_strand_count_must_be_positive(self):
         with pytest.raises(ValueError):
             BraidWord(0, ())
+        with pytest.raises(ValueError):
+            BraidWord(2.0, (1,))
+        with pytest.raises(ValueError):
+            BraidWord(True, ())
+        with pytest.raises(ValueError):
+            BraidWord(3, (True, 2))
 
     def test_product_requires_matching_strands(self):
         with pytest.raises(ValueError):
@@ -117,7 +123,8 @@ class TestWordLaws:
         for _ in range(30):
             u = random_word(strands=4, length=8)
             v = random_word(strands=4, length=8)
-            assert permutation_of(u * v) == permutation_of(u).then(permutation_of(v))
+            pu, pv = permutation_of(u).mapping, permutation_of(v).mapping
+            assert permutation_of(u * v).mapping == tuple(pv[x] for x in pu)
 
     def test_exponent_sum_additive(self, random_word):
         for _ in range(20):
@@ -165,15 +172,37 @@ class TestNormalForm:
                 letters = legal_rewrite(rng, letters, strands)
                 assert normal_form(BraidWord(strands, tuple(letters))) == reference
 
-    def test_factors_are_left_weighted_permutation_braids(self, random_word):
-        for _ in range(10):
-            nf = normal_form(random_word(strands=4, length=14))
-            for f in nf.factors:
-                assert not f.is_identity()
-                assert not f.is_half_twist()
-            for a, b in zip(nf.factors, nf.factors[1:]):
-                # left-weighted: the finish set of a must cover the start set of b
-                assert b.start_indices() <= a.finish_indices()
+    def test_factors_are_left_weighted_permutation_braids(self, rng):
+        def starts(m):
+            return {i for i in range(len(m) - 1) if m[i] > m[i + 1]}
+
+        def finishes(m):
+            # i finishes m when the strand ending at i started right of the one ending at i+1
+            return {i for i in range(len(m) - 1) if m.index(i) > m.index(i + 1)}
+
+        for strands in range(2, 7):
+            for share in (0.0, 0.25, 0.5, 0.75, 1.0):
+                letters = tuple(rng.randint(1, strands - 1) * (-1 if rng.random() < share else 1)
+                                for _ in range(rng.randint(0, 30)))
+                nf = normal_form(BraidWord(strands, letters))
+                for f in nf.factors:
+                    assert f.mapping != tuple(range(strands))
+                    assert f.mapping != tuple(range(strands - 1, -1, -1))
+                for a, b in zip(nf.factors, nf.factors[1:]):
+                    # left-weighted: the finish set of a must cover the start set of b
+                    assert starts(b.mapping) <= finishes(a.mapping)
+
+    @pytest.mark.parametrize("strands, letters, infimum, mappings", [
+        (2, (-1, -1, 1), -1, []),  # D s1^-1 is the identity on two strands
+        (2, (1, 1, 1, -1), 2, []),
+        (3, (1, 2, 1, 2, 1, 2, -1), 1, [(2, 0, 1)]),
+        (3, (-1, -2, 2, 1, -2), -1, [(1, 2, 0)]),
+        (4, (1, -3, 2, -1, 3, 3, -2, 1), -1, [(1, 2, 3, 0), (2, 0, 1, 3), (1, 3, 0, 2)]),
+    ])
+    def test_pinned_normal_forms(self, strands, letters, infimum, mappings):
+        nf = normal_form(BraidWord(strands, letters))
+        assert nf.infimum == infimum
+        assert [f.mapping for f in nf.factors] == mappings
 
 
 class TestFullTwist:
@@ -301,24 +330,11 @@ class TestTorusBraid:
 
 
 class TestPermutationBraid:
-    def test_half_twist_is_its_own_flip(self):
-        for n in (2, 3, 4, 5):
-            assert PermutationBraid.half_twist(n).flip() == PermutationBraid.half_twist(n)
-
-    def test_inverse_round_trip(self, rng):
-        for _ in range(10):
-            img = list(range(5))
-            rng.shuffle(img)
-            p = PermutationBraid(tuple(img))
-            assert p.then(p.inverse()) == PermutationBraid.identity(5)
-
     def test_reduced_word_rebuilds(self, rng):
         for _ in range(10):
             img = list(range(5))
             rng.shuffle(img)
             p = PermutationBraid(tuple(img))
-            rebuilt = PermutationBraid.identity(5)
-            for i in p.reduced_word():
-                rebuilt = rebuilt.then(PermutationBraid.transposition(5, i))
+            rebuilt = permutation_of(BraidWord(5, tuple(i + 1 for i in p.reduced_word())))
             assert rebuilt == p
             assert len(p.reduced_word()) == p.length()

@@ -284,6 +284,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match="excluded"):
             CertificateReport.from_dict(data)
 
+    @pytest.mark.parametrize("case", [
+        "not-an-object", "missing-family", "missing-verdicts", "null-slopes",
+        "string-r", "unknown-key",
+    ])
+    def test_malformed_file_is_rejected(self, case):
+        data = json.loads(certify_no_sfs(3, 3).to_json())
+        if case == "not-an-object":
+            data = []
+        elif case == "missing-family":
+            del data["family"]
+        elif case == "missing-verdicts":
+            del data["slopes"][0]["verdicts"]
+        elif case == "null-slopes":
+            data["slopes"] = None
+        elif case == "string-r":
+            data["slopes"][0]["r"] = "x"
+        else:
+            data["bogus"] = 1
+        with pytest.raises(ValueError):
+            CertificateReport.from_json(json.dumps(data))
+
     def test_schema_version_is_stamped(self):
         data = json.loads(certify_no_sfs(2, 3).to_json())
         assert data["schema_version"] == SCHEMA_VERSION

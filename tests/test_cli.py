@@ -144,6 +144,11 @@ class TestCertify:
         assert exc.value.code == EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
 
+    def test_over_input_limit_is_usage_error(self, capsys):
+        # 6*(330+3)+8 = 2006 letters, one cell past MAX_INPUT_LETTERS = 2000
+        assert main(["certify", "330", "3"]) == EXIT_USAGE
+        assert "input limit" in capsys.readouterr().err
+
     def test_wrong_arity_is_usage_error(self, capsys):
         assert main(["certify", "3"]) == EXIT_USAGE
         assert "two parameters" in capsys.readouterr().err
@@ -205,6 +210,12 @@ class TestCertifyGrid:
         assert main(["certify", "--grid", "3..3", "3..3", "--json"]) == EXIT_OK
         cells = json.loads(capsys.readouterr().out)["grid"]
         assert cells == [{"p": 3, "q": 3, "status": "certified", "slopes": 17}]
+
+    def test_grid_over_input_limit_writes_nothing(self, tmp_path, capsys):
+        assert main(["certify", "--grid", "3..330", "3..3",
+                     "--out", str(tmp_path)]) == EXIT_USAGE
+        assert "input limit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_all_even_grid_is_usage_error(self, capsys):
         assert main(["certify", "--grid", "2..2", "4..4"]) == EXIT_USAGE
