@@ -2,43 +2,52 @@
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping
 
 __all__ = ["symmetric_inertia"]
 
 
-def symmetric_inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
-    """Signature and determinant of a symmetric integer matrix.
+def symmetric_inertia(rows: Mapping[int, Mapping[int, int]]) -> tuple[int, int]:
+    """Signature and determinant of a symmetric integer matrix given as
+    sparse rows ``{i: {j: value}}``; an absent entry is zero.
 
-    Sparse symmetric LDL^T over the rationals, each row kept as a dict of
-    its nonzeros.  Each step pivots on the nonzero diagonal entry whose row
-    has the fewest nonzeros, lowest index first (minimum degree).  When
-    every remaining diagonal entry is zero, an off-diagonal entry b is
-    eliminated with its pair as the 2x2 block [[0, b], [b, 0]], which adds
-    nothing to the signature and a factor -b^2 to the determinant.  If only
-    zero rows remain the determinant is 0; otherwise it is the exact
-    product of the pivots.
+    Sparse symmetric LDL^T over the rationals.  Each step pivots on the
+    nonzero diagonal entry whose row has the fewest nonzeros, lowest index
+    first (minimum degree), popped from a heap of (degree, index) keys
+    that each elimination pushes again only for the rows it touched; a key
+    whose row is gone, has a zero diagonal or another degree is skipped.
+    When every remaining diagonal entry is zero, an off-diagonal entry b is
+    eliminated with its pair as the 2x2 block [[0, b], [b, 0]]: signature
+    +0, determinant times -b^2.  If only zero rows remain the determinant
+    is 0.  ValueError when an entry's column has no row or the matrix is
+    not symmetric.
     """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("matrix is not square")
-    a = {i: {j: Fraction(v) for j, v in enumerate(row) if v} for i, row in enumerate(rows)}
+    a = {i: {j: Fraction(v) for j, v in row.items() if v} for i, row in rows.items()}
     for i, row in a.items():
         for j, v in row.items():
+            if j not in a:
+                raise ValueError(f"entry ({i}, {j}) lies in a column with no row")
             if a[j].get(i) != v:
                 raise ValueError("matrix is not symmetric")
+    heap = [(len(row), i) for i, row in a.items()]
+    heapq.heapify(heap)
     sig = 0
     det = Fraction(1)
     while a:
-        fewest = min(((len(row), i) for i, row in a.items() if i in row), default=None)
-        if fewest is not None:
-            p = fewest[1]
-            d = a[p][p]
+        if heap:
+            degree, p = heapq.heappop(heap)
+            row = a.get(p)
+            if row is None or p not in row or len(row) != degree:
+                continue  # a stale key
+            d = row[p]
             sig += 1 if d > 0 else -1
             det *= d
             (col,) = _remove(a, (p,))
             _subtract(a, {r: v / d for r, v in col.items()}, col)
+            for r in col:
+                heapq.heappush(heap, (len(a[r]), r))
             continue
         fewest = min(((len(row), i) for i, row in a.items() if row), default=None)
         if fewest is None:
@@ -50,6 +59,8 @@ def symmetric_inertia(rows: Sequence[Sequence[int]]) -> tuple[int, int]:
         u, w = _remove(a, (i, j))
         _subtract(a, {r: v / b for r, v in u.items()}, w)
         _subtract(a, {r: v / b for r, v in w.items()}, u)
+        for r in u.keys() | w.keys():
+            heapq.heappush(heap, (len(a[r]), r))
     if det.denominator != 1:
         raise AssertionError("determinant of an integer matrix is not an integer")
     return sig, int(det)

@@ -91,6 +91,8 @@ _RULE_BRANCHES = {
 }
 _REQUIRED_BRANCHES = frozenset(("montesinos", "seifert"))
 
+_FAMILY_PARAMETERS = {"odd": ("p", "q"), "even": ("p", "n", "q")}
+
 
 def _check_fields(d, what: str, fields: dict[str, type]):
     """Raise ValueError unless d is an object with exactly these fields, each
@@ -136,6 +138,8 @@ class ExclusionVerdict:
     @staticmethod
     def from_dict(d: dict) -> "ExclusionVerdict":
         _check_fields(d, "verdict", {"rule": str, "conclusion": str, "evidence": dict})
+        if not d["evidence"]:
+            raise ValueError(f"verdict {d['rule']!r} has no evidence")
         return ExclusionVerdict(d["rule"], d["conclusion"], d["evidence"])
 
 
@@ -211,6 +215,13 @@ class CertificateReport:
         _check_fields(d, "certificate", {
             "schema_version": int, "family": str, "parameters": dict, "assumptions": list,
             "notes": list, "slopes": list, "conclusion": str})
+        if d["family"] not in _FAMILY_PARAMETERS:
+            raise ValueError(f"unknown certificate family {d['family']!r}")
+        _check_fields(d["parameters"], f"{d['family']} family parameters",
+                      dict.fromkeys(_FAMILY_PARAMETERS[d["family"]], int))
+        for name in ("assumptions", "notes"):
+            if not all(isinstance(x, str) for x in d[name]):
+                raise ValueError(f"certificate {name} must be strings")
         report = CertificateReport(
             family=d["family"],
             parameters=dict(d["parameters"]),

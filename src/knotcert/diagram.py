@@ -78,14 +78,6 @@ class LinkDiagram:
         return len(self.crossings)
 
 
-def _arc_slots(d: LinkDiagram) -> dict[int, list[tuple[int, int]]]:
-    slots: dict[int, list[tuple[int, int]]] = {}
-    for ci, c in enumerate(d.crossings):
-        for k, a in enumerate(c.arcs):
-            slots.setdefault(a, []).append((ci, k))
-    return slots
-
-
 class _UnionFind:
     def __init__(self):
         self.parent: dict = {}
@@ -257,19 +249,13 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
 
 
 def _piece_count(d: LinkDiagram) -> int:
-    """Connected pieces of the crossing graph, free loops not counted."""
+    """Connected pieces of the crossing graph, free loops not counted: the
+    classes of arcs that meet at a crossing."""
     uf = _UnionFind()
-    for ci, c in enumerate(d.crossings):
-        uf.find(("x", ci))
+    for c in d.crossings:
         for a in c.arcs:
-            uf.union(("x", ci), ("a", a))
+            uf.union(a, c.arcs[0])
     return uf.classes()
-
-
-def _is_connected(d: LinkDiagram) -> bool:
-    if d.free_loops:
-        return not d.crossings and d.free_loops == 1
-    return _piece_count(d) == 1
 
 
 def faces(d: LinkDiagram) -> list[list[tuple[int, int]]]:
@@ -279,33 +265,38 @@ def faces(d: LinkDiagram) -> list[list[tuple[int, int]]]:
     between slots k and k+1.  Face tracing follows the arc leaving slot
     k+1 and continues at the landing slot's quadrant.
     """
-    slots = _arc_slots(d)
+    slots: dict[int, list[tuple[int, int]]] = {}
+    for ci, c in enumerate(d.crossings):
+        for k, a in enumerate(c.arcs):
+            slots.setdefault(a, []).append((ci, k))
 
     def across(ci: int, k: int) -> tuple[int, int]:
         a = d.crossings[ci].arcs[k]
         s1, s2 = slots[a]
         return s2 if s1 == (ci, k) else s1
 
-    remaining = {(ci, k) for ci in range(len(d.crossings)) for k in range(4)}
+    seen: set[tuple[int, int]] = set()
     out: list[list[tuple[int, int]]] = []
-    while remaining:
-        corner = min(remaining)
+    for start in ((ci, k) for ci in range(len(d.crossings)) for k in range(4)):
+        corner = start
         face = []
-        while corner in remaining:
-            remaining.remove(corner)
+        while corner not in seen:
+            seen.add(corner)
             face.append(corner)
             ci, k = corner
             corner = across(ci, (k + 1) % 4)
-        out.append(face)
+        if face:
+            out.append(face)
     return out
 
 
 @dataclasses.dataclass(frozen=True)
 class GoeritzData:
-    """Checkerboard data: the reduced white-face matrix (one white face
-    deleted) and the orientation correction term."""
+    """Checkerboard data: the reduced white-face matrix (white face 0
+    deleted) as sparse rows ``{i: {j: value}}`` of its nonzeros, one row
+    per remaining white face, and the orientation correction term."""
 
-    matrix: tuple[tuple[int, ...], ...]
+    matrix: dict[int, dict[int, int]]
     correction: int
 
 
@@ -315,13 +306,13 @@ def goeritz(d: LinkDiagram) -> GoeritzData:
     White is the larger color class of the checkerboard coloring.  At each
     crossing the incidence sign is +1 when the white quadrants are the two
     flanking the over-strand, -1 otherwise; the correction adds the signs
-    of the crossings whose crossing sign equals their incidence sign.
+    of the crossings whose crossing sign equals their incidence sign.  The
+    rows are summed in one pass over the crossings; a diagram in more than
+    one piece shows as faces the coloring does not reach.
     """
-    if not _is_connected(d):
+    if d.free_loops or not d.crossings:
         raise ValueError("Goeritz data needs a connected diagram with a crossing")
     face_list = faces(d)
-    if len(face_list) != len(d.crossings) + 2:
-        raise AssertionError("face count disagrees with Euler's formula; embedding corrupt")
     face_of: dict[tuple[int, int], int] = {}
     for fi, face in enumerate(face_list):
         for corner in face:
@@ -339,18 +330,18 @@ def goeritz(d: LinkDiagram) -> GoeritzData:
                     queue.append(nf)
                 elif colors[nf] == colors[fi]:
                     raise AssertionError("checkerboard coloring failed; embedding corrupt")
-    class0 = [fi for fi, col in enumerate(colors) if col == 0]
-    class1 = [fi for fi, col in enumerate(colors) if col == 1]
-    white_class = 0 if len(class0) >= len(class1) else 1
-    white = class0 if white_class == 0 else class1
-    white_index = {fi: wi for wi, fi in enumerate(white)}
-
-    m = len(white)
-    full = [[0] * m for _ in range(m)]
+    if None in colors:
+        raise ValueError("Goeritz data needs a connected diagram with a crossing")
+    if len(face_list) != len(d.crossings) + 2:
+        raise AssertionError("face count disagrees with Euler's formula; embedding corrupt")
+    white_class = 0 if 2 * colors.count(0) >= len(colors) else 1
+    white = [fi for fi, col in enumerate(colors) if col == white_class]
+    # white face 0 gets index -1: its row and column are deleted
+    white_index = {fi: wi - 1 for wi, fi in enumerate(white)}
+    rows: dict[int, dict[int, int]] = {i: {} for i in range(len(white) - 1)}
     correction = 0
     for ci, c in enumerate(d.crossings):
-        corner_colors = [colors[face_of[(ci, k)]] for k in range(4)]
-        if corner_colors[1] == white_class:
+        if colors[face_of[(ci, 1)]] == white_class:
             eta = 1
             white_corners = (1, 3)
         else:
@@ -362,12 +353,11 @@ def goeritz(d: LinkDiagram) -> GoeritzData:
         f2 = face_of[(ci, white_corners[1])]
         if f1 != f2:
             i, j = white_index[f1], white_index[f2]
-            full[i][j] -= eta
-            full[j][i] -= eta
-            full[i][i] += eta
-            full[j][j] += eta
-    reduced = tuple(tuple(row[1:]) for row in full[1:])
-    return GoeritzData(matrix=reduced, correction=correction)
+            for x, y, v in ((i, i, eta), (j, j, eta), (i, j, -eta), (j, i, -eta)):
+                if x >= 0 and y >= 0:
+                    rows[x][y] = rows[x].get(y, 0) + v
+    matrix = {i: {j: v for j, v in row.items() if v} for i, row in rows.items()}
+    return GoeritzData(matrix=matrix, correction=correction)
 
 
 def signature(d: LinkDiagram) -> int:
@@ -385,7 +375,7 @@ def determinant(d: LinkDiagram) -> int:
     double branched cover."""
     if not d.crossings:
         return 1 if d.free_loops == 1 else 0
-    if not _is_connected(d):
+    if d.free_loops or _piece_count(d) != 1:
         return 0
     data = goeritz(d)
     return abs(symmetric_inertia(data.matrix)[1])

@@ -2,8 +2,8 @@
 
 Torus knot Alexander polynomials and determinants, genus and Rasmussen
 invariants of positive diagrams, genus formulas for the two quotient knot
-families, and even-width integer intervals that propagate what a single
-crossing change or a four-crossing tangle move can do to s and sigma.
+families, and even-width integer intervals that propagate what a
+four-crossing tangle move can do to s and sigma.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "quotient_knot_genus_odd",
     "quotient_knot_genus_even",
     "torus_genus",
-    "crossing_change_sigma_bound",
-    "crossing_change_s_bound",
     "sharp_move_sigma_bound",
     "sharp_move_s_delta",
 ]
@@ -202,18 +200,6 @@ def torus_genus(a: int, b: int) -> int:
     if a < 1 or b < 1 or math.gcd(a, b) != 1:
         raise ValueError(f"torus knot parameters must be positive and coprime: ({a}, {b})")
     return (a - 1) * (b - 1) // 2
-
-
-def crossing_change_sigma_bound(sigma_positive: int) -> IntInterval:
-    """Enclosure for sigma after changing one positive crossing to negative:
-    the signature stays or rises by two."""
-    return IntInterval(sigma_positive, sigma_positive + 2)
-
-
-def crossing_change_s_bound(s_negative: int) -> IntInterval:
-    """Enclosure for s after changing one negative crossing to positive:
-    s stays or rises by two."""
-    return IntInterval(s_negative, s_negative + 2)
 
 
 def sharp_move_sigma_bound(sigma_before: int, zero_tangle_components: int) -> IntInterval:

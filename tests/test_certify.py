@@ -286,7 +286,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("case", [
         "not-an-object", "missing-family", "missing-verdicts", "null-slopes",
-        "string-r", "unknown-key",
+        "string-r", "unknown-key", "bogus-family", "missing-parameter", "string-parameter",
+        "bool-parameter", "int-assumption", "int-note", "empty-evidence",
     ])
     def test_malformed_file_is_rejected(self, case):
         data = json.loads(certify_no_sfs(3, 3).to_json())
@@ -300,6 +301,20 @@ class TestSerialization:
             data["slopes"] = None
         elif case == "string-r":
             data["slopes"][0]["r"] = "x"
+        elif case == "bogus-family":
+            data["family"] = "bogus"
+        elif case == "missing-parameter":
+            del data["parameters"]["q"]
+        elif case == "string-parameter":
+            data["parameters"]["p"] = "x"
+        elif case == "bool-parameter":
+            data["parameters"]["q"] = True
+        elif case == "int-assumption":
+            data["assumptions"].append(1)
+        elif case == "int-note":
+            data["notes"] = [1]
+        elif case == "empty-evidence":
+            data["slopes"][-1]["verdicts"][0]["evidence"] = {}
         else:
             data["bogus"] = 1
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from knotcert import (
     determinant,
     faces,
     from_pd_text,
+    goeritz,
     mirror,
     permutation_of,
     pretzel_diagram,
@@ -28,7 +29,7 @@ from knotcert import (
 from knotcert.braid import exponent_sum
 from knotcert.diagram import is_positive
 
-from oracles import braid_seifert_sigma, goeritz_det, torus_sigma
+from oracles import _symmetric_sig_det, braid_seifert_sigma, goeritz_det, torus_sigma
 
 RIGHT_TREFOIL = braid_closure(torus_braid(2, 3))
 FIGURE_EIGHT = braid_closure(BraidWord(3, (1, -2, 1, -2)))
@@ -65,6 +66,12 @@ class TestClosureStructure:
         for _ in range(10):
             d = braid_closure(random_knot_word())
             assert len(faces(d)) == len(d.crossings) + 2
+
+    def test_faces_order_is_pinned(self):
+        # faces start at the lowest unvisited corner, in corner order
+        assert faces(FIGURE_EIGHT) == [
+            [(0, 0), (2, 2), (3, 0)], [(0, 1), (2, 1)], [(0, 2), (1, 0), (2, 0)],
+            [(0, 3), (3, 1), (1, 3)], [(1, 1), (3, 3), (2, 3)], [(1, 2), (3, 2)]]
 
 
 class TestAnchors:
@@ -213,6 +220,27 @@ class TestGoeritzOracle:
         for (a, b) in [(2, 5), (3, 4), (3, 5), (4, 7)]:
             d = braid_closure(torus_braid(a, b))
             assert determinant(d) == goeritz_det(to_pd_text(d))
+
+    def test_sparse_rows_through_dense_oracle(self, random_knot_word):
+        for _ in range(50):
+            d = braid_closure(random_knot_word(max_strands=5, max_length=24))
+            data = goeritz(d)
+            rows = data.matrix
+            n = len(rows)
+            assert sorted(rows) == list(range(n))
+            for i, row in rows.items():
+                for j, v in row.items():
+                    assert v != 0 and rows[j][i] == v, (i, j)
+            dense = [[rows[i].get(j, 0) for j in range(n)] for i in range(n)]
+            sig, det = _symmetric_sig_det(dense)
+            assert sig - data.correction == signature(d)
+            assert det == determinant(d)
+
+    def test_rejects_split_diagram(self):
+        two_trefoils = ("X 1 0 2 3 +\nX 3 2 4 5 +\nX 5 4 0 1 +\n"
+                        "X 11 10 12 13 +\nX 13 12 14 15 +\nX 15 14 10 11 +\n")
+        with pytest.raises(ValueError, match="connected"):
+            goeritz(from_pd_text(two_trefoils))
 
 
 class TestSeifertFormOracle:

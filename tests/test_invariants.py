@@ -7,8 +7,6 @@ from knotcert import (
     BraidWord,
     IntInterval,
     braid_closure,
-    crossing_change_s_bound,
-    crossing_change_sigma_bound,
     det_from_alexander,
     determinant,
     mirror,
@@ -191,10 +189,6 @@ class TestFamilyGenus:
 
 
 class TestMoveBounds:
-    def test_crossing_change_windows(self):
-        assert crossing_change_sigma_bound(-6).as_list() == [-6, -4]
-        assert crossing_change_s_bound(4).as_list() == [4, 6]
-
     def test_sharp_move_windows(self):
         assert sharp_move_sigma_bound(0, 2).as_list() == [2, 4]
         assert sharp_move_sigma_bound(0, 1).as_list() == [2, 6]
@@ -206,8 +200,3 @@ class TestMoveBounds:
 
     def test_sharp_move_s_delta(self):
         assert sharp_move_s_delta() == 8
-
-    def test_trefoil_unknotting_bound_holds(self):
-        # one crossing change unknots the trefoil: sigma goes -2 -> 0
-        window = crossing_change_sigma_bound(signature(braid_closure(torus_braid(2, 3))))
-        assert 0 in window

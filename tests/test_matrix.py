@@ -2,6 +2,7 @@
 
 _symmetric_sig_det diagonalizes by dense congruence and shares no code
 with knotcert._matrix; it returns the absolute value of the determinant.
+symmetric_inertia gets the same matrices as sparse rows of their nonzeros.
 """
 
 import pytest
@@ -30,15 +31,40 @@ def _random_symmetric(rng, n: int) -> list[list[int]]:
     return m
 
 
+def _rows(m: list[list[int]]) -> dict[int, dict[int, int]]:
+    return {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(m)}
+
+
 def test_matches_dense_oracle(rng):
     for _ in range(1000):
         m = _random_symmetric(rng, rng.randint(0, 9))
-        sig, det = symmetric_inertia(m)
+        sig, det = symmetric_inertia(_rows(m))
         assert (sig, abs(det)) == _symmetric_sig_det(m), m
 
 
 def test_hyperbolic_pair_is_a_block_pivot():
-    assert symmetric_inertia([[0, 1], [1, 0]]) == (0, -1)
+    assert symmetric_inertia(_rows([[0, 1], [1, 0]])) == (0, -1)
+
+
+def test_fill_raises_degrees():
+    # 4I plus the cube graph's adjacency: every row has degree 4, and the
+    # first pivot's three neighbours are pairwise apart, so its fill takes
+    # each of them to degree 5 while their degree-4 keys are still queued.
+    # The adjacency eigenvalues are 3, 1, 1, 1, -1, -1, -1, -3.
+    rows = {v: {v: 4, **{v ^ (1 << b): 1 for b in range(3)}} for v in range(8)}
+    assert symmetric_inertia(rows) == (8, 7 * 5 ** 3 * 3 ** 3)
+    m = [[rows[i].get(j, 0) for j in range(8)] for i in range(8)]
+    assert _symmetric_sig_det(m) == (8, 7 * 5 ** 3 * 3 ** 3)
+
+
+def test_pivot_cancelling_diagonals_forces_block_pivot():
+    # the first pivot leaves [[0, 1], [1, 0]] behind, so the queued keys of
+    # rows 1 and 2 point at zero diagonals and a 2x2 block must follow
+    m = [[1, 1, 1],
+         [1, 1, 2],
+         [1, 2, 1]]
+    assert symmetric_inertia(_rows(m)) == (1, -1)
+    assert _symmetric_sig_det(m) == (1, 1)
 
 
 def test_zero_diagonal_four_by_four():
@@ -48,29 +74,30 @@ def test_zero_diagonal_four_by_four():
          [0, 3, 1, 0]]
     # Leibniz expansion gives det 1; trace 0 and det > 0 force two
     # negative eigenvalues, so the signature is 0.
-    assert symmetric_inertia(m) == (0, 1)
+    assert symmetric_inertia(_rows(m)) == (0, 1)
     assert _symmetric_sig_det(m) == (0, 1)
 
 
 def test_zero_matrix_is_singular():
-    assert symmetric_inertia([[0] * 3 for _ in range(3)]) == (0, 0)
+    assert symmetric_inertia({0: {}, 1: {}, 2: {}}) == (0, 0)
 
 
 def test_row_cancelled_to_zero_is_singular():
     # rank one: the first pivot leaves a zero row behind
-    assert symmetric_inertia([[1, 1], [1, 1]]) == (1, 0)
+    assert symmetric_inertia(_rows([[1, 1], [1, 1]])) == (1, 0)
 
 
 @pytest.mark.parametrize("rows", [
-    [[1, 2, 3], [2, 1, 0]],
-    [[1, 2], [2]],
-    [[1]] * 2,
+    {0: {0: 1, 1: 2}},
+    {0: {0: 1, 2: 3}, 1: {1: 1}},
+    {1: {0: 0, 1: 1, 2: 5}},
 ])
 def test_rejects_non_square(rows):
-    with pytest.raises(ValueError, match="square"):
+    # in sparse rows a matrix is not square when an entry's column has no row
+    with pytest.raises(ValueError, match="no row"):
         symmetric_inertia(rows)
 
 
 def test_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
-        symmetric_inertia([[1, 2], [3, 1]])
+        symmetric_inertia(_rows([[1, 2], [3, 1]]))
