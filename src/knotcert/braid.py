@@ -34,6 +34,7 @@ __all__ = [
     "braids_equal",
     "full_twist",
     "contains_full_twist",
+    "quotient_braid",
     "quotient_braid_odd",
     "quotient_braid_even",
     "torus_braid",
@@ -80,18 +81,6 @@ class PermutationBraid:
                     break
             else:
                 return word
-
-    def cycle_count(self) -> int:
-        seen = [False] * len(self.mapping)
-        cycles = 0
-        for i in range(len(self.mapping)):
-            if not seen[i]:
-                cycles += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = self.mapping[j]
-        return cycles
 
 
 @dataclasses.dataclass(frozen=True)
@@ -313,25 +302,30 @@ def contains_full_twist(w: BraidWord) -> bool:
     return normal_form(w).infimum >= 2
 
 
-def _family_letters(block_power: int, middle: tuple[int, ...], tail: int) -> tuple[int, ...]:
-    """Letters of the quotient family word, full twist made explicit.
+def quotient_braid(block_power: int, middle_power: int, tail: int) -> BraidWord:
+    """The four-strand quotient word (s2 s3 s1 s2)^block_power
+    (s2 s3^2 s2)^middle_power s1^tail, full twist made explicit.
 
-    The plain spelling (2312)^k middle s1^tail is only conjugate to a word
-    with a leading full twist, never equal to one: conjugation by braids
-    with trivial permutation preserves pairwise linking numbers, and the
-    plain word's head links the wrong strand pairs.  Conjugating by
-    s3^2 s1^4 fixes the closure and yields the spelling below, which
-    satisfies s3^2 (2312) s3^2 (2312)^{k-1} = Delta^2 (2312)^{k-2}
-    on the nose.  Same length, same closure, but the twist is now
-    visible to the greedy normal form.  Spending four tail letters needs
-    tail >= 4; below that no full twist exists and the plain word is
-    returned.
+    The plain spelling is only conjugate to a word with a leading full
+    twist, never equal to one: conjugation by braids with trivial
+    permutation preserves pairwise linking numbers, and the plain word's
+    head links the wrong strand pairs.  Conjugating by s3^2 s1^4 fixes the
+    closure and yields the spelling returned here, which satisfies, with
+    k = block_power, s3^2 (2312) s3^2 (2312)^{k-1} = Delta^2 (2312)^{k-2}
+    on the nose.  Same length, same closure, but the twist is now visible
+    to the greedy normal form.  Spending four tail letters needs tail >= 4
+    and block_power >= 2; below that no full twist exists and the plain
+    word is returned.
     """
+    if block_power < 1 or middle_power < 1 or tail < 0:
+        raise ValueError(f"quotient word needs block and middle powers >= 1 and tail >= 0, "
+                         f"got ({block_power}, {middle_power}, {tail})")
     block = (2, 3, 1, 2)
+    middle = (2, 3, 3, 2) * middle_power
     if tail >= 4 and block_power >= 2:
         head = (3, 3) + block + (3, 3) + block * (block_power - 1)
-        return head + middle + (1,) * (tail - 4)
-    return block * block_power + middle + (1,) * tail
+        return BraidWord(4, head + middle + (1,) * (tail - 4))
+    return BraidWord(4, block * block_power + middle + (1,) * tail)
 
 
 def quotient_braid_odd(p: int, q: int, r: int) -> BraidWord:
@@ -346,10 +340,7 @@ def quotient_braid_odd(p: int, q: int, r: int) -> BraidWord:
         raise ValueError(f"odd family needs p >= 3 odd, got p={p}")
     if q < 3 or q % 2 == 0:
         raise ValueError(f"odd family needs q >= 3 odd, got q={q}")
-    tail = 2 * p + 2 * q + r
-    if tail < 0:
-        raise ValueError(f"twist exponent 2p+2q+r = {tail} is negative")
-    return BraidWord(4, _family_letters(q, (2, 3, 3, 2) * p, tail))
+    return quotient_braid(q, p, 2 * p + 2 * q + r)
 
 
 def quotient_braid_even(n: int, q: int, r: int) -> BraidWord:
@@ -364,10 +355,7 @@ def quotient_braid_even(n: int, q: int, r: int) -> BraidWord:
         raise ValueError(f"even family needs n >= 1, got n={n}")
     if q < 3 or q % 2 == 0:
         raise ValueError(f"even family needs q >= 3 odd, got q={q}")
-    tail = 2 * (2 * n - q) + r
-    if tail < 0:
-        raise ValueError(f"twist exponent 2(2n-q)+r = {tail} is negative")
-    return BraidWord(4, _family_letters(q, (2, 3, 3, 2) * (2 * n), tail))
+    return quotient_braid(q, 2 * n, 2 * (2 * n - q) + r)
 
 
 def torus_braid(a: int, b: int) -> BraidWord:

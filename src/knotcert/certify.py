@@ -31,14 +31,8 @@ from __future__ import annotations
 import dataclasses
 import json
 
-from .braid import (
-    MAX_INPUT_LETTERS,
-    BraidWord,
-    contains_full_twist,
-    quotient_braid_even,
-    quotient_braid_odd,
-)
-from .diagram import braid_closure, determinant, signature
+from .braid import MAX_INPUT_LETTERS, contains_full_twist, quotient_braid
+from .diagram import braid_closure, signature, signature_and_determinant
 from .invariants import (
     IntInterval,
     positive_genus,
@@ -401,15 +395,12 @@ def exclude_torus_knot(family: str, params: tuple[int, int], r: int) -> Exclusio
     """
     rule = "torus-knot-det-genus"
     if family == "odd":
-        p, q = params
-        _check_odd_family(p, q)
+        _check_odd_family(*params)
         if r % 2 == 0:
             return ExclusionVerdict(rule, INCONCLUSIVE, {
                 "failed_step": "knot-closure",
                 "reason": f"slope {r} is even, so the quotient is a two-component link",
             })
-        word = quotient_braid_odd(p, q, r)
-        genus_closed_form = quotient_knot_genus_odd(p, q, r)
     elif family == "even":
         n, q = params
         _check_even_family(n, q)
@@ -418,49 +409,69 @@ def exclude_torus_knot(family: str, params: tuple[int, int], r: int) -> Exclusio
                 "failed_step": "admissible-slope",
                 "reason": f"slope {r} is not 4q-1 or 4q+1 for q={q}",
             })
-        word = quotient_braid_even(n, q, r)
-        genus_closed_form = quotient_knot_genus_even(n, q, r)
     else:
         raise ValueError(f"family must be 'odd' or 'even', got {family!r}")
+    return _knot_slope_verdicts(family, params, r)[1]
 
+
+def _knot_slope_verdicts(family: str, params: tuple[int, int], r: int
+                         ) -> tuple[ExclusionVerdict, ExclusionVerdict]:
+    """The Montesinos and torus-knot verdicts of an odd slope r.
+
+    Both read one closure of the quotient braid: s and sigma for the
+    Montesinos test, the determinant (from the same Goeritz matrix as
+    sigma) and the genus for the torus test.  The only other closure is
+    the tangle-move partner's, for the Montesinos chain.
+    """
+    if family == "odd":
+        p, q = params
+        middle, tail = p, 2 * p + 2 * q + r
+        genus_closed_form = quotient_knot_genus_odd(p, q, r)
+    else:
+        n, q = params
+        middle, tail = 2 * n, 2 * (2 * n - q) + r
+        genus_closed_form = quotient_knot_genus_even(n, q, r)
+    word = quotient_braid(q, middle, tail)
+    knot = braid_closure(word)
+    sigma, det = signature_and_determinant(knot)
+    partner = braid_closure(quotient_braid(q - 2, middle, tail))
+    montesinos = _montesinos_knot_verdict(
+        q - 2, rasmussen_positive(knot), sigma, rasmussen_positive(partner), signature(partner))
+
+    rule = "torus-knot-det-genus"
     if not contains_full_twist(word):
-        return ExclusionVerdict(rule, INCONCLUSIVE, {
+        return montesinos, ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "full-twist",
             "reason": "the quotient braid does not visibly contain a full twist",
         })
-
-    diagram = braid_closure(word)
-    det_diagram = determinant(diagram)
     det_homology = homology_order(r)
-    if det_diagram != det_homology:
-        return ExclusionVerdict(rule, INCONCLUSIVE, {
+    if det != det_homology:
+        return montesinos, ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "determinant-homology",
-            "determinant": det_diagram,
+            "determinant": det,
             "homology_order": det_homology,
         })
-    genus_direct = positive_genus(diagram)
+    genus_direct = positive_genus(knot)
     if genus_direct != genus_closed_form:
-        return ExclusionVerdict(rule, INCONCLUSIVE, {
+        return montesinos, ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "genus-cross-check",
             "genus_direct": genus_direct,
             "genus_closed_form": genus_closed_form,
         })
-
-    conflict, comparison = torus_knot_genus_conflict(det_diagram, genus_closed_form)
+    conflict, comparison = torus_knot_genus_conflict(det, genus_closed_form)
     evidence = {
         "full_twist": True,
         "braid_index": 4,
-        "determinant": det_diagram,
+        "determinant": det,
         "homology_order": det_homology,
         **comparison,
     }
     if family == "even":
-        n, q = params
         # The mismatch in closed form: T(4,4q+1) needs 6n-3q = 1 and
         # T(4,4q-1) needs 6n-3q = -1, both impossible mod 3.
         evidence["six_n_minus_three_q"] = 6 * n - 3 * q
         evidence["torus_match_requires"] = 1 if r == 4 * q + 1 else -1
-    return ExclusionVerdict(rule, EXCLUDED if conflict else INCONCLUSIVE, evidence)
+    return montesinos, ExclusionVerdict(rule, EXCLUDED if conflict else INCONCLUSIVE, evidence)
 
 
 def _toroidal_slope_verdict() -> ExclusionVerdict:
@@ -473,14 +484,15 @@ def _toroidal_slope_verdict() -> ExclusionVerdict:
     })
 
 
-def _montesinos_knot_verdict(q: int, middle: int, tail: int) -> ExclusionVerdict:
+def _montesinos_knot_verdict(partner_block_power: int, s_direct: int, sigma_direct: int,
+                             s_partner: int, sigma_partner: int) -> ExclusionVerdict:
     """Montesinos exclusion for a quotient knot, computed two ways.
 
-    The knot is the closure of (s2 s3 s1 s2)^q (s2 s3^2 s2)^middle s1^tail.
-    Direct: s and sigma of that closure.  Chain: the tangle move removing
-    one (s2 s3 s1 s2)^2 block drops s by exactly 8 and raises sigma by 2
-    to 6, so the partner's invariants bound s + sigma from below by
-    s' + sigma' + 2.
+    The knot is the closure of (s2 s3 s1 s2)^q (s2 s3^2 s2)^middle s1^tail,
+    and its partner has block power q - 2.  Direct: s and sigma of the
+    knot.  Chain: the tangle move removing one (s2 s3 s1 s2)^2 block drops
+    s by exactly 8 and raises sigma by 2 to 6, so the partner's invariants
+    bound s + sigma from below by s' + sigma' + 2.
 
     The sigma window is the move lemma's parameter-free form [2, 6],
     valid whatever the resolved diagram at the move site looks like.  The
@@ -491,22 +503,7 @@ def _montesinos_knot_verdict(q: int, middle: int, tail: int) -> ExclusionVerdict
     directly computed sum and the verdict refuses to certify on any
     disagreement.
     """
-    if q < 3 or tail < 0 or middle < 1:
-        raise ValueError(f"quotient word needs q >= 3, middle >= 1, tail >= 0, "
-                         f"got ({q}, {middle}, {tail})")
-    block = (2, 3, 1, 2)
-    rest = (2, 3, 3, 2) * middle + (1,) * tail
-    word = BraidWord(4, block * q + rest)
-    partner = BraidWord(4, block * (q - 2) + rest)
-
-    diagram = braid_closure(word)
-    s_direct = rasmussen_positive(diagram)
-    sigma_direct = signature(diagram)
     direct = exclude_montesinos_knot(s_direct, sigma_direct)
-
-    partner_diagram = braid_closure(partner)
-    s_partner = rasmussen_positive(partner_diagram)
-    sigma_partner = signature(partner_diagram)
     s_drop = s_direct - s_partner
     if s_drop != sharp_move_s_delta():
         raise AssertionError(
@@ -529,7 +526,7 @@ def _montesinos_knot_verdict(q: int, middle: int, tail: int) -> ExclusionVerdict
         "direct": direct.evidence,
         "chain": {
             **chain.evidence,
-            "partner_block_power": q - 2,
+            "partner_block_power": partner_block_power,
             "partner_s": s_partner,
             "partner_sigma": sigma_partner,
             "partner_s_plus_sigma": s_partner + sigma_partner,
@@ -613,34 +610,18 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
             f"P({first},{q},{q}) with even q has more than one component; q must be odd")
     check_input_size(first, q)
 
-    slopes: list[SlopeReport] = []
     if first % 2:
-        p = first
-        family = "odd"
-        parameters = {"p": p, "q": q}
+        family, params = "odd", (first, q)
+        parameters = {"p": first, "q": q}
         assumptions = _ODD_ASSUMPTIONS
         notes = (
             "verdict evidence recomputes from the braid, diagram, and invariant "
             "engines; the assumptions above are geometric inputs, not computed",
         )
-        for cand in slope_candidates_odd(p, q):
-            r = cand.r
-            if r == 0:
-                verdicts = (_toroidal_slope_verdict(),)
-            elif r % 2 == 0:
-                verdicts = (
-                    exclude_montesinos_link_two_components(p, q),
-                    exclude_seifert_link_two_components(p, q),
-                )
-            else:
-                verdicts = (
-                    _montesinos_knot_verdict(q, p, 2 * p + 2 * q + r),
-                    exclude_torus_knot("odd", (p, q), r),
-                )
-            slopes.append(SlopeReport(cand, verdicts))
+        candidates = slope_candidates_odd(first, q)
     else:
         n = first // 2
-        family = "even"
+        family, params = "even", (n, q)
         parameters = {"p": first, "n": n, "q": q}
         assumptions = _EVEN_ASSUMPTIONS
         notes = (
@@ -649,13 +630,20 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
             "verdict evidence recomputes from the braid, diagram, and invariant "
             "engines; the assumptions above are geometric inputs, not computed",
         )
-        for cand in slope_candidates_even(n, q):
-            r = cand.r
+        candidates = slope_candidates_even(n, q)
+    slopes: list[SlopeReport] = []
+    for cand in candidates:
+        r = cand.r
+        if r == 0:
+            verdicts = (_toroidal_slope_verdict(),)
+        elif r % 2 == 0:
             verdicts = (
-                _montesinos_knot_verdict(q, 2 * n, 2 * (2 * n - q) + r),
-                exclude_torus_knot("even", (n, q), r),
+                exclude_montesinos_link_two_components(first, q),
+                exclude_seifert_link_two_components(first, q),
             )
-            slopes.append(SlopeReport(cand, verdicts))
+        else:
+            verdicts = _knot_slope_verdicts(family, params, r)
+        slopes.append(SlopeReport(cand, verdicts))
 
     return CertificateReport(
         family=family,

@@ -30,7 +30,7 @@ from .diagram import (
     is_positive,
     pretzel_diagram,
     seifert_circle_count,
-    signature,
+    signature_and_determinant,
     writhe,
 )
 from .homfly import homfly, mfw_bound
@@ -105,8 +105,9 @@ def invariant_record(d: LinkDiagram) -> InvariantRecord:
     notes: list[str] = []
     sig = None
     if comps == 1:
-        sig = signature(d)
+        sig, det = signature_and_determinant(d)
     else:
+        det = determinant(d)
         notes.append(f"signature: needs a knot, diagram has {comps} components")
     ras = gen = sli = None
     if comps == 1 and pos:
@@ -123,7 +124,7 @@ def invariant_record(d: LinkDiagram) -> InvariantRecord:
         seifert_circles=seifert_circle_count(d),
         writhe=writhe(d),
         positive=pos,
-        determinant=determinant(d),
+        determinant=det,
         signature=sig,
         rasmussen=ras,
         genus=gen,
@@ -350,6 +351,10 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        # An --out path that cannot be written is a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

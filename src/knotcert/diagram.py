@@ -10,7 +10,8 @@ Faces are traced combinatorially from the counterclockwise slot order, so
 a diagram built here carries its planar embedding with it.  The signature
 comes from a checkerboard coloring: the Goeritz matrix of the white faces
 corrected by the number and sign of crossings whose local orientation
-matches their coloring type.  The sign conventions are pinned by the
+matches their coloring type; the determinant of that same matrix is the
+link determinant.  The sign conventions are pinned by the
 anchor values sigma(right trefoil) = -2 and sigma(unknot) = 0.
 """
 
@@ -34,6 +35,7 @@ __all__ = [
     "mirror",
     "faces",
     "goeritz",
+    "signature_and_determinant",
     "signature",
     "determinant",
     "to_pd_text",
@@ -72,10 +74,6 @@ class LinkDiagram:
         bad = {a: k for a, k in counts.items() if k != 2}
         if bad:
             raise ValueError(f"every arc must occur exactly twice; offending arcs: {bad}")
-
-    @property
-    def crossing_count(self) -> int:
-        return len(self.crossings)
 
 
 class _UnionFind:
@@ -360,14 +358,21 @@ def goeritz(d: LinkDiagram) -> GoeritzData:
     return GoeritzData(matrix=matrix, correction=correction)
 
 
-def signature(d: LinkDiagram) -> int:
-    """Signature of the knot presented by the diagram."""
+def signature_and_determinant(d: LinkDiagram) -> tuple[int, int]:
+    """Signature and determinant of the knot presented by the diagram, both
+    read from one Goeritz matrix (Gordon-Litherland)."""
     if component_count(d) != 1:
         raise ValueError("signature is only computed for single-component diagrams")
     if not d.crossings:
-        return 0
+        return 0, 1
     data = goeritz(d)
-    return symmetric_inertia(data.matrix)[0] - data.correction
+    sig, det = symmetric_inertia(data.matrix)
+    return sig - data.correction, abs(det)
+
+
+def signature(d: LinkDiagram) -> int:
+    """Signature of the knot presented by the diagram."""
+    return signature_and_determinant(d)[0]
 
 
 def determinant(d: LinkDiagram) -> int:
@@ -377,8 +382,7 @@ def determinant(d: LinkDiagram) -> int:
         return 1 if d.free_loops == 1 else 0
     if d.free_loops or _piece_count(d) != 1:
         return 0
-    data = goeritz(d)
-    return abs(symmetric_inertia(data.matrix)[1])
+    return abs(symmetric_inertia(goeritz(d).matrix)[1])
 
 
 def to_pd_text(d: LinkDiagram) -> str:

@@ -44,6 +44,21 @@ def make_random_word(rng: random.Random, strands: int, length: int,
     return BraidWord(strands, tuple(letters))
 
 
+def cycle_count(w: BraidWord) -> int:
+    """Cycles of the braid's permutation, one per component of its closure."""
+    mapping = permutation_of(w).mapping
+    seen: set[int] = set()
+    cycles = 0
+    for start in range(len(mapping)):
+        if start not in seen:
+            cycles += 1
+            j = start
+            while j not in seen:
+                seen.add(j)
+                j = mapping[j]
+    return cycles
+
+
 def make_random_knot_word(rng: random.Random, max_strands: int = 4,
                           max_length: int = 14) -> BraidWord:
     """Random word using every generator whose closure is a knot."""
@@ -53,7 +68,7 @@ def make_random_knot_word(rng: random.Random, max_strands: int = 4,
         w = make_random_word(rng, n, length)
         if {abs(e) for e in w.letters} != set(range(1, n)):
             continue
-        if permutation_of(w).cycle_count() == 1:
+        if cycle_count(w) == 1:
             return w
 
 

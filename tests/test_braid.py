@@ -19,11 +19,14 @@ from knotcert import (
     normal_form,
     parse_braid,
     permutation_of,
+    quotient_braid,
     quotient_braid_even,
     quotient_braid_odd,
     torus_braid,
 )
 from knotcert.braid import MAX_INPUT_LETTERS, MAX_INPUT_STRANDS, PermutationBraid
+
+from conftest import cycle_count
 
 
 def legal_rewrite(rng: random.Random, letters: list[int], strands: int,
@@ -256,8 +259,7 @@ class TestFamilyWords:
 
     def test_odd_closure_is_knot_for_odd_r(self):
         for r in (-7, -3, 1, 5):
-            perm = permutation_of(quotient_braid_odd(3, 3, r))
-            assert perm.cycle_count() == 1
+            assert cycle_count(quotient_braid_odd(3, 3, r)) == 1
 
     def test_odd_validation(self):
         with pytest.raises(ValueError):
@@ -266,6 +268,15 @@ class TestFamilyWords:
             quotient_braid_odd(3, 1, 0)
         with pytest.raises(ValueError):
             quotient_braid_odd(3, 3, -13)
+
+    def test_odd_word_is_the_quotient_word(self):
+        for (p, q, r) in [(3, 3, -7), (3, 5, 3), (5, 3, -2), (7, 7, 0)]:
+            assert quotient_braid_odd(p, q, r) == quotient_braid(q, p, 2 * p + 2 * q + r)
+
+    def test_quotient_word_validation(self):
+        for args in [(0, 3, 5), (3, 0, 5), (3, 3, -1)]:
+            with pytest.raises(ValueError):
+                quotient_braid(*args)
 
     def test_even_word_shape(self):
         w = quotient_braid_even(1, 3, 13)
@@ -276,8 +287,7 @@ class TestFamilyWords:
     def test_even_closure_is_knot_for_odd_r(self):
         for (n, q) in [(1, 3), (2, 3), (1, 5)]:
             for r in (4 * q - 1, 4 * q + 1):
-                perm = permutation_of(quotient_braid_even(n, q, r))
-                assert perm.cycle_count() == 1
+                assert cycle_count(quotient_braid_even(n, q, r)) == 1
 
     def test_even_validation(self):
         with pytest.raises(ValueError):
@@ -325,8 +335,7 @@ class TestTorusBraid:
         import math
         for a in (2, 3, 4):
             for b in (1, 2, 3, 4, 6):
-                perm = permutation_of(torus_braid(a, b))
-                assert perm.cycle_count() == math.gcd(a, b)
+                assert cycle_count(torus_braid(a, b)) == math.gcd(a, b)
 
 
 class TestPermutationBraid:

@@ -226,6 +226,26 @@ class TestCertifyNoSfs:
         assert report.certified
         assert [s.candidate.r for s in report.slopes] == [19, 21]
 
+    def test_each_knot_slope_makes_two_closures(self, monkeypatch):
+        """One closure of the quotient braid gives s, sigma, det and genus
+        (sigma and det from one Goeritz matrix); the only other closure is
+        the tangle-move partner's.  (3,3) has eight odd slopes."""
+        import knotcert.certify
+        import knotcert.diagram
+        calls = []
+
+        def counted(fn):
+            def wrapper(*args):
+                calls.append(fn.__name__)
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(knotcert.certify, "braid_closure",
+                            counted(knotcert.certify.braid_closure))
+        monkeypatch.setattr(knotcert.diagram, "goeritz", counted(knotcert.diagram.goeritz))
+        certify_no_sfs(3, 3)
+        assert calls.count("braid_closure") == calls.count("goeritz") == 16
+
     def test_validation(self):
         with pytest.raises(ValueError):
             certify_no_sfs(1, 3)

@@ -60,6 +60,11 @@ class TestInvariants:
         assert capsys.readouterr().out == ""
         assert json.loads(path.read_text())["determinant"] == 3
 
+    def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "inv.json"
+        assert main(["invariants", "--out", str(path), *TREFOIL]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_braid_without_strand_count_is_usage_error(self, capsys):
         assert main(["invariants", "--braid", "1 1 1"]) == EXIT_USAGE
         assert "strand count" in capsys.readouterr().err
@@ -158,6 +163,11 @@ class TestCertify:
         assert main(["certify", "3", "3", "--out", str(path)]) == EXIT_OK
         assert json.loads(path.read_text())["schema_version"] == 1
 
+    def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "dir" / "x.json"
+        assert main(["certify", "3", "3", "--out", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_inconclusive_report_exits_one(self, capsys, monkeypatch):
         class Stub:
             certified = False
@@ -216,6 +226,12 @@ class TestCertifyGrid:
                      "--out", str(tmp_path)]) == EXIT_USAGE
         assert "input limit" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_grid_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "taken"
+        path.write_text("")
+        assert main(["certify", "--grid", "3..3", "3..3", "--out", str(path)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_all_even_grid_is_usage_error(self, capsys):
         assert main(["certify", "--grid", "2..2", "4..4"]) == EXIT_USAGE

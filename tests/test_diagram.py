@@ -18,10 +18,10 @@ from knotcert import (
     from_pd_text,
     goeritz,
     mirror,
-    permutation_of,
     pretzel_diagram,
     seifert_circle_count,
     signature,
+    signature_and_determinant,
     to_pd_text,
     torus_braid,
     writhe,
@@ -29,6 +29,7 @@ from knotcert import (
 from knotcert.braid import exponent_sum
 from knotcert.diagram import is_positive
 
+from conftest import cycle_count
 from oracles import _symmetric_sig_det, braid_seifert_sigma, goeritz_det, torus_sigma
 
 RIGHT_TREFOIL = braid_closure(torus_braid(2, 3))
@@ -40,7 +41,7 @@ class TestClosureStructure:
         for _ in range(20):
             w = random_word(strands=4, length=10)
             d = braid_closure(w)
-            assert component_count(d) == permutation_of(w).cycle_count()
+            assert component_count(d) == cycle_count(w)
 
     def test_seifert_circles_equal_strand_count(self, random_word):
         for _ in range(15):
@@ -235,6 +236,7 @@ class TestGoeritzOracle:
             sig, det = _symmetric_sig_det(dense)
             assert sig - data.correction == signature(d)
             assert det == determinant(d)
+            assert signature_and_determinant(d) == (signature(d), determinant(d))
 
     def test_rejects_split_diagram(self):
         two_trefoils = ("X 1 0 2 3 +\nX 3 2 4 5 +\nX 5 4 0 1 +\n"
@@ -278,7 +280,7 @@ class TestSeifertFormOracle:
             w = random_word(strands=4, length=rng.randint(6, 14), positive=True)
             if {abs(e) for e in w.letters} != {1, 2, 3}:
                 continue
-            if permutation_of(w).cycle_count() != 1:
+            if cycle_count(w) != 1:
                 continue
             count += 1
             sig, det = braid_seifert_sigma(w.letters)
