@@ -35,8 +35,6 @@ __all__ = [
     "full_twist",
     "contains_full_twist",
     "quotient_braid",
-    "quotient_braid_odd",
-    "quotient_braid_even",
     "torus_braid",
 ]
 
@@ -326,36 +324,6 @@ def quotient_braid(block_power: int, middle_power: int, tail: int) -> BraidWord:
         head = (3, 3) + block + (3, 3) + block * (block_power - 1)
         return BraidWord(4, head + middle + (1,) * (tail - 4))
     return BraidWord(4, block * block_power + middle + (1,) * tail)
-
-
-def quotient_braid_odd(p: int, q: int, r: int) -> BraidWord:
-    """Four-strand braid whose closure is the quotient knot or link for the
-    odd parameter family, with surgery coefficient r.
-
-    Requires p, q >= 3 odd and a nonnegative final twist exponent.  The
-    word has length 6p + 6q + r and carries an explicit positive full
-    twist whenever 2p + 2q + r >= 4.
-    """
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"odd family needs p >= 3 odd, got p={p}")
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"odd family needs q >= 3 odd, got q={q}")
-    return quotient_braid(q, p, 2 * p + 2 * q + r)
-
-
-def quotient_braid_even(n: int, q: int, r: int) -> BraidWord:
-    """Four-strand braid whose closure is the quotient knot for the even
-    parameter family (first pretzel parameter 2n), with surgery coefficient r.
-
-    The middle block exponent is 2n, matching the crossing count of the
-    quotient diagram.  As in the odd family, the word carries an explicit
-    full twist whenever the final exponent 2(2n - q) + r is at least 4.
-    """
-    if n < 1:
-        raise ValueError(f"even family needs n >= 1, got n={n}")
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"even family needs q >= 3 odd, got q={q}")
-    return quotient_braid(q, 2 * n, 2 * (2 * n - q) + r)
 
 
 def torus_braid(a: int, b: int) -> BraidWord:

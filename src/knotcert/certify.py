@@ -29,9 +29,11 @@ verdict's evidence is recomputed from the invariant engines on demand.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+from typing import Callable, NamedTuple
 
-from .braid import MAX_INPUT_LETTERS, contains_full_twist, quotient_braid
+from .braid import MAX_INPUT_LETTERS, BraidWord, contains_full_twist, quotient_braid
 from .diagram import braid_closure, signature, signature_and_determinant
 from .invariants import (
     IntInterval,
@@ -39,8 +41,6 @@ from .invariants import (
     quotient_knot_genus_even,
     quotient_knot_genus_odd,
     rasmussen_positive,
-    sharp_move_s_delta,
-    sharp_move_sigma_bound,
     torus_genus,
 )
 
@@ -54,8 +54,8 @@ __all__ = [
     "SlopeReport",
     "CertificateReport",
     "homology_order",
-    "slope_candidates_odd",
-    "slope_candidates_even",
+    "quotient_braid_odd",
+    "quotient_braid_even",
     "exclude_montesinos_knot",
     "exclude_montesinos_link_two_components",
     "exclude_seifert_link_two_components",
@@ -84,8 +84,6 @@ _RULE_BRANCHES = {
     "toroidal-slope": ("montesinos", "seifert"),
 }
 _REQUIRED_BRANCHES = frozenset(("montesinos", "seifert"))
-
-_FAMILY_PARAMETERS = {"odd": ("p", "q"), "even": ("p", "n", "q")}
 
 
 def _check_fields(d, what: str, fields: dict[str, type]):
@@ -209,10 +207,13 @@ class CertificateReport:
         _check_fields(d, "certificate", {
             "schema_version": int, "family": str, "parameters": dict, "assumptions": list,
             "notes": list, "slopes": list, "conclusion": str})
-        if d["family"] not in _FAMILY_PARAMETERS:
-            raise ValueError(f"unknown certificate family {d['family']!r}")
-        _check_fields(d["parameters"], f"{d['family']} family parameters",
-                      dict.fromkeys(_FAMILY_PARAMETERS[d["family"]], int))
+        params = d["parameters"]
+        family = _pretzel_family(params.get("p"), params.get("q"))
+        _check_fields(params, f"{family.name} family parameters",
+                      dict.fromkeys(family.parameters, int))
+        if (d["family"], params) != (family.name, family.parameters):
+            raise ValueError(f"recorded family {d['family']!r} with parameters {params} "
+                             f"differs from the {family.name} family's {family.parameters}")
         for name in ("assumptions", "notes"):
             if not all(isinstance(x, str) for x in d[name]):
                 raise ValueError(f"certificate {name} must be strings")
@@ -223,6 +224,10 @@ class CertificateReport:
             notes=tuple(d["notes"]),
             slopes=tuple(SlopeReport.from_dict(s) for s in d["slopes"]),
         )
+        if tuple(s.candidate for s in report.slopes) != family.slopes:
+            raise ValueError(f"recorded slopes {[s.candidate.r for s in report.slopes]} are "
+                             f"not the {family.name} family's candidates "
+                             f"{[c.r for c in family.slopes]}")
         if d["conclusion"] != report.conclusion:
             raise ValueError(f"recorded conclusion {d['conclusion']!r} disagrees "
                              f"with the slope verdicts ({report.conclusion!r})")
@@ -240,47 +245,6 @@ def homology_order(r: int) -> int:
     """Order of the first homology of r-surgery on a knot: |r|, where 0
     stands for infinite order."""
     return abs(r)
-
-
-def _check_odd_family(p: int, q: int):
-    if p < 3 or p % 2 == 0 or q < 3 or q % 2 == 0:
-        raise ValueError(f"the odd family needs p, q >= 3 odd, got ({p}, {q})")
-
-
-def _check_even_family(n: int, q: int):
-    if n < 1:
-        raise ValueError(f"the even family needs n >= 1, got {n}")
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"the even family needs q >= 3 odd, got {q}")
-
-
-def slope_candidates_odd(p: int, q: int) -> list[SlopeCandidate]:
-    """Slopes to exclude for P(p,q,q) with p odd: the integers -8..8.
-
-    Non-integral slopes never produce Seifert fibered spaces here because
-    the knot is alternating; integral candidates are bounded by 8 because
-    the genus-one knot has toroidal 0-surgery, making every Seifert
-    fibered slope exceptional.
-    """
-    _check_odd_family(p, q)
-    return [
-        SlopeCandidate(r, "even" if r % 2 == 0 else "odd", "exceptional-slope-bound")
-        for r in range(-8, 9)
-    ]
-
-
-def slope_candidates_even(n: int, q: int) -> list[SlopeCandidate]:
-    """Slopes to exclude for P(2n,q,q): exactly 4q-1 and 4q+1.
-
-    The knot has cyclic period two with factor knot T(2,q); a Seifert
-    fibered surgery would descend to a lens space surgery on the factor,
-    which pins the slope to 4q +/- 1.
-    """
-    _check_even_family(n, q)
-    return [
-        SlopeCandidate(4 * q - 1, "odd", "period-two-lens-factor"),
-        SlopeCandidate(4 * q + 1, "odd", "period-two-lens-factor"),
-    ]
 
 
 def _as_interval(value: "IntInterval | int", name: str) -> IntInterval:
@@ -384,7 +348,8 @@ def torus_knot_genus_conflict(determinant_value: int, genus_value: int) -> tuple
 
 
 def exclude_torus_knot(family: str, params: tuple[int, int], r: int) -> ExclusionVerdict:
-    """Torus-knot test for the odd-slope quotient knot.
+    """Torus-knot test for the odd-slope quotient knot of the family
+    "odd" with params (p, q) or "even" with params (n, q).
 
     Three certified steps: the quotient braid is positive and contains a
     full twist, so the closure has braid index exactly four and the only
@@ -394,27 +359,25 @@ def exclude_torus_knot(family: str, params: tuple[int, int], r: int) -> Exclusio
     the closed form) differs from the genus of T(4,|r|).
     """
     rule = "torus-knot-det-genus"
-    if family == "odd":
-        _check_odd_family(*params)
-        if r % 2 == 0:
-            return ExclusionVerdict(rule, INCONCLUSIVE, {
-                "failed_step": "knot-closure",
-                "reason": f"slope {r} is even, so the quotient is a two-component link",
-            })
-    elif family == "even":
-        n, q = params
-        _check_even_family(n, q)
-        if r not in (4 * q - 1, 4 * q + 1):
-            return ExclusionVerdict(rule, INCONCLUSIVE, {
-                "failed_step": "admissible-slope",
-                "reason": f"slope {r} is not 4q-1 or 4q+1 for q={q}",
-            })
-    else:
-        raise ValueError(f"family must be 'odd' or 'even', got {family!r}")
-    return _knot_slope_verdicts(family, params, r)[1]
+    fam = _family(family, params)
+    if r % 2 == 0:
+        return ExclusionVerdict(rule, INCONCLUSIVE, {
+            "failed_step": "knot-closure",
+            "reason": f"slope {r} is even, so the quotient is a two-component link",
+        })
+    # The closed-form genus the test needs is known at every odd slope of
+    # the odd family but only at 4q-1 and 4q+1 in the even one.
+    try:
+        fam.genus(r)
+    except ValueError as exc:
+        return ExclusionVerdict(rule, INCONCLUSIVE, {
+            "failed_step": "admissible-slope",
+            "reason": str(exc),
+        })
+    return _knot_slope_verdicts(fam, r)[1]
 
 
-def _knot_slope_verdicts(family: str, params: tuple[int, int], r: int
+def _knot_slope_verdicts(family: _Family, r: int
                          ) -> tuple[ExclusionVerdict, ExclusionVerdict]:
     """The Montesinos and torus-knot verdicts of an odd slope r.
 
@@ -423,14 +386,7 @@ def _knot_slope_verdicts(family: str, params: tuple[int, int], r: int
     sigma) and the genus for the torus test.  The only other closure is
     the tangle-move partner's, for the Montesinos chain.
     """
-    if family == "odd":
-        p, q = params
-        middle, tail = p, 2 * p + 2 * q + r
-        genus_closed_form = quotient_knot_genus_odd(p, q, r)
-    else:
-        n, q = params
-        middle, tail = 2 * n, 2 * (2 * n - q) + r
-        genus_closed_form = quotient_knot_genus_even(n, q, r)
+    q, middle, tail = family.powers(r)
     word = quotient_braid(q, middle, tail)
     knot = braid_closure(word)
     sigma, det = signature_and_determinant(knot)
@@ -452,6 +408,7 @@ def _knot_slope_verdicts(family: str, params: tuple[int, int], r: int
             "homology_order": det_homology,
         })
     genus_direct = positive_genus(knot)
+    genus_closed_form = family.genus(r)
     if genus_direct != genus_closed_form:
         return montesinos, ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "genus-cross-check",
@@ -466,9 +423,10 @@ def _knot_slope_verdicts(family: str, params: tuple[int, int], r: int
         "homology_order": det_homology,
         **comparison,
     }
-    if family == "even":
+    if family.name == "even":
         # The mismatch in closed form: T(4,4q+1) needs 6n-3q = 1 and
         # T(4,4q-1) needs 6n-3q = -1, both impossible mod 3.
+        n = family.parameters["n"]
         evidence["six_n_minus_three_q"] = 6 * n - 3 * q
         evidence["torus_match_requires"] = 1 if r == 4 * q + 1 else -1
     return montesinos, ExclusionVerdict(rule, EXCLUDED if conflict else INCONCLUSIVE, evidence)
@@ -482,6 +440,13 @@ def _toroidal_slope_verdict() -> ExclusionVerdict:
                   "surface, so 0-surgery contains an essential torus and is not an "
                   "atoroidal Seifert fibered space",
     })
+
+
+# The tangle move removing one (s2 s3 s1 s2)^2 block, between positive
+# diagrams with equal Seifert circle counts and 8 crossings apart: s drops
+# by exactly 8 and sigma rises by 2 to 6.
+_MOVE_S_DROP = 8
+_MOVE_SIGMA_WINDOW = IntInterval(2, 6)
 
 
 def _montesinos_knot_verdict(partner_block_power: int, s_direct: int, sigma_direct: int,
@@ -505,14 +470,13 @@ def _montesinos_knot_verdict(partner_block_power: int, s_direct: int, sigma_dire
     """
     direct = exclude_montesinos_knot(s_direct, sigma_direct)
     s_drop = s_direct - s_partner
-    if s_drop != sharp_move_s_delta():
-        raise AssertionError(
-            f"tangle move must drop s by {sharp_move_s_delta()}, got {s_drop}")
+    if s_drop != _MOVE_S_DROP:
+        raise AssertionError(f"tangle move must drop s by {_MOVE_S_DROP}, got {s_drop}")
 
     # sigma(partner) sits in [sigma + 2, sigma + 6]; invert the window to
     # enclose sigma of the original knot.
-    window = sharp_move_sigma_bound(0, zero_tangle_components=1)
-    s_chain = IntInterval.exact(s_partner + sharp_move_s_delta())
+    window = _MOVE_SIGMA_WINDOW
+    s_chain = IntInterval.exact(s_partner + _MOVE_S_DROP)
     sigma_chain = IntInterval(sigma_partner - window.hi, sigma_partner - window.lo)
     chain = exclude_montesinos_knot(s_chain, sigma_chain)
 
@@ -577,6 +541,107 @@ _EVEN_ASSUMPTIONS = _COMMON_ASSUMPTIONS + (
 )
 
 
+_RECOMPUTE_NOTE = (
+    "verdict evidence recomputes from the braid, diagram, and invariant "
+    "engines; the assumptions above are geometric inputs, not computed")
+
+
+class _Family(NamedTuple):
+    """What one pretzel family fixes: its recorded parameters, its
+    candidate slopes (each naming the result that admits it), the
+    quotient-word powers and closed-form genus at slope r, and the
+    report header."""
+
+    name: str
+    parameters: dict
+    middle_power: int
+    tail_at_zero: int
+    slopes: tuple[SlopeCandidate, ...]
+    genus: Callable[[int], int]
+    assumptions: tuple[str, ...]
+    notes: tuple[str, ...]
+
+    def powers(self, r: int) -> tuple[int, int, int]:
+        """Block, middle and tail powers of the quotient word of r-surgery,
+        (s2 s3 s1 s2)^q (s2 s3^2 s2)^middle s1^tail."""
+        return self.parameters["q"], self.middle_power, self.tail_at_zero + r
+
+
+def _candidates(slopes, admitted_by: str) -> tuple[SlopeCandidate, ...]:
+    return tuple(SlopeCandidate(r, "odd" if r % 2 else "even", admitted_by) for r in slopes)
+
+
+def _family(name: str, params: tuple[int, int]) -> _Family:
+    """The family "odd" with params (p, q), p >= 3 odd, or "even" with
+    params (n, q), first pretzel parameter 2n >= 2; q >= 3 odd in both.
+    Raises ValueError for invalid parameters or an unknown family."""
+    first, q = params
+    for value in params:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"pretzel parameters must be integers, got {value!r}")
+    if q % 2 == 0:
+        raise ValueError(f"P(p,q,q) with even q = {q} has more than one component; "
+                         f"q must be odd")
+    if q < 3:
+        raise ValueError(f"q must be >= 3, got {q}")
+    if name == "odd":
+        p = first
+        if p < 3 or p % 2 == 0:
+            raise ValueError(f"the odd family needs p >= 3 odd, got p={p}")
+        # Non-integral slopes never give Seifert fibered spaces because the
+        # knot is alternating; integral ones are bounded by 8 because the
+        # genus-one knot has toroidal 0-surgery, so every Seifert fibered
+        # slope is exceptional.
+        return _Family("odd", {"p": p, "q": q}, p, 2 * p + 2 * q,
+                       _candidates(range(-8, 9), "exceptional-slope-bound"),
+                       functools.partial(quotient_knot_genus_odd, p, q),
+                       _ODD_ASSUMPTIONS, (_RECOMPUTE_NOTE,))
+    if name == "even":
+        n = first
+        if n < 1:
+            raise ValueError(f"the even family P(2n,q,q) needs n >= 1, got n={n}")
+        # The knot has cyclic period two with factor knot T(2,q); a Seifert
+        # fibered surgery would descend to a lens space surgery on the
+        # factor, which pins the slope to 4q +/- 1.
+        return _Family("even", {"p": 2 * n, "n": n, "q": q}, 2 * n, 2 * (2 * n - q),
+                       _candidates((4 * q - 1, 4 * q + 1), "period-two-lens-factor"),
+                       functools.partial(quotient_knot_genus_even, n, q),
+                       _EVEN_ASSUMPTIONS,
+                       ("every admissible slope 4q-1, 4q+1 is odd, so the even family "
+                        "has no two-component quotient case", _RECOMPUTE_NOTE))
+    raise ValueError(f"family must be 'odd' or 'even', got {name!r}")
+
+
+def _pretzel_family(first: int, q: int) -> _Family:
+    """The family of P(first,q,q): even (n = first/2) for an even integer
+    first, otherwise odd, whose checks reject a non-integer."""
+    if type(first) is int and first % 2 == 0:
+        return _family("even", (first // 2, q))
+    return _family("odd", (first, q))
+
+
+def quotient_braid_odd(p: int, q: int, r: int) -> BraidWord:
+    """Four-strand braid whose closure is the quotient knot or link for the
+    odd parameter family, with surgery coefficient r.
+
+    Requires p, q >= 3 odd and a nonnegative final twist exponent.  The
+    word has length 6p + 6q + r and carries an explicit positive full
+    twist whenever 2p + 2q + r >= 4.
+    """
+    return quotient_braid(*_family("odd", (p, q)).powers(r))
+
+
+def quotient_braid_even(n: int, q: int, r: int) -> BraidWord:
+    """Four-strand braid whose closure is the quotient knot for the even
+    parameter family (first pretzel parameter 2n), with surgery coefficient r.
+
+    The middle block exponent is 2n, matching the crossing count of the
+    quotient diagram.  As in the odd family, the word carries an explicit
+    full twist whenever the final exponent 2(2n - q) + r is at least 4.
+    """
+    return quotient_braid(*_family("even", (n, q)).powers(r))
+
+
 def check_input_size(first: int, q: int):
     """Reject P(first,q,q) when its quotient braid words would exceed
     braid.MAX_INPUT_LETTERS letters.
@@ -598,41 +663,10 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
     exactly when every candidate slope carries excluding verdicts on both
     branches of the quotient-link dichotomy.
     """
-    for name, value in (("first", first), ("q", q)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if first < 2:
-        raise ValueError(f"first pretzel parameter must be >= 2, got {first}")
-    if q < 2:
-        raise ValueError(f"q must be >= 2, got {q}")
-    if q % 2 == 0:
-        raise ValueError(
-            f"P({first},{q},{q}) with even q has more than one component; q must be odd")
+    family = _pretzel_family(first, q)
     check_input_size(first, q)
-
-    if first % 2:
-        family, params = "odd", (first, q)
-        parameters = {"p": first, "q": q}
-        assumptions = _ODD_ASSUMPTIONS
-        notes = (
-            "verdict evidence recomputes from the braid, diagram, and invariant "
-            "engines; the assumptions above are geometric inputs, not computed",
-        )
-        candidates = slope_candidates_odd(first, q)
-    else:
-        n = first // 2
-        family, params = "even", (n, q)
-        parameters = {"p": first, "n": n, "q": q}
-        assumptions = _EVEN_ASSUMPTIONS
-        notes = (
-            "every admissible slope 4q-1, 4q+1 is odd, so the even family has no "
-            "two-component quotient case",
-            "verdict evidence recomputes from the braid, diagram, and invariant "
-            "engines; the assumptions above are geometric inputs, not computed",
-        )
-        candidates = slope_candidates_even(n, q)
     slopes: list[SlopeReport] = []
-    for cand in candidates:
+    for cand in family.slopes:
         r = cand.r
         if r == 0:
             verdicts = (_toroidal_slope_verdict(),)
@@ -642,13 +676,13 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
                 exclude_seifert_link_two_components(first, q),
             )
         else:
-            verdicts = _knot_slope_verdicts(family, params, r)
+            verdicts = _knot_slope_verdicts(family, r)
         slopes.append(SlopeReport(cand, verdicts))
 
     return CertificateReport(
-        family=family,
-        parameters=parameters,
-        assumptions=assumptions,
-        notes=notes,
+        family=family.name,
+        parameters=family.parameters,
+        assumptions=family.assumptions,
+        notes=family.notes,
         slopes=tuple(slopes),
     )

@@ -234,15 +234,15 @@ def _cmd_certify_grid(args: argparse.Namespace) -> int:
     q_range = _parse_range(args.grid[1], "q")
     if p_range.start < 2 or q_range.start < 2:
         raise ValueError("grid parameters start at 2")
-    odd_qs = [q for q in q_range if q % 2]
-    if odd_qs:
-        check_input_size(p_range[-1], odd_qs[-1])
+    last_odd_q = q_range[-1] if q_range[-1] % 2 else q_range[-1] - 1
+    if last_odd_q < q_range.start:
+        raise ValueError("grid contains no odd-q cells to certify")
+    check_input_size(p_range[-1], last_odd_q)
     out_dir = pathlib.Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
     cells = []
     all_certified = True
-    ran_any = False
     for p in p_range:
         for q in q_range:
             if q % 2 == 0:
@@ -250,7 +250,6 @@ def _cmd_certify_grid(args: argparse.Namespace) -> int:
                               "reason": "q even: P(p,q,q) is not a knot"})
                 continue
             report = certify_no_sfs(p, q)
-            ran_any = True
             all_certified = all_certified and report.certified
             cells.append({"p": p, "q": q,
                           "status": "certified" if report.certified else "inconclusive",
@@ -266,8 +265,6 @@ def _cmd_certify_grid(args: argparse.Namespace) -> int:
             extra = (f"({cell['slopes']} slopes)" if "slopes" in cell
                      else f"({cell['reason']})")
             print(f"p={cell['p']} q={cell['q']}: {status} {extra}")
-    if not ran_any:
-        raise ValueError("grid contains no odd-q cells to certify")
     return EXIT_OK if all_certified else EXIT_INCONCLUSIVE
 
 

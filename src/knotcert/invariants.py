@@ -2,8 +2,7 @@
 
 Torus knot Alexander polynomials and determinants, genus and Rasmussen
 invariants of positive diagrams, genus formulas for the two quotient knot
-families, and even-width integer intervals that propagate what a
-four-crossing tangle move can do to s and sigma.
+families, and the even-width integer intervals that enclose s and sigma.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "quotient_knot_genus_odd",
     "quotient_knot_genus_even",
     "torus_genus",
-    "sharp_move_sigma_bound",
-    "sharp_move_s_delta",
 ]
 
 
@@ -32,8 +29,8 @@ __all__ = [
 class IntInterval:
     """Closed integer interval [lo, hi] with even endpoints.
 
-    The invariants s and sigma of knots are even, and the moves tracked
-    here shift them by even amounts, so certified enclosures stay even.
+    The invariants s and sigma of knots are even, and the tangle move
+    shifts them by even amounts, so certified enclosures stay even.
     """
 
     lo: int
@@ -45,18 +42,10 @@ class IntInterval:
         if self.lo % 2 or self.hi % 2:
             raise ValueError(f"interval endpoints must be even: [{self.lo}, {self.hi}]")
 
-    def __contains__(self, x: int) -> bool:
-        return self.lo <= x <= self.hi
-
     def __add__(self, other: "IntInterval | int") -> "IntInterval":
         if isinstance(other, int):
             return IntInterval(self.lo + other, self.hi + other)
         return IntInterval(self.lo + other.lo, self.hi + other.hi)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "IntInterval":
-        return IntInterval(-self.hi, -self.lo)
 
     @staticmethod
     def exact(x: int) -> "IntInterval":
@@ -200,23 +189,3 @@ def torus_genus(a: int, b: int) -> int:
     if a < 1 or b < 1 or math.gcd(a, b) != 1:
         raise ValueError(f"torus knot parameters must be positive and coprime: ({a}, {b})")
     return (a - 1) * (b - 1) // 2
-
-
-def sharp_move_sigma_bound(sigma_before: int, zero_tangle_components: int) -> IntInterval:
-    """Enclosure for sigma after a four-crossing tangle move on a knot.
-
-    The width depends on whether replacing the tangle by the trivial one
-    yields a two-component link (shift in [2, 4]) or a knot ([2, 6]).
-    """
-    if zero_tangle_components == 2:
-        return IntInterval(sigma_before + 2, sigma_before + 4)
-    if zero_tangle_components == 1:
-        return IntInterval(sigma_before + 2, sigma_before + 6)
-    raise ValueError(
-        f"the trivial-tangle replacement has 1 or 2 components, got {zero_tangle_components}")
-
-
-def sharp_move_s_delta() -> int:
-    """Drop in s across a four-crossing tangle move between positive
-    diagrams with equal Seifert circle counts and crossing difference 8."""
-    return 8

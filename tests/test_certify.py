@@ -23,8 +23,6 @@ from knotcert import (
     exclude_torus_knot,
     homology_order,
     positive_genus,
-    slope_candidates_even,
-    slope_candidates_odd,
     torus_braid,
     torus_knot_genus_conflict,
 )
@@ -36,24 +34,6 @@ class TestHomologyOrder:
         assert homology_order(-7) == 7
         assert homology_order(5) == 5
         assert homology_order(0) == 0
-
-
-class TestSlopeCandidates:
-    def test_odd_family_is_small_integer_window(self):
-        cands = slope_candidates_odd(3, 3)
-        assert [c.r for c in cands] == list(range(-8, 9))
-        assert all(c.parity == ("even" if c.r % 2 == 0 else "odd") for c in cands)
-
-    def test_even_family_is_two_lens_slopes(self):
-        cands = slope_candidates_even(2, 5)
-        assert [c.r for c in cands] == [19, 21]
-        assert all(c.parity == "odd" for c in cands)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            slope_candidates_odd(2, 3)
-        with pytest.raises(ValueError):
-            slope_candidates_even(1, 4)
 
 
 class TestMontesinosKnotRule:
@@ -246,6 +226,16 @@ class TestCertifyNoSfs:
         certify_no_sfs(3, 3)
         assert calls.count("braid_closure") == calls.count("goeritz") == 16
 
+    @pytest.mark.parametrize("first, q", [(3, 3), (5, 3), (2, 3), (4, 5)])
+    def test_torus_verdicts_match_the_direct_entry_point(self, first, q):
+        report = certify_no_sfs(first, q)
+        params = (first, q) if report.family == "odd" else (report.parameters["n"], q)
+        for slope in report.slopes:
+            r = slope.candidate.r
+            if r % 2:
+                torus = next(v for v in slope.verdicts if v.rule == "torus-knot-det-genus")
+                assert torus == exclude_torus_knot(report.family, params, r), r
+
     def test_validation(self):
         with pytest.raises(ValueError):
             certify_no_sfs(1, 3)
@@ -304,13 +294,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match="excluded"):
             CertificateReport.from_dict(data)
 
+    def test_every_grid_certificate_round_trips(self):
+        for p in range(2, 10):
+            for q in range(3, 10, 2):
+                text = certify_no_sfs(p, q).to_json()
+                assert CertificateReport.from_json(text).to_json() == text, (p, q)
+
     @pytest.mark.parametrize("case", [
         "not-an-object", "missing-family", "missing-verdicts", "null-slopes",
         "string-r", "unknown-key", "bogus-family", "missing-parameter", "string-parameter",
         "bool-parameter", "int-assumption", "int-note", "empty-evidence",
+        "no-slopes", "dropped-slope", "added-slope", "odd-family-even-p",
+        "even-family-wrong-n",
     ])
     def test_malformed_file_is_rejected(self, case):
-        data = json.loads(certify_no_sfs(3, 3).to_json())
+        cell = (2, 3) if case.startswith("even-family") else (3, 3)
+        data = json.loads(certify_no_sfs(*cell).to_json())
         if case == "not-an-object":
             data = []
         elif case == "missing-family":
@@ -335,6 +334,16 @@ class TestSerialization:
             data["notes"] = [1]
         elif case == "empty-evidence":
             data["slopes"][-1]["verdicts"][0]["evidence"] = {}
+        elif case == "no-slopes":
+            data["slopes"] = []
+        elif case == "dropped-slope":
+            del data["slopes"][1]
+        elif case == "added-slope":
+            data["slopes"].append({**data["slopes"][-1], "r": 10})
+        elif case == "odd-family-even-p":
+            data["parameters"]["p"] = 4
+        elif case == "even-family-wrong-n":
+            data["parameters"]["n"] = 2
         else:
             data["bogus"] = 1
         with pytest.raises(ValueError):

@@ -233,9 +233,15 @@ class TestCertifyGrid:
         assert main(["certify", "--grid", "3..3", "3..3", "--out", str(path)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_all_even_grid_is_usage_error(self, capsys):
-        assert main(["certify", "--grid", "2..2", "4..4"]) == EXIT_USAGE
-        assert "no odd-q" in capsys.readouterr().err
+    def test_all_even_grid_is_usage_error(self, tmp_path, capsys):
+        # The 10**12-row grid must fail before any cell is listed.
+        for p_range in ("2..2", f"2..{10**12}"):
+            out = tmp_path / p_range
+            assert main(["certify", "--grid", p_range, "4..4", "--out", str(out)]) == EXIT_USAGE
+            captured = capsys.readouterr()
+            assert "no odd-q" in captured.err
+            assert captured.out == ""
+            assert not out.exists()
 
     def test_grid_and_params_conflict(self, capsys):
         assert main(["certify", "3", "3", "--grid", "2..2", "3..3"]) == EXIT_USAGE
