@@ -45,7 +45,7 @@ def symmetric_inertia(rows: Mapping[int, Mapping[int, int]]) -> tuple[int, int]:
             sig += 1 if d > 0 else -1
             det *= d
             (col,) = _remove(a, (p,))
-            _subtract(a, {r: v / d for r, v in col.items()}, col)
+            _subtract_symmetric(a, col, d)
             for r in col:
                 heapq.heappush(heap, (len(a[r]), r))
             continue
@@ -88,3 +88,20 @@ def _subtract(a: dict[int, dict[int, Fraction]], left: dict[int, Fraction],
                 row[c] = v
             else:
                 del row[c]
+
+
+def _subtract_symmetric(a: dict[int, dict[int, Fraction]], col: dict[int, Fraction],
+                        d: Fraction) -> None:
+    """Subtract ``col col^T / d`` in place, one product per unordered pair
+    of rows, written to both triangles."""
+    entries = [(r, v / d, v) for r, v in col.items()]
+    for k, (r, f, _) in enumerate(entries):
+        row = a[r]
+        for c, _, g in entries[k:]:
+            v = row.get(c, 0) - f * g
+            if v:
+                row[c] = a[c][r] = v
+            else:
+                del row[c]
+                if c != r:
+                    del a[c][r]

@@ -40,7 +40,6 @@ from .invariants import (
     positive_genus,
     quotient_knot_genus_even,
     quotient_knot_genus_odd,
-    rasmussen_positive,
     torus_genus,
 )
 
@@ -215,8 +214,8 @@ class CertificateReport:
             raise ValueError(f"recorded family {d['family']!r} with parameters {params} "
                              f"differs from the {family.name} family's {family.parameters}")
         for name in ("assumptions", "notes"):
-            if not all(isinstance(x, str) for x in d[name]):
-                raise ValueError(f"certificate {name} must be strings")
+            if tuple(d[name]) != getattr(family, name):
+                raise ValueError(f"recorded {name} differ from the {family.name} family's")
         report = CertificateReport(
             family=d["family"],
             parameters=dict(d["parameters"]),
@@ -381,18 +380,20 @@ def _knot_slope_verdicts(family: _Family, r: int
                          ) -> tuple[ExclusionVerdict, ExclusionVerdict]:
     """The Montesinos and torus-knot verdicts of an odd slope r.
 
-    Both read one closure of the quotient braid: s and sigma for the
-    Montesinos test, the determinant (from the same Goeritz matrix as
-    sigma) and the genus for the torus test.  The only other closure is
-    the tangle-move partner's, for the Montesinos chain.
+    Both read one closure of the quotient braid.  Its genus, computed
+    once, gives s = 2 * genus (the Rasmussen invariant of a positive knot)
+    for the Montesinos test and the genus for the torus test; its Goeritz
+    matrix gives sigma and the determinant.  The only other closure is the
+    tangle-move partner's, for the Montesinos chain.
     """
     q, middle, tail = family.powers(r)
     word = quotient_braid(q, middle, tail)
     knot = braid_closure(word)
+    genus_direct = positive_genus(knot)
     sigma, det = signature_and_determinant(knot)
     partner = braid_closure(quotient_braid(q - 2, middle, tail))
     montesinos = _montesinos_knot_verdict(
-        q - 2, rasmussen_positive(knot), sigma, rasmussen_positive(partner), signature(partner))
+        q - 2, 2 * genus_direct, sigma, 2 * positive_genus(partner), signature(partner))
 
     rule = "torus-knot-det-genus"
     if not contains_full_twist(word):
@@ -407,7 +408,6 @@ def _knot_slope_verdicts(family: _Family, r: int
             "determinant": det,
             "homology_order": det_homology,
         })
-    genus_direct = positive_genus(knot)
     genus_closed_form = family.genus(r)
     if genus_direct != genus_closed_form:
         return montesinos, ExclusionVerdict(rule, INCONCLUSIVE, {

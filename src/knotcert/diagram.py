@@ -95,6 +95,38 @@ class _UnionFind:
         return len({self.find(x) for x in self.parent})
 
 
+# Slot pairs, by crossing sign, that the through strands join and that the
+# oriented smoothing joins.
+_STRAND_SLOTS = {1: ((0, 2), (1, 3)), -1: ((0, 2), (1, 3))}
+_SMOOTHING_SLOTS = {1: ((0, 3), (1, 2)), -1: ((0, 1), (2, 3))}
+
+
+def _cycle_count(d: LinkDiagram, slots: dict[int, tuple]) -> int:
+    """Classes of arcs joined at each crossing by its two slot pairs.
+
+    The pairs are taken unordered.  Every arc of a LinkDiagram occurs
+    twice and each crossing's two pairs split its four slots, so every arc
+    has exactly two neighbours: the classes are cycles, and one walk
+    around each counts them.  Free loops are not counted.
+    """
+    neighbors: dict[int, list[int]] = {}
+    for c in d.crossings:
+        arcs = c.arcs
+        for i, j in slots[c.sign]:
+            a, b = arcs[i], arcs[j]
+            neighbors.setdefault(a, []).append(b)
+            neighbors.setdefault(b, []).append(a)
+    cycles = 0
+    while neighbors:
+        cycles += 1
+        start, (arc, _) = neighbors.popitem()
+        came_from = start
+        while arc != start:
+            x, y = neighbors.pop(arc)
+            came_from, arc = arc, (y if x == came_from else x)
+    return cycles
+
+
 def braid_closure(w: BraidWord) -> LinkDiagram:
     """Trace the standard closure of a braid word, top to bottom.
 
@@ -210,28 +242,12 @@ def is_positive(d: LinkDiagram) -> bool:
 
 def component_count(d: LinkDiagram) -> int:
     """Number of link components (through-strand tracing)."""
-    if not d.crossings:
-        return d.free_loops
-    uf = _UnionFind()
-    for c in d.crossings:
-        uf.union(c.arcs[0], c.arcs[2])
-        uf.union(c.arcs[1], c.arcs[3])
-    return uf.classes() + d.free_loops
+    return _cycle_count(d, _STRAND_SLOTS) + d.free_loops
 
 
 def seifert_circle_count(d: LinkDiagram) -> int:
     """Circles left by the orientation-respecting smoothing of every crossing."""
-    if not d.crossings:
-        return d.free_loops
-    uf = _UnionFind()
-    for c in d.crossings:
-        if c.sign == 1:
-            uf.union(c.arcs[0], c.arcs[3])
-            uf.union(c.arcs[1], c.arcs[2])
-        else:
-            uf.union(c.arcs[0], c.arcs[1])
-            uf.union(c.arcs[2], c.arcs[3])
-    return uf.classes() + d.free_loops
+    return _cycle_count(d, _SMOOTHING_SLOTS) + d.free_loops
 
 
 def mirror(d: LinkDiagram) -> LinkDiagram:
@@ -291,8 +307,9 @@ def faces(d: LinkDiagram) -> list[list[tuple[int, int]]]:
 @dataclasses.dataclass(frozen=True)
 class GoeritzData:
     """Checkerboard data: the reduced white-face matrix (white face 0
-    deleted) as sparse rows ``{i: {j: value}}`` of its nonzeros, one row
-    per remaining white face, and the orientation correction term."""
+    deleted; white is the smaller colour class) as sparse rows
+    ``{i: {j: value}}`` of its nonzeros, one row per remaining white face,
+    and the orientation correction term."""
 
     matrix: dict[int, dict[int, int]]
     correction: int
@@ -301,7 +318,9 @@ class GoeritzData:
 def goeritz(d: LinkDiagram) -> GoeritzData:
     """Goeritz matrix of the white faces and the signature correction term.
 
-    White is the larger color class of the checkerboard coloring.  At each
+    White is the smaller colour class of the checkerboard coloring, class
+    0 on a tie; the Gordon-Litherland formula holds for either checkerboard
+    surface, so the smaller one gives the smaller matrix.  At each
     crossing the incidence sign is +1 when the white quadrants are the two
     flanking the over-strand, -1 otherwise; the correction adds the signs
     of the crossings whose crossing sign equals their incidence sign.  The
@@ -332,7 +351,7 @@ def goeritz(d: LinkDiagram) -> GoeritzData:
         raise ValueError("Goeritz data needs a connected diagram with a crossing")
     if len(face_list) != len(d.crossings) + 2:
         raise AssertionError("face count disagrees with Euler's formula; embedding corrupt")
-    white_class = 0 if 2 * colors.count(0) >= len(colors) else 1
+    white_class = 0 if 2 * colors.count(0) <= len(colors) else 1
     white = [fi for fi, col in enumerate(colors) if col == white_class]
     # white face 0 gets index -1: its row and column are deleted
     white_index = {fi: wi - 1 for wi, fi in enumerate(white)}

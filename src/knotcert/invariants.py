@@ -42,9 +42,7 @@ class IntInterval:
         if self.lo % 2 or self.hi % 2:
             raise ValueError(f"interval endpoints must be even: [{self.lo}, {self.hi}]")
 
-    def __add__(self, other: "IntInterval | int") -> "IntInterval":
-        if isinstance(other, int):
-            return IntInterval(self.lo + other, self.hi + other)
+    def __add__(self, other: "IntInterval") -> "IntInterval":
         return IntInterval(self.lo + other.lo, self.hi + other.hi)
 
     @staticmethod

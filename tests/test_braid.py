@@ -8,7 +8,7 @@ check that the Garside normal form never changes.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from knotcert import (
     BraidWord,

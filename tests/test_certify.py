@@ -29,6 +29,14 @@ from knotcert import (
 from knotcert.certify import SCHEMA_VERSION, SlopeCandidate
 
 
+def logged(calls: list, fn):
+    """fn, appending its name to calls on every call."""
+    def wrapper(*args):
+        calls.append(fn.__name__)
+        return fn(*args)
+    return wrapper
+
+
 class TestHomologyOrder:
     def test_absolute_value(self):
         assert homology_order(-7) == 7
@@ -213,18 +221,26 @@ class TestCertifyNoSfs:
         import knotcert.certify
         import knotcert.diagram
         calls = []
-
-        def counted(fn):
-            def wrapper(*args):
-                calls.append(fn.__name__)
-                return fn(*args)
-            return wrapper
-
         monkeypatch.setattr(knotcert.certify, "braid_closure",
-                            counted(knotcert.certify.braid_closure))
-        monkeypatch.setattr(knotcert.diagram, "goeritz", counted(knotcert.diagram.goeritz))
+                            logged(calls, knotcert.certify.braid_closure))
+        monkeypatch.setattr(knotcert.diagram, "goeritz", logged(calls, knotcert.diagram.goeritz))
         certify_no_sfs(3, 3)
         assert calls.count("braid_closure") == calls.count("goeritz") == 16
+
+    def test_each_closure_has_one_genus_computation(self, monkeypatch):
+        """s = 2 * genus and the torus test's genus share one genus
+        computation per closure; the partner's genus gives its s."""
+        import knotcert.certify
+        import knotcert.invariants
+        calls = []
+        monkeypatch.setattr(knotcert.certify, "braid_closure",
+                            logged(calls, knotcert.certify.braid_closure))
+        # rasmussen_positive reaches positive_genus through the invariants module
+        genus = logged(calls, knotcert.invariants.positive_genus)
+        monkeypatch.setattr(knotcert.certify, "positive_genus", genus)
+        monkeypatch.setattr(knotcert.invariants, "positive_genus", genus)
+        certify_no_sfs(3, 3)
+        assert calls.count("braid_closure") == calls.count("positive_genus") == 16
 
     @pytest.mark.parametrize("first, q", [(3, 3), (5, 3), (2, 3), (4, 5)])
     def test_torus_verdicts_match_the_direct_entry_point(self, first, q):
@@ -305,7 +321,7 @@ class TestSerialization:
         "string-r", "unknown-key", "bogus-family", "missing-parameter", "string-parameter",
         "bool-parameter", "int-assumption", "int-note", "empty-evidence",
         "no-slopes", "dropped-slope", "added-slope", "odd-family-even-p",
-        "even-family-wrong-n",
+        "even-family-wrong-n", "edited-assumption", "dropped-note",
     ])
     def test_malformed_file_is_rejected(self, case):
         cell = (2, 3) if case.startswith("even-family") else (3, 3)
@@ -344,6 +360,10 @@ class TestSerialization:
             data["parameters"]["p"] = 4
         elif case == "even-family-wrong-n":
             data["parameters"]["n"] = 2
+        elif case == "edited-assumption":
+            data["assumptions"] = ["anything"]
+        elif case == "dropped-note":
+            data["notes"] = []
         else:
             data["bogus"] = 1
         with pytest.raises(ValueError):

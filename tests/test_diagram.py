@@ -11,6 +11,7 @@ import pytest
 
 from knotcert import (
     BraidWord,
+    LinkDiagram,
     braid_closure,
     component_count,
     determinant,
@@ -243,6 +244,118 @@ class TestGoeritzOracle:
                         "X 11 10 12 13 +\nX 13 12 14 15 +\nX 15 14 10 11 +\n")
         with pytest.raises(ValueError, match="connected"):
             goeritz(from_pd_text(two_trefoils))
+
+
+def checkerboard_class_sizes(w: BraidWord) -> tuple[int, int]:
+    """Face counts of the two checkerboard classes of the closure of a word
+    using every generator.  The faces between strands i and i+1 are one
+    per sigma_i letter, the regions beside the first and the last strand
+    are one face each, and the colour alternates across every strand."""
+    columns = [1] + [sum(abs(e) == i for e in w.letters) for i in range(1, w.strands)] + [1]
+    return sum(columns[0::2]), sum(columns[1::2])
+
+
+def sigma1_heavy_knot_word(rng, positive: bool) -> BraidWord:
+    """A knot word on 3 or 4 strands using every generator, with about
+    three sigma_1 letters in four."""
+    while True:
+        n = rng.choice((3, 4))
+        letters = tuple(
+            (1 if rng.random() < 0.75 else rng.randint(2, n - 1))
+            * (1 if positive or rng.random() < 0.5 else -1)
+            for _ in range(rng.randint(12, 24)))
+        w = BraidWord(n, letters)
+        if {abs(e) for e in letters} == set(range(1, n)) and cycle_count(w) == 1:
+            return w
+
+
+class TestGoeritzColourClass:
+    """goeritz builds its matrix on the smaller checkerboard colour class."""
+
+    def test_lopsided_word_uses_the_smaller_class(self):
+        w = BraidWord(3, (1,) * 10 + (2, 2))
+        small, large = sorted(checkerboard_class_sizes(w))
+        assert (small, large) == (3, 11)
+        assert len(goeritz(braid_closure(w)).matrix) == small - 1
+
+    def test_tie(self):
+        w = BraidWord(3, (1, 2) * 4)
+        assert checkerboard_class_sizes(w) == (5, 5)
+        assert len(goeritz(braid_closure(w)).matrix) == 4
+
+    def test_random_sigma1_heavy_words(self, rng):
+        for _ in range(20):
+            w = sigma1_heavy_knot_word(rng, positive=False)
+            d = braid_closure(w)
+            assert len(goeritz(d).matrix) == min(checkerboard_class_sizes(w)) - 1
+            assert determinant(d) == goeritz_det(to_pd_text(d))
+
+    def test_signature_matches_seifert_form_on_sigma1_heavy_words(self, rng):
+        for _ in range(10):
+            w = sigma1_heavy_knot_word(rng, positive=True)
+            sig, det = braid_seifert_sigma(w.letters)
+            d = braid_closure(w)
+            assert signature_and_determinant(d) == (sig, det), w.letters
+            assert signature_and_determinant(mirror(d)) == (-sig, det), w.letters
+
+
+def union_find_classes(pairs) -> int:
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in pairs:
+        parent[find(a)] = find(b)
+    return len({find(x) for x in parent})
+
+
+def relabelled_pd(rng, diagrams) -> str:
+    """PD text of the diagrams side by side, every arc given a distinct
+    random label from a wide range."""
+    count = sum(len(d.crossings) * 2 for d in diagrams)
+    labels = iter(rng.sample(range(-10**6, 10**6), count))
+    lines = []
+    for d in diagrams:
+        relabel = dict(zip({a for c in d.crossings for a in c.arcs}, labels))
+        for c in d.crossings:
+            arcs = " ".join(str(relabel[a]) for a in c.arcs)
+            lines.append(f"X {arcs} {'+' if c.sign == 1 else '-'}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCycleCounts:
+    """component_count and seifert_circle_count against a union-find over
+    the same slot pairs, on parsed PD codes."""
+
+    def test_against_union_find(self, rng, random_knot_word, random_word):
+        for _ in range(30):
+            pieces = [braid_closure(random_knot_word()) for _ in range(rng.randint(1, 3))]
+            twists = tuple(rng.choice((-3, -2, -1, 1, 2, 4)) for _ in range(3))
+            pieces.append(pretzel_diagram(twists))
+            w = random_word(strands=4, length=8)
+            if {abs(e) for e in w.letters} == {1, 2, 3}:
+                pieces.append(braid_closure(w))
+            parsed = from_pd_text(relabelled_pd(rng, pieces))
+            d = LinkDiagram(parsed.crossings, rng.randint(0, 2))
+            strands = union_find_classes(
+                pair for c in d.crossings
+                for pair in ((c.arcs[0], c.arcs[2]), (c.arcs[1], c.arcs[3])))
+            circles = union_find_classes(
+                pair for c in d.crossings
+                for pair in (((c.arcs[0], c.arcs[3]), (c.arcs[1], c.arcs[2])) if c.sign == 1
+                             else ((c.arcs[0], c.arcs[1]), (c.arcs[2], c.arcs[3]))))
+            assert component_count(d) == strands + d.free_loops
+            assert seifert_circle_count(d) == circles + d.free_loops
+            assert component_count(d) == sum(component_count(p) for p in pieces) + d.free_loops
+
+    def test_free_loops_only(self):
+        for k in (0, 1, 3):
+            d = LinkDiagram((), k)
+            assert component_count(d) == seifert_circle_count(d) == k
 
 
 class TestSeifertFormOracle:
