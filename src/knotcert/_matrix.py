@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 __all__ = ["symmetric_inertia"]
@@ -13,18 +13,28 @@ def symmetric_inertia(rows: Mapping[int, Mapping[int, int]]) -> tuple[int, int]:
     """Signature and determinant of a symmetric integer matrix given as
     sparse rows ``{i: {j: value}}``; an absent entry is zero.
 
-    Sparse symmetric LDL^T over the rationals.  Each step pivots on the
-    nonzero diagonal entry whose row has the fewest nonzeros, lowest index
-    first (minimum degree), popped from a heap of (degree, index) keys
-    that each elimination pushes again only for the rows it touched; a key
-    whose row is gone, has a zero diagonal or another degree is skipped.
-    When every remaining diagonal entry is zero, an off-diagonal entry b is
-    eliminated with its pair as the 2x2 block [[0, b], [b, 0]]: signature
-    +0, determinant times -b^2.  If only zero rows remain the determinant
-    is 0.  ValueError when an entry's column has no row or the matrix is
-    not symmetric.
+    Sparse symmetric LDL^T in integers only.  Working row r holds
+    lambda_r times row r of the exact Schur complement, for a positive
+    rational lambda_r, so every pivot has its true sign and the nonzero
+    pattern stays symmetric.  A row update multiplies row r by the
+    smallest integer m that clears the pivot's denominator, subtracts the
+    pivot row(s) and, when m > 1, divides out the gcd of its entries;
+    lambda_r changes by the ratio of those two factors.
+
+    Each step pivots on the nonzero diagonal entry whose row has the
+    fewest nonzeros, lowest index first (minimum degree), popped from a
+    heap of (degree, index) keys that each elimination pushes again only
+    for the rows it touched; a key whose row is gone, has a zero diagonal
+    or another degree is skipped.  When every remaining diagonal entry is
+    zero, an off-diagonal entry and its mirror, b_ij and b_ji, are
+    eliminated as a 2x2 block: signature +0, determinant times
+    -b_ij b_ji / (lambda_i lambda_j).  If only zero rows remain the
+    determinant is 0.  Otherwise every row was a pivot row, so the
+    determinant is the product of the pivots over the product of all
+    lambda, one exact division at the end.  ValueError when an entry's
+    column has no row or the matrix is not symmetric.
     """
-    a = {i: {j: Fraction(v) for j, v in row.items() if v} for i, row in rows.items()}
+    a = {i: {j: v for j, v in row.items() if v} for i, row in rows.items()}
     for i, row in a.items():
         for j, v in row.items():
             if j not in a:
@@ -34,19 +44,23 @@ def symmetric_inertia(rows: Mapping[int, Mapping[int, int]]) -> tuple[int, int]:
     heap = [(len(row), i) for i, row in a.items()]
     heapq.heapify(heap)
     sig = 0
-    det = Fraction(1)
+    num = den = 1  # det = num / den: pivots and gcds over row multipliers
     while a:
         if heap:
             degree, p = heapq.heappop(heap)
             row = a.get(p)
             if row is None or p not in row or len(row) != degree:
                 continue  # a stale key
-            d = row[p]
-            sig += 1 if d > 0 else -1
-            det *= d
-            (col,) = _remove(a, (p,))
-            _subtract_symmetric(a, col, d)
-            for r in col:
+            prow = a.pop(p)
+            e = prow.pop(p)
+            sig += 1 if e > 0 else -1
+            num *= e
+            for r in prow:
+                v = a[r].pop(p)
+                g = gcd(e, v)
+                m, k = abs(e) // g, (v if e > 0 else -v) // g
+                den *= m
+                num *= _combine(a, r, m, ((k, prow),))
                 heapq.heappush(heap, (len(a[r]), r))
             continue
         fewest = min(((len(row), i) for i, row in a.items() if row), default=None)
@@ -54,54 +68,39 @@ def symmetric_inertia(rows: Mapping[int, Mapping[int, int]]) -> tuple[int, int]:
             return sig, 0
         i = fewest[1]
         j = min(a[i])
-        b = a[i][j]
-        det *= -b * b
-        u, w = _remove(a, (i, j))
-        _subtract(a, {r: v / b for r, v in u.items()}, w)
-        _subtract(a, {r: v / b for r, v in w.items()}, u)
-        for r in u.keys() | w.keys():
+        irow, jrow = a.pop(i), a.pop(j)
+        bij, bji = irow.pop(j), jrow.pop(i)
+        num *= -bij * bji
+        s = 1 if bij > 0 else -1
+        for r in irow.keys() | jrow.keys():
+            x, y = a[r].pop(i, 0), a[r].pop(j, 0)
+            m, kj, ki = abs(bij * bji), s * x * abs(bij), s * y * abs(bji)
+            g = gcd(m, kj, ki)
+            den *= m // g
+            num *= _combine(a, r, m // g, ((kj // g, jrow), (ki // g, irow)))
             heapq.heappush(heap, (len(a[r]), r))
-    if det.denominator != 1:
+    det, rest = divmod(num, den)
+    if rest:
         raise AssertionError("determinant of an integer matrix is not an integer")
-    return sig, int(det)
+    return sig, det
 
 
-def _remove(a: dict[int, dict[int, Fraction]],
-            block: tuple[int, ...]) -> list[dict[int, Fraction]]:
-    """Delete the rows and columns of ``block``; return each removed
-    column restricted to the rows that remain."""
-    cols = [{r: v for r, v in a.pop(p).items() if r not in block} for p in block]
-    for p, col in zip(block, cols):
-        for r in col:
-            del a[r][p]
-    return cols
-
-
-def _subtract(a: dict[int, dict[int, Fraction]], left: dict[int, Fraction],
-              right: dict[int, Fraction]) -> None:
-    """Subtract the outer product of ``left`` and ``right`` in place."""
-    for r, f in left.items():
-        row = a[r]
-        for c, g in right.items():
-            v = row.get(c, 0) - f * g
-            if v:
-                row[c] = v
-            else:
-                del row[c]
-
-
-def _subtract_symmetric(a: dict[int, dict[int, Fraction]], col: dict[int, Fraction],
-                        d: Fraction) -> None:
-    """Subtract ``col col^T / d`` in place, one product per unordered pair
-    of rows, written to both triangles."""
-    entries = [(r, v / d, v) for r, v in col.items()]
-    for k, (r, f, _) in enumerate(entries):
-        row = a[r]
-        for c, _, g in entries[k:]:
-            v = row.get(c, 0) - f * g
-            if v:
-                row[c] = a[c][r] = v
-            else:
-                del row[c]
-                if c != r:
-                    del a[c][r]
+def _combine(a: dict[int, dict[int, int]], r: int, m: int,
+             terms: tuple[tuple[int, dict[int, int]], ...]) -> int:
+    """Replace row r by m * row r minus each k * pivot row; when m > 1,
+    divide the result by the gcd of its entries and return that gcd, else
+    return 1.  lambda_r gains the factor m and loses the returned one."""
+    row = a[r] if m == 1 else {c: m * v for c, v in a[r].items()}
+    for k, prow in terms:
+        if k:
+            for c, v in prow.items():
+                w = row.get(c, 0) - k * v
+                if w:
+                    row[c] = w
+                else:
+                    del row[c]
+    h = gcd(*row.values()) if m > 1 else 1
+    if h > 1:
+        row = {c: v // h for c, v in row.items()}
+    a[r] = row
+    return h or 1

@@ -34,7 +34,7 @@ from .diagram import (
     writhe,
 )
 from .homfly import homfly, mfw_bound
-from .invariants import positive_genus, rasmussen_positive
+from .invariants import positive_genus
 
 __all__ = ["main", "build_parser"]
 
@@ -111,9 +111,8 @@ def invariant_record(d: LinkDiagram) -> InvariantRecord:
         notes.append(f"signature: needs a knot, diagram has {comps} components")
     ras = gen = sli = None
     if comps == 1 and pos:
-        gen = positive_genus(d)
-        ras = rasmussen_positive(d)
-        sli = gen
+        gen = sli = positive_genus(d)
+        ras = 2 * gen  # the Rasmussen invariant of a positive knot
     elif comps == 1:
         notes.append("s, genus, slice genus: certified only for positive diagrams")
     else:

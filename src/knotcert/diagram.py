@@ -18,6 +18,7 @@ anchor values sigma(right trefoil) = -2 and sigma(unknot) = 0.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 from ._matrix import symmetric_inertia
 from .braid import BraidWord
@@ -74,6 +75,18 @@ class LinkDiagram:
         bad = {a: k for a, k in counts.items() if k != 2}
         if bad:
             raise ValueError(f"every arc must occur exactly twice; offending arcs: {bad}")
+
+    # The two cycle counts, each walked once per diagram however many
+    # checks ask for it; cached_property writes to the instance dict, past
+    # the frozen __setattr__.
+
+    @functools.cached_property
+    def _strand_cycles(self) -> int:
+        return _cycle_count(self, _STRAND_SLOTS)
+
+    @functools.cached_property
+    def _smoothing_cycles(self) -> int:
+        return _cycle_count(self, _SMOOTHING_SLOTS)
 
 
 class _UnionFind:
@@ -242,12 +255,12 @@ def is_positive(d: LinkDiagram) -> bool:
 
 def component_count(d: LinkDiagram) -> int:
     """Number of link components (through-strand tracing)."""
-    return _cycle_count(d, _STRAND_SLOTS) + d.free_loops
+    return d._strand_cycles + d.free_loops
 
 
 def seifert_circle_count(d: LinkDiagram) -> int:
     """Circles left by the orientation-respecting smoothing of every crossing."""
-    return _cycle_count(d, _SMOOTHING_SLOTS) + d.free_loops
+    return d._smoothing_cycles + d.free_loops
 
 
 def mirror(d: LinkDiagram) -> LinkDiagram:

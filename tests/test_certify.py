@@ -5,6 +5,7 @@ parameters where it must refuse to fire (inconclusive with a named failed
 step), and on inputs it must reject outright.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -242,6 +243,25 @@ class TestCertifyNoSfs:
         certify_no_sfs(3, 3)
         assert calls.count("braid_closure") == calls.count("positive_genus") == 16
 
+    def test_each_closure_has_one_strand_walk(self, monkeypatch):
+        """positive_genus and signature_and_determinant both check that a
+        closure is a knot; they share one walk along its strands."""
+        import knotcert.certify
+        import knotcert.diagram
+        calls = []
+        monkeypatch.setattr(knotcert.certify, "braid_closure",
+                            logged(calls, knotcert.certify.braid_closure))
+        walk = knotcert.diagram._cycle_count
+
+        def counted(d, slots):
+            if slots is knotcert.diagram._STRAND_SLOTS:
+                calls.append("strand walk")
+            return walk(d, slots)
+
+        monkeypatch.setattr(knotcert.diagram, "_cycle_count", counted)
+        certify_no_sfs(3, 3)
+        assert calls.count("braid_closure") == calls.count("strand walk") == 16
+
     @pytest.mark.parametrize("first, q", [(3, 3), (5, 3), (2, 3), (4, 5)])
     def test_torus_verdicts_match_the_direct_entry_point(self, first, q):
         report = certify_no_sfs(first, q)
@@ -309,6 +329,17 @@ class TestSerialization:
                 verdict["conclusion"] = "inconclusive"
         with pytest.raises(ValueError, match="excluded"):
             CertificateReport.from_dict(data)
+
+    @pytest.mark.parametrize("p, q, prefix", [
+        (25, 25, "0fe297c887d318fa"),
+        (51, 51, "9c32f32064b97327"),
+        (10, 9, "3fc8117932b6786f"),
+    ])
+    def test_certificate_bytes_are_pinned(self, p, q, prefix):
+        """SHA-256 prefixes of certificates written by earlier versions: a
+        change to any verdict, evidence value or the serialization shows."""
+        text = certify_no_sfs(p, q).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
 
     def test_every_grid_certificate_round_trips(self):
         for p in range(2, 10):

@@ -46,6 +46,46 @@ def test_hyperbolic_pair_is_a_block_pivot():
     assert symmetric_inertia(_rows([[0, 1], [1, 0]])) == (0, -1)
 
 
+def test_non_unit_hyperbolic_pair():
+    assert symmetric_inertia(_rows([[0, 3], [3, 0]])) == (0, -9)
+
+
+@pytest.mark.parametrize("m, expected", [
+    # the pivot 2 divides both entries below it, so rows 1 and 2 reach
+    # the block [[0, 1], [1, 0]] with scale 1
+    ([[2, 2, 2],
+      [2, 2, 3],
+      [2, 3, 2]], (1, -2)),
+    # the pivot 4 leaves [[0, 3], [3, 0]] behind: row 1 is doubled, then
+    # divided by 6 (scale 1/3), row 2 keeps scale 1, so the block is
+    # eliminated from the unequal entries 1 and 3
+    ([[4, 2, 4],
+      [2, 1, 5],
+      [4, 5, 4]], (1, -36)),
+])
+def test_block_pivot_after_a_non_unit_pivot(m, expected):
+    assert symmetric_inertia(_rows(m)) == expected
+    assert _symmetric_sig_det(m) == (expected[0], abs(expected[1]))
+
+
+def test_large_entries_match_dense_oracle(rng):
+    # entries far beyond the Goeritz range, some zero diagonals; the sign
+    # of a nonzero determinant is (-1) to the number of negative
+    # eigenvalues, (n - signature) / 2
+    for _ in range(25):
+        n = rng.randint(10, 30)
+        density, zero_diagonal = rng.random(), rng.random()
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if (i != j or rng.random() >= zero_diagonal) and rng.random() < density:
+                    m[i][j] = m[j][i] = rng.randint(-10 ** 6, 10 ** 6)
+        sig, det = symmetric_inertia(_rows(m))
+        assert type(sig) is int and type(det) is int
+        assert (sig, abs(det)) == _symmetric_sig_det(m), m
+        assert det == 0 or (det > 0) == ((n - sig) // 2 % 2 == 0), m
+
+
 def test_fill_raises_degrees():
     # 4I plus the cube graph's adjacency: every row has degree 4, and the
     # first pivot's three neighbours are pairwise apart, so its fill takes
