@@ -31,7 +31,6 @@ from .certify import (
     exclude_montesinos_link_two_components,
     exclude_seifert_link_two_components,
     exclude_torus_knot,
-    homology_order,
     quotient_braid_even,
     quotient_braid_odd,
     torus_knot_genus_conflict,
@@ -60,7 +59,6 @@ from .invariants import (
     positive_genus,
     quotient_knot_genus_even,
     quotient_knot_genus_odd,
-    rasmussen_positive,
     torus_alexander,
     torus_det_4x,
     torus_genus,
@@ -90,7 +88,6 @@ __all__ = [
     "exclude_montesinos_link_two_components",
     "exclude_seifert_link_two_components",
     "exclude_torus_knot",
-    "homology_order",
     "torus_knot_genus_conflict",
     "det_from_alexander",
     "det_from_homfly",
@@ -114,7 +111,6 @@ __all__ = [
     "quotient_braid_odd",
     "quotient_knot_genus_even",
     "quotient_knot_genus_odd",
-    "rasmussen_positive",
     "seifert_circle_count",
     "signature",
     "signature_and_determinant",

@@ -106,11 +106,6 @@ class BraidWord:
             raise ValueError(f"strand counts differ: {self.strands} vs {other.strands}")
         return BraidWord(self.strands, self.letters + other.letters)
 
-    def __pow__(self, k: int) -> "BraidWord":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return BraidWord(self.strands, self.letters * k)
-
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-e for e in reversed(self.letters)))
 

@@ -52,7 +52,6 @@ __all__ = [
     "ExclusionVerdict",
     "SlopeReport",
     "CertificateReport",
-    "homology_order",
     "quotient_braid_odd",
     "quotient_braid_even",
     "exclude_montesinos_knot",
@@ -240,12 +239,6 @@ class CertificateReport:
         return CertificateReport.from_dict(json.loads(text))
 
 
-def homology_order(r: int) -> int:
-    """Order of the first homology of r-surgery on a knot: |r|, where 0
-    stands for infinite order."""
-    return abs(r)
-
-
 def _as_interval(value: "IntInterval | int", name: str) -> IntInterval:
     if isinstance(value, IntInterval):
         return value
@@ -401,7 +394,8 @@ def _knot_slope_verdicts(family: _Family, r: int
             "failed_step": "full-twist",
             "reason": "the quotient braid does not visibly contain a full twist",
         })
-    det_homology = homology_order(r)
+    # |H_1| of r-surgery on a knot is |r|; r is odd here, so never 0.
+    det_homology = abs(r)
     if det != det_homology:
         return montesinos, ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "determinant-homology",

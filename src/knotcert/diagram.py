@@ -89,25 +89,6 @@ class LinkDiagram:
         return _cycle_count(self, _SMOOTHING_SLOTS)
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, x, y):
-        self.parent[self.find(x)] = self.find(y)
-
-    def classes(self) -> int:
-        return len({self.find(x) for x in self.parent})
-
-
 # Slot pairs, by crossing sign, that the through strands join and that the
 # oriented smoothing joins.
 _STRAND_SLOTS = {1: ((0, 2), (1, 3)), -1: ((0, 2), (1, 3))}
@@ -278,11 +259,18 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
 def _piece_count(d: LinkDiagram) -> int:
     """Connected pieces of the crossing graph, free loops not counted: the
     classes of arcs that meet at a crossing."""
-    uf = _UnionFind()
+    crossings_on: dict[int, list[tuple[int, ...]]] = {}
     for c in d.crossings:
         for a in c.arcs:
-            uf.union(a, c.arcs[0])
-    return uf.classes()
+            crossings_on.setdefault(a, []).append(c.arcs)
+    pieces = 0
+    while crossings_on:
+        pieces += 1
+        stack = [next(iter(crossings_on))]
+        while stack:
+            for arcs in crossings_on.pop(stack.pop(), ()):
+                stack.extend(arcs)
+    return pieces
 
 
 def faces(d: LinkDiagram) -> list[list[tuple[int, int]]]:

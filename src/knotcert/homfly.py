@@ -119,7 +119,7 @@ def _normalized_trace(elem: HeckeElement) -> LaurentPoly2:
                 add(key, val)
         level = nxt
         n -= 1
-    return level.get((0,), LaurentPoly2.zero())
+    return level.get((0,), LaurentPoly2())
 
 
 def homfly(w: BraidWord) -> LaurentPoly2:
@@ -130,7 +130,7 @@ def homfly(w: BraidWord) -> LaurentPoly2:
 
 def mfw_bound(p: LaurentPoly2) -> int:
     """Braid index lower bound: half the a-exponent breadth plus one."""
-    if p.is_zero():
+    if not p:
         raise ValueError("the zero polynomial has no breadth")
     exps = p.exponents_first()
     breadth = exps[-1] - exps[0]

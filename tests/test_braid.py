@@ -117,11 +117,6 @@ class TestWordLaws:
         assert w.inverse().letters == (-3, 2, -1)
         assert (w * w.inverse()).strands == 4
 
-    def test_power_unrolls(self):
-        w = BraidWord(3, (1, 2))
-        assert (w ** 3).letters == (1, 2) * 3
-        assert (w ** -1) == w.inverse()
-
     def test_permutation_is_homomorphism(self, random_word):
         for _ in range(30):
             u = random_word(strands=4, length=8)

@@ -22,7 +22,6 @@ from knotcert import (
     exclude_montesinos_link_two_components,
     exclude_seifert_link_two_components,
     exclude_torus_knot,
-    homology_order,
     positive_genus,
     torus_braid,
     torus_knot_genus_conflict,
@@ -36,13 +35,6 @@ def logged(calls: list, fn):
         calls.append(fn.__name__)
         return fn(*args)
     return wrapper
-
-
-class TestHomologyOrder:
-    def test_absolute_value(self):
-        assert homology_order(-7) == 7
-        assert homology_order(5) == 5
-        assert homology_order(0) == 0
 
 
 class TestMontesinosKnotRule:
@@ -232,14 +224,11 @@ class TestCertifyNoSfs:
         """s = 2 * genus and the torus test's genus share one genus
         computation per closure; the partner's genus gives its s."""
         import knotcert.certify
-        import knotcert.invariants
         calls = []
         monkeypatch.setattr(knotcert.certify, "braid_closure",
                             logged(calls, knotcert.certify.braid_closure))
-        # rasmussen_positive reaches positive_genus through the invariants module
-        genus = logged(calls, knotcert.invariants.positive_genus)
-        monkeypatch.setattr(knotcert.certify, "positive_genus", genus)
-        monkeypatch.setattr(knotcert.invariants, "positive_genus", genus)
+        monkeypatch.setattr(knotcert.certify, "positive_genus",
+                            logged(calls, knotcert.certify.positive_genus))
         certify_no_sfs(3, 3)
         assert calls.count("braid_closure") == calls.count("positive_genus") == 16
 

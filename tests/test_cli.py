@@ -1,8 +1,10 @@
 """End-to-end runs of the command line front end via main(argv)."""
 
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -273,3 +275,12 @@ class TestCertifyGrid:
     def test_malformed_range_is_usage_error(self, capsys):
         assert main(["certify", "--grid", "3..x", "3..3"]) == EXIT_USAGE
         assert "range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["knotcert"] + [
+    f"knotcert.{m.name}" for m in pkgutil.iter_modules(knotcert.__path__)])
+def test_public_names_resolve(module):
+    """Every __all__ entry names an attribute.  A stale entry left by a
+    removal breaks `from module import *` but not a plain import."""
+    mod = importlib.import_module(module)
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -28,7 +28,7 @@ from knotcert import (
     writhe,
 )
 from knotcert.braid import exponent_sum
-from knotcert.diagram import is_positive
+from knotcert.diagram import _piece_count, is_positive
 
 from conftest import cycle_count
 from oracles import _symmetric_sig_det, braid_seifert_sigma, goeritz_det, torus_sigma
@@ -329,7 +329,8 @@ def relabelled_pd(rng, diagrams) -> str:
 
 class TestCycleCounts:
     """component_count and seifert_circle_count against a union-find over
-    the same slot pairs, on parsed PD codes."""
+    the same slot pairs, and the piece count against one over each
+    crossing's arcs, on parsed PD codes."""
 
     def test_against_union_find(self, rng, random_knot_word, random_word):
         for _ in range(30):
@@ -351,6 +352,8 @@ class TestCycleCounts:
             assert component_count(d) == strands + d.free_loops
             assert seifert_circle_count(d) == circles + d.free_loops
             assert component_count(d) == sum(component_count(p) for p in pieces) + d.free_loops
+            assert _piece_count(d) == len(pieces) == union_find_classes(
+                (c.arcs[0], c.arcs[k]) for c in d.crossings for k in (1, 2, 3))
 
     def test_free_loops_only(self):
         for k in (0, 1, 3):

