@@ -34,10 +34,9 @@ import json
 from typing import Callable, NamedTuple
 
 from .braid import MAX_INPUT_LETTERS, BraidWord, contains_full_twist, quotient_braid
-from .diagram import braid_closure, signature, signature_and_determinant
+from .diagram import closure_signature_and_determinant
 from .invariants import (
     IntInterval,
-    positive_genus,
     quotient_knot_genus_even,
     quotient_knot_genus_odd,
     torus_genus,
@@ -347,8 +346,10 @@ def exclude_torus_knot(family: str, params: tuple[int, int], r: int) -> Exclusio
     full twist, so the closure has braid index exactly four and the only
     torus candidates are T(4,x); the determinant of the closure must be
     the homology order |r| of the surgery, which forces x = |r|; the
-    genus of the closure (positive diagram formula, cross-checked against
-    the closed form) differs from the genus of T(4,|r|).
+    genus of the closure (positive braid formula, cross-checked against
+    the closed form) differs from the genus of T(4,|r|).  The full twist
+    is the word's 12-letter head, whose Garside normal form is computed
+    once per process; a word without that head is inconclusive.
     """
     rule = "torus-knot-det-genus"
     fam = _family(family, params)
@@ -373,23 +374,26 @@ def _knot_slope_verdicts(family: _Family, r: int
                          ) -> tuple[ExclusionVerdict, ExclusionVerdict]:
     """The Montesinos and torus-knot verdicts of an odd slope r.
 
-    Both read one closure of the quotient braid.  Its genus, computed
-    once, gives s = 2 * genus (the Rasmussen invariant of a positive knot)
-    for the Montesinos test and the genus for the torus test; its Goeritz
-    matrix gives sigma and the determinant.  The only other closure is the
-    tangle-move partner's, for the Montesinos chain.
+    Both read the quotient word, with no diagram built: its Goeritz
+    matrix gives sigma and the determinant, and its genus gives s = 2 *
+    genus (the Rasmussen invariant of a positive knot) for the Montesinos
+    test and the genus for the torus test.  The only other word is the
+    tangle-move partner's, for the Montesinos chain.  The full twist is
+    proved once per process, on the head that ``quotient_braid`` spells
+    it with; a word starting with that head is the full twist times a
+    positive braid.
     """
     q, middle, tail = family.powers(r)
     word = quotient_braid(q, middle, tail)
-    knot = braid_closure(word)
-    genus_direct = positive_genus(knot)
-    sigma, det = signature_and_determinant(knot)
-    partner = braid_closure(quotient_braid(q - 2, middle, tail))
+    sigma, det = closure_signature_and_determinant(word)
+    genus_direct = _positive_word_genus(word)
+    partner = quotient_braid(q - 2, middle, tail)
+    sigma_partner = closure_signature_and_determinant(partner)[0]
     montesinos = _montesinos_knot_verdict(
-        q - 2, 2 * genus_direct, sigma, 2 * positive_genus(partner), signature(partner))
+        q - 2, 2 * genus_direct, sigma, 2 * _positive_word_genus(partner), sigma_partner)
 
     rule = "torus-knot-det-genus"
-    if not contains_full_twist(word):
+    if word.letters[:len(_TWIST_HEAD)] != _TWIST_HEAD or not _twist_head_contains_full_twist():
         return montesinos, ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "full-twist",
             "reason": "the quotient braid does not visibly contain a full twist",
@@ -424,6 +428,27 @@ def _knot_slope_verdicts(family: _Family, r: int
         evidence["six_n_minus_three_q"] = 6 * n - 3 * q
         evidence["torus_match_requires"] = 1 if r == 4 * q + 1 else -1
     return montesinos, ExclusionVerdict(rule, EXCLUDED if conflict else INCONCLUSIVE, evidence)
+
+
+def _positive_word_genus(word: BraidWord) -> int:
+    """Genus of the knot closing a positive braid word that uses every
+    generator, as ``closure_signature_and_determinant`` checks first for
+    the words passed here.  Seifert's algorithm on the closure leaves one
+    circle per strand and is minimal on positive diagrams, so the genus
+    is (letters - strands + 1) / 2."""
+    if not word.is_positive:
+        raise ValueError("genus formula requires a positive braid word")
+    return (len(word) - word.strands + 1) // 2
+
+
+# The head s3^2 (s2 s3 s1 s2) s3^2 (s2 s3 s1 s2) that quotient_braid
+# starts its word with whenever the word contains a full twist.
+_TWIST_HEAD = (3, 3, 2, 3, 1, 2) * 2
+
+
+@functools.cache
+def _twist_head_contains_full_twist() -> bool:
+    return contains_full_twist(BraidWord(4, _TWIST_HEAD))
 
 
 def _toroidal_slope_verdict() -> ExclusionVerdict:

@@ -12,7 +12,8 @@ import zlib
 
 import pytest
 
-from knotcert import BraidWord, permutation_of
+from knotcert import BraidWord, permutation_of, quotient_braid
+from knotcert.certify import _pretzel_family
 
 DEFAULT_SEED = 20260819
 
@@ -70,6 +71,20 @@ def make_random_knot_word(rng: random.Random, max_strands: int = 4,
             continue
         if cycle_count(w) == 1:
             return w
+
+
+def grid_knot_slope_words():
+    """(p, q, r, word, partner) for every odd candidate slope r of the
+    cells of ``certify --grid 2..9 3..9``: the quotient word of r-surgery
+    on P(p,q,q) and its tangle-move partner, one block pair shorter."""
+    for p in range(2, 10):
+        for q in range(3, 10, 2):
+            family = _pretzel_family(p, q)
+            for cand in family.slopes:
+                if cand.r % 2:
+                    block, middle, tail = family.powers(cand.r)
+                    yield (p, q, cand.r, quotient_braid(block, middle, tail),
+                           quotient_braid(block - 2, middle, tail))
 
 
 @pytest.fixture

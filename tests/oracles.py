@@ -151,8 +151,7 @@ def _braid_loops(letters: tuple[int, ...]) -> list[tuple[int, int, int]]:
 def _symmetric_sig_det(rows: list[list[int]]) -> tuple[int, int]:
     """Signature and determinant of a symmetric integer matrix by exact
     congruence diagonalization (symmetric row+column elimination)."""
-    m = len(rows)
-    a = [[Fraction(rows[i][j]) for j in range(m)] for i in range(m)]
+    a = [list(row) for row in rows]
     signature = 0
     det = Fraction(1)
 
@@ -179,11 +178,21 @@ def _symmetric_sig_det(rows: list[list[int]]) -> tuple[int, int]:
             mat[0], mat[pivot] = mat[pivot], mat[0]
             for r in range(k):
                 mat[r][0], mat[r][pivot] = mat[r][pivot], mat[r][0]
-        d = mat[0][0]
+        top = mat[0]
+        d = top[0]
         signature += 1 if d > 0 else -1
         det *= d
-        eliminate([[mat[i][j] - mat[i][0] * mat[0][j] / d
-                    for j in range(1, k)] for i in range(1, k)])
+        # The matrix stays symmetric, so mat[i][0] == top[i]; zero
+        # multipliers and zero pivot-row entries change nothing and are
+        # skipped, which keeps the sparse Seifert forms cheap.
+        support = [j for j in range(1, k) if top[j]]
+        rest = [row[1:] for row in mat[1:]]
+        for j in support:
+            f = Fraction(top[j]) / d
+            row = rest[j - 1]
+            for c in support:
+                row[c - 1] -= f * top[c]
+        eliminate(rest)
 
     eliminate(a)
     assert det.denominator == 1

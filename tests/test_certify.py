@@ -11,22 +11,29 @@ import json
 import pytest
 
 from knotcert import (
+    BraidWord,
     CertificateReport,
     ExclusionVerdict,
     IntInterval,
     SlopeReport,
     braid_closure,
     certify_no_sfs,
+    contains_full_twist,
     determinant,
     exclude_montesinos_knot,
     exclude_montesinos_link_two_components,
     exclude_seifert_link_two_components,
     exclude_torus_knot,
+    full_twist,
+    normal_form,
     positive_genus,
+    quotient_braid_odd,
     torus_braid,
     torus_knot_genus_conflict,
 )
-from knotcert.certify import SCHEMA_VERSION, SlopeCandidate
+from knotcert.certify import _TWIST_HEAD, SCHEMA_VERSION, SlopeCandidate
+
+from conftest import grid_knot_slope_words
 
 
 def logged(calls: list, fn):
@@ -130,9 +137,26 @@ class TestTorusKnotRule:
 
     def test_word_without_visible_twist_is_inconclusive(self):
         # tail 2p+2q+r = 3 stays below the four letters a full twist needs
+        assert quotient_braid_odd(3, 3, -9).letters[:len(_TWIST_HEAD)] != _TWIST_HEAD
         v = exclude_torus_knot("odd", (3, 3), -9)
         assert v.conclusion == "inconclusive"
         assert v.evidence["failed_step"] == "full-twist"
+
+    def test_twist_head_is_the_full_twist(self):
+        head = BraidWord(4, _TWIST_HEAD)
+        assert normal_form(head) == normal_form(full_twist(4))
+
+    def test_head_check_agrees_with_normal_form_on_the_grid(self):
+        """The certificate path's full twist test, a head compare, against
+        contains_full_twist on every candidate knot slope word of certify
+        --grid 2..9 3..9 and its partner."""
+        heads = set()
+        for p, q, r, word, partner in grid_knot_slope_words():
+            for w in (word, partner):
+                has_head = w.letters[:len(_TWIST_HEAD)] == _TWIST_HEAD
+                assert has_head == contains_full_twist(w), (p, q, r, w.letters)
+                heads.add(has_head)
+        assert heads == {True, False}
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
@@ -187,7 +211,7 @@ class TestCertifyNoSfs:
         for every odd parameter pair.  Confirmed by two independent
         signature implementations; this pins the fact so the wide window
         stays in place."""
-        from knotcert import BraidWord, braid_closure, signature
+        from knotcert import signature
         block = (2, 3, 1, 2)
         for r in (-3, -1):
             tail = 12 + r
@@ -207,49 +231,30 @@ class TestCertifyNoSfs:
         assert report.certified
         assert [s.candidate.r for s in report.slopes] == [19, 21]
 
-    def test_each_knot_slope_makes_two_closures(self, monkeypatch):
-        """One closure of the quotient braid gives s, sigma, det and genus
-        (sigma and det from one Goeritz matrix); the only other closure is
-        the tangle-move partner's.  (3,3) has eight odd slopes."""
+    def test_knot_slopes_read_the_word(self, monkeypatch):
+        """Each odd slope reads sigma and det from its quotient word and
+        its partner's, builds no diagram, and proves no full twist once
+        the head's proof is cached.  (3,3) has eight odd slopes."""
+        import knotcert.braid
         import knotcert.certify
         import knotcert.diagram
+        knotcert.certify._twist_head_contains_full_twist()
         calls = []
-        monkeypatch.setattr(knotcert.certify, "braid_closure",
-                            logged(calls, knotcert.certify.braid_closure))
-        monkeypatch.setattr(knotcert.diagram, "goeritz", logged(calls, knotcert.diagram.goeritz))
+        monkeypatch.setattr(knotcert.certify, "closure_signature_and_determinant",
+                            logged(calls, knotcert.certify.closure_signature_and_determinant))
+        for name in ("braid_closure", "faces", "goeritz"):
+            monkeypatch.setattr(knotcert.diagram, name,
+                                logged(calls, getattr(knotcert.diagram, name)))
+        monkeypatch.setattr(knotcert.braid, "normal_form",
+                            logged(calls, knotcert.braid.normal_form))
         certify_no_sfs(3, 3)
-        assert calls.count("braid_closure") == calls.count("goeritz") == 16
+        assert calls == ["closure_signature_and_determinant"] * 16
 
-    def test_each_closure_has_one_genus_computation(self, monkeypatch):
-        """s = 2 * genus and the torus test's genus share one genus
-        computation per closure; the partner's genus gives its s."""
-        import knotcert.certify
-        calls = []
-        monkeypatch.setattr(knotcert.certify, "braid_closure",
-                            logged(calls, knotcert.certify.braid_closure))
-        monkeypatch.setattr(knotcert.certify, "positive_genus",
-                            logged(calls, knotcert.certify.positive_genus))
-        certify_no_sfs(3, 3)
-        assert calls.count("braid_closure") == calls.count("positive_genus") == 16
-
-    def test_each_closure_has_one_strand_walk(self, monkeypatch):
-        """positive_genus and signature_and_determinant both check that a
-        closure is a knot; they share one walk along its strands."""
-        import knotcert.certify
-        import knotcert.diagram
-        calls = []
-        monkeypatch.setattr(knotcert.certify, "braid_closure",
-                            logged(calls, knotcert.certify.braid_closure))
-        walk = knotcert.diagram._cycle_count
-
-        def counted(d, slots):
-            if slots is knotcert.diagram._STRAND_SLOTS:
-                calls.append("strand walk")
-            return walk(d, slots)
-
-        monkeypatch.setattr(knotcert.diagram, "_cycle_count", counted)
-        certify_no_sfs(3, 3)
-        assert calls.count("braid_closure") == calls.count("strand walk") == 16
+    def test_genus_needs_a_positive_word(self):
+        from knotcert.certify import _positive_word_genus
+        assert _positive_word_genus(BraidWord(4, (1, 2, 3) * 3)) == 3
+        with pytest.raises(ValueError, match="positive"):
+            _positive_word_genus(BraidWord(3, (1, -2, 1, -2)))
 
     @pytest.mark.parametrize("first, q", [(3, 3), (5, 3), (2, 3), (4, 5)])
     def test_torus_verdicts_match_the_direct_entry_point(self, first, q):

@@ -13,12 +13,14 @@ from knotcert import (
     BraidWord,
     LinkDiagram,
     braid_closure,
+    closure_signature_and_determinant,
     component_count,
     determinant,
     faces,
     from_pd_text,
     goeritz,
     mirror,
+    positive_genus,
     pretzel_diagram,
     seifert_circle_count,
     signature,
@@ -28,9 +30,10 @@ from knotcert import (
     writhe,
 )
 from knotcert.braid import exponent_sum
+from knotcert.certify import _positive_word_genus
 from knotcert.diagram import _piece_count, is_positive
 
-from conftest import cycle_count
+from conftest import cycle_count, grid_knot_slope_words
 from oracles import _symmetric_sig_det, braid_seifert_sigma, goeritz_det, torus_sigma
 
 RIGHT_TREFOIL = braid_closure(torus_braid(2, 3))
@@ -297,6 +300,82 @@ class TestGoeritzColourClass:
             d = braid_closure(w)
             assert signature_and_determinant(d) == (sig, det), w.letters
             assert signature_and_determinant(mirror(d)) == (-sig, det), w.letters
+
+
+def negated(w: BraidWord) -> BraidWord:
+    """Every letter inverted: the closure is the mirror image."""
+    return BraidWord(w.strands, tuple(-e for e in w.letters))
+
+
+class TestClosureSignatureAndDeterminant:
+    """The Goeritz matrix read off a braid word against the diagram path
+    (braid_closure, faces, goeritz) and against the Seifert form oracle,
+    which takes positive words and, through the mirror, negative ones."""
+
+    def assert_matches_diagram(self, w: BraidWord):
+        expected = signature_and_determinant(braid_closure(w))
+        assert closure_signature_and_determinant(w) == expected, w.letters
+
+    def assert_matches_seifert_form(self, w: BraidWord):
+        sig, det = braid_seifert_sigma(w.letters)
+        assert closure_signature_and_determinant(w) == (sig, det), w.letters
+        assert closure_signature_and_determinant(negated(w)) == (-sig, det), w.letters
+
+    def test_random_mixed_sign_knot_words(self, random_knot_word):
+        for _ in range(60):
+            self.assert_matches_diagram(random_knot_word(max_strands=6, max_length=30))
+
+    def test_random_positive_knot_words(self, rng, random_word):
+        count = 0
+        while count < 20:
+            n = rng.randint(2, 6)
+            w = random_word(strands=n, length=rng.randint(n, 24), positive=True)
+            if {abs(e) for e in w.letters} != set(range(1, n)) or cycle_count(w) != 1:
+                continue
+            count += 1
+            self.assert_matches_seifert_form(w)
+            self.assert_matches_diagram(w)
+            self.assert_matches_diagram(negated(w))
+
+    def test_sigma1_heavy_words(self, rng):
+        for _ in range(20):
+            self.assert_matches_diagram(sigma1_heavy_knot_word(rng, positive=False))
+        for _ in range(10):
+            self.assert_matches_seifert_form(sigma1_heavy_knot_word(rng, positive=True))
+
+    def test_lopsided_and_tie_words(self):
+        lopsided = BraidWord(3, (1,) * 11 + (2,) * 3)
+        tie = BraidWord(3, (1, 2) * 4)
+        assert sorted(checkerboard_class_sizes(lopsided)) == [4, 12]
+        assert checkerboard_class_sizes(tie) == (5, 5)
+        for w in (lopsided, tie):
+            self.assert_matches_seifert_form(w)
+            self.assert_matches_diagram(w)
+            self.assert_matches_diagram(negated(w))
+
+    def test_grid_quotient_words(self):
+        """Every candidate knot slope word of certify --grid 2..9 3..9 and
+        its partner, with the word genus against the diagram's."""
+        for p, q, r, word, partner in grid_knot_slope_words():
+            for w in (word, partner):
+                d = braid_closure(w)
+                assert closure_signature_and_determinant(w) == signature_and_determinant(d)
+                assert closure_signature_and_determinant(w) == braid_seifert_sigma(w.letters)
+                assert _positive_word_genus(w) == positive_genus(d), (p, q, r)
+
+    def test_unknot(self):
+        assert closure_signature_and_determinant(BraidWord(1, ())) == (0, 1)
+        assert closure_signature_and_determinant(BraidWord(2, (1,))) == (0, 1)
+
+    def test_rejects_word_missing_a_generator(self):
+        with pytest.raises(ValueError, match="misses generator 2"):
+            closure_signature_and_determinant(BraidWord(4, (1, 1, 1, 3, 3, 3)))
+
+    def test_rejects_links(self):
+        for w in (torus_braid(2, 4), BraidWord(3, (1,) * 10 + (2, 2)), BraidWord(4, (1, 2, 3, 1))):
+            assert cycle_count(w) > 1
+            with pytest.raises(ValueError, match="knot"):
+                closure_signature_and_determinant(w)
 
 
 def union_find_classes(pairs) -> int:
