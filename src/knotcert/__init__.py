@@ -48,7 +48,6 @@ from .diagram import (
     mirror,
     pretzel_diagram,
     seifert_circle_count,
-    signature,
     signature_and_determinant,
     to_pd_text,
     writhe,
@@ -114,7 +113,6 @@ __all__ = [
     "quotient_knot_genus_even",
     "quotient_knot_genus_odd",
     "seifert_circle_count",
-    "signature",
     "signature_and_determinant",
     "to_pd_text",
     "torus_alexander",

@@ -200,28 +200,28 @@ def _half_twist_letters(n: int) -> list[int]:
     return letters
 
 
-def _left_weight(a: tuple[int, ...], b: tuple[int, ...]
-                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Slide initial generators of b into a until the pair is left weighted.
+def _left_weight(a: list[int], b: list[int]) -> bool:
+    """Slide initial generators of b into a, in place, until the pair is left
+    weighted.  Returns whether any generator moved.
 
     Generator i starts b when b[i] > b[i+1] and finishes a when value i+1 sits
     before value i in a; moving it swaps those values of a and entries of b.
     """
-    a, b = list(a), list(b)
     where = [0] * len(a)
     for x, v in enumerate(a):
         where[v] = x
-    i = 0
-    while i < len(b) - 1:
+    moved, i, last = False, 0, len(b) - 1
+    while i < last:
         if b[i] > b[i + 1] and where[i] < where[i + 1]:
             x, y = where[i], where[i + 1]
             a[x], a[y] = i + 1, i
             where[i], where[i + 1] = y, x
             b[i], b[i + 1] = b[i + 1], b[i]
-            i = max(i - 1, 0)  # the swap changed only the tests at i-1, i, i+1
+            moved = True
+            i = i - 1 if i else 0  # the swap changed only the tests at i-1, i, i+1
         else:
             i += 1
-    return tuple(a), tuple(b)
+    return moved
 
 
 def normal_form(w: BraidWord) -> GarsideNormalForm:
@@ -238,25 +238,21 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     n = w.strands
     if n == 1:
         return GarsideNormalForm(1, 0, ())
-    identity = tuple(range(n))
+    identity = list(range(n))
     remaining = sum(1 for e in w.letters if e < 0)
     infimum = -remaining
-    factors: list[tuple[int, ...]] = []
+    factors: list[list[int]] = []
     for e in w.letters:
         i = abs(e) - 1
         if e < 0:
             remaining -= 1
         if remaining % 2:
             i = n - 2 - i  # conjugation by D maps s_i to s_{n-2-i}
-        s = list(identity)
+        s = identity[:]
         s[i], s[i + 1] = i + 1, i
-        factors.append(tuple(s) if e > 0 else tuple(reversed(s)))
+        factors.append(s if e > 0 else s[::-1])
         k = len(factors) - 1
-        while k > 0:
-            a, b = _left_weight(factors[k - 1], factors[k])
-            if a == factors[k - 1]:
-                break
-            factors[k - 1], factors[k] = a, b
+        while k > 0 and _left_weight(factors[k - 1], factors[k]):
             k -= 1
         if factors[-1] == identity:
             factors.pop()
@@ -264,7 +260,7 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     while lead < len(factors) and factors[lead] == identity[::-1]:
         lead += 1
     return GarsideNormalForm(n, infimum + lead,
-                             tuple(PermutationBraid(f) for f in factors[lead:]))
+                             tuple(PermutationBraid(tuple(f)) for f in factors[lead:]))
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:

@@ -20,7 +20,7 @@ import os
 import pathlib
 import sys
 
-from .braid import BraidWord, braids_equal, normal_form, parse_braid
+from .braid import BraidWord, normal_form, parse_braid
 from .certify import CertificateReport, certify_no_sfs, check_input_size
 from .diagram import (
     LinkDiagram,
@@ -160,7 +160,7 @@ def _cmd_nf(args: argparse.Namespace) -> int:
     nf = normal_form(word)
     if args.equal is not None:
         other = parse_braid(args.equal, args.strands)
-        same = braids_equal(word, other)
+        same = nf == normal_form(other)
         if args.json:
             _emit(json.dumps({"equal": same}), args.out)
         else:

@@ -42,7 +42,6 @@ __all__ = [
     "goeritz",
     "signature_and_determinant",
     "closure_signature_and_determinant",
-    "signature",
     "determinant",
     "to_pd_text",
     "from_pd_text",
@@ -456,11 +455,6 @@ def closure_signature_and_determinant(w: BraidWord) -> tuple[int, int]:
         raise ValueError("signature is only computed for braids closing to a knot")
     sig, det = symmetric_inertia(rows)
     return sig - correction, abs(det)
-
-
-def signature(d: LinkDiagram) -> int:
-    """Signature of the knot presented by the diagram."""
-    return signature_and_determinant(d)[0]
 
 
 def determinant(d: LinkDiagram) -> int:

@@ -14,18 +14,20 @@ closure invariant normalizes by writhe and strand count:
 where e is the exponent sum.  The normalization spends one factor
 (1 - a^2)/z per level, so a peeled level contributes c * (1 - a^2)/z = 1
 and a level whose last strand closes to a trivial loop contributes
-(1 - a^2)/z; the whole computation stays in one ring of Laurent
-polynomials in a and z.
-The result is an exact Laurent polynomial satisfying the skein relation
-(1/a) P(L+) - a P(L-) = z P(L0) with P(unknot) = 1; the right trefoil maps
-to 2a^2 - a^4 + a^2 z^2.  Specializing a = 1, z^2 = -4 gives the knot
-determinant, and (max - min a-exponent)/2 + 1 is the braid index lower
-bound of Morton, Franks and Williams.
+(1 - a^2)/z; the trace counts those levels and expands their factors once,
+at the end.  Until then each coefficient is a polynomial in z packed into
+one int (see ``_packed_image``).  The result is an exact Laurent polynomial
+satisfying the skein relation (1/a) P(L+) - a P(L-) = z P(L0) with
+P(unknot) = 1; the right trefoil maps to 2a^2 - a^4 + a^2 z^2.
+Specializing a = 1, z^2 = -4 gives the knot determinant, and
+(max - min a-exponent)/2 + 1 is the braid index lower bound of Morton,
+Franks and Williams.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from math import comb
 
 from .braid import BraidWord, exponent_sum
 from .laurent import LaurentPoly2
@@ -41,9 +43,6 @@ __all__ = [
 
 MAX_TRACE_STRANDS = 6
 
-_Z = LaurentPoly2.term(1, 0, 1)
-_UNPEELED = LaurentPoly2({(0, -1): 1, (2, -1): -1})  # (1 - a^2)/z
-
 
 @dataclasses.dataclass(frozen=True)
 class HeckeElement:
@@ -53,79 +52,104 @@ class HeckeElement:
     coeffs: dict[tuple[int, ...], LaurentPoly2]
 
 
-def _swap_values(w: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """One-line tuple of w followed by the transposition of values i, i+1."""
-    lst = list(w)
-    p, q = lst.index(i), lst.index(i + 1)
-    lst[p], lst[q] = lst[q], lst[p]
-    return tuple(lst)
-
-
-def _value_ascent(w: tuple[int, ...], i: int) -> bool:
-    """Whether right multiplication by generator i increases word length."""
-    return w.index(i) < w.index(i + 1)
-
-
-def _times_generator(terms: dict, i: int, inverse: bool = False) -> dict:
+def _times_generator(terms: dict, i: int, bits: int, inverse: bool = False) -> dict:
     """Right-multiply sum c*g_w by g = g_{i+1}, or by its inverse g - z (i is 0-based).
 
-    g_w * g is g_{ws} at an ascent of w and g_{ws} + z*g_w at a descent; the
-    inverse subtracts z*g_w, which cancels the descent term and leaves
-    -z*g_w at an ascent.  Zero coefficients are dropped.
+    g_w * g is g_{ws} at an ascent of w (value i before i+1) and g_{ws} + z*g_w
+    at a descent; the inverse subtracts z*g_w, which cancels the descent term
+    and leaves -z*g_w at an ascent.  Packed, z*c is ``c << bits``; zeros drop.
     """
-    extra = -_Z if inverse else _Z
     out: dict = {}
     for w, c in terms.items():
-        ws = _swap_values(w, i)
-        out[ws] = out[ws] + c if ws in out else c
-        if _value_ascent(w, i) == inverse:
-            out[w] = out[w] + c * extra if w in out else c * extra
+        p, q = w.index(i), w.index(i + 1)
+        ws = list(w)
+        ws[p], ws[q] = i + 1, i
+        ws = tuple(ws)
+        out[ws] = out.get(ws, 0) + c
+        if (p < q) == inverse:
+            out[w] = out.get(w, 0) + (-(c << bits) if inverse else c << bits)
     return {w: c for w, c in out.items() if c}
 
 
-def hecke_image(w: BraidWord) -> HeckeElement:
-    """Image of a braid word in the Hecke algebra."""
+def _packed_image(w: BraidWord) -> tuple[dict[tuple[int, ...], int], int]:
+    """Image of a braid word with each coefficient packed into one int, and the width.
+
+    Before the trace every coefficient is a polynomial in z with nonnegative
+    exponents; it is stored as its value at z = 2^bits (Kronecker packing).
+    The width bits = letters + n^2 + 2 is exact here and in ``_trace_terms``.
+    Right multiplication by g or g - z sends each term c*g_w to at most two
+    terms, of coefficients +-c and +-z*c, so it at most doubles the sum S of
+    all |coefficients| of all terms.  S starts at 1, the letters double it at
+    most len(letters) times and the n - 1 peels, of at most n - 2 generators
+    each, fewer than n^2 times.  So every coefficient stays below
+    2^(letters + n^2) < 2^(bits-1): a packed polynomial is 0 only when it is,
+    and ``_unpack`` reads its digits back exactly.
+    """
     if w.strands > MAX_TRACE_STRANDS:
         raise ValueError(
             f"Hecke computations are guarded to at most {MAX_TRACE_STRANDS} strands, "
             f"got {w.strands}")
-    terms = {tuple(range(w.strands)): LaurentPoly2.one()}
+    bits = len(w.letters) + w.strands ** 2 + 2
+    terms = {tuple(range(w.strands)): 1}
     for e in w.letters:
-        terms = _times_generator(terms, abs(e) - 1, inverse=e < 0)
-    return HeckeElement(w.strands, terms)
+        terms = _times_generator(terms, abs(e) - 1, bits, inverse=e < 0)
+    return terms, bits
 
 
-def _normalized_trace(elem: HeckeElement) -> LaurentPoly2:
-    """((1 - a^2)/z)^(n-1) times the Markov trace of elem, at c = z/(1 - a^2)."""
-    level = elem.coeffs
-    n = elem.strands
+def _unpack(packed: int, bits: int) -> dict[int, int]:
+    """{z-exponent: coefficient} of a packed polynomial, balanced digits base 2^bits."""
+    out: dict[int, int] = {}
+    half, mask, j = 1 << (bits - 1), (1 << bits) - 1, 0
+    while packed:
+        c = ((packed + half) & mask) - half
+        if c:
+            out[j] = c
+        packed, j = (packed - c) >> bits, j + 1
+    return out
+
+
+def hecke_image(w: BraidWord) -> HeckeElement:
+    """Image of a braid word in the Hecke algebra."""
+    terms, bits = _packed_image(w)
+    return HeckeElement(w.strands, {
+        perm: LaurentPoly2({(0, j): c for j, c in _unpack(packed, bits).items()})
+        for perm, packed in terms.items()})
+
+
+def _trace_terms(terms: dict, n: int, bits: int) -> dict[int, int]:
+    """Trace of a packed image as {k: packed coefficient}: a term (w, k) has k
+    unpeeled levels, and the normalized trace sums ((1 - a^2)/z)^k times these."""
+    level = {(w, 0): c for w, c in terms.items()}
     while n > 1:
-        nxt: dict[tuple[int, ...], LaurentPoly2] = {}
-
-        def add(w: tuple[int, ...], p: LaurentPoly2):
-            nxt[w] = nxt[w] + p if w in nxt else p
-
-        for w, poly in level.items():
+        groups: dict[tuple[int, int], dict] = {}
+        for (w, k), c in level.items():
+            # w = v . (cycle j -> j+1 -> ... -> n-1 -> j): peel one strand, or
+            # count one more unpeeled level when the last strand is fixed.
             j = w[n - 1]
-            if j == n - 1:
-                add(w[: n - 1], poly * _UNPEELED)
-                continue
-            # w = v . (cycle j -> j+1 -> ... -> n-1 -> j); peel one strand.
-            v = [x - 1 if x > j else x for x in w[: n - 1]]
-            term: dict[tuple[int, ...], LaurentPoly2] = {tuple(v): poly}
+            group = groups.setdefault((j, k + (j == n - 1)), {})
+            v = tuple(x - 1 if x > j else x for x in w[: n - 1])
+            group[v] = group.get(v, 0) + c
+        level = {}
+        for (j, k), term in groups.items():
             for i in range(n - 3, j - 1, -1):
-                term = _times_generator(term, i)
-            for key, val in term.items():
-                add(key, val)
-        level = nxt
+                term = _times_generator(term, i, bits)
+            for v, c in term.items():
+                level[v, k] = level.get((v, k), 0) + c
         n -= 1
-    return level.get((0,), LaurentPoly2())
+    return {k: c for (_w, k), c in level.items() if c}
 
 
 def homfly(w: BraidWord) -> LaurentPoly2:
     """Two-variable polynomial of the closure of a braid word."""
-    trace = _normalized_trace(hecke_image(w))
-    return trace.mul_term(1, exponent_sum(w) - w.strands + 1, 0)
+    terms, bits = _packed_image(w)
+    shift = exponent_sum(w) - w.strands + 1
+    coeffs: dict[tuple[int, int], int] = {}
+    for k, packed in _trace_terms(terms, w.strands, bits).items():
+        for j, c in _unpack(packed, bits).items():
+            for m in range(k + 1):  # (1 - a^2)^k z^-k, expanded once
+                key = (shift + 2 * m, j - k)
+                coeffs[key] = coeffs.get(key, 0) + (-1) ** m * comb(k, m) * c
+    return LaurentPoly2(coeffs)
 
 
 def mfw_bound(p: LaurentPoly2) -> int:

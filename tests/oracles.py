@@ -1,6 +1,7 @@
 """Independent cross-check oracles for the test suite.
 
-Computation routes that share no code with the package:
+Computation routes that share no arithmetic with the package (the Hecke
+oracle builds on its LaurentPoly2 container):
 
 * torus_sigma: torus knot signatures from the eigenvalue count of the
   Brieskorn form of x^p + y^q + z^2 (the double branched cover of the
@@ -8,12 +9,20 @@ Computation routes that share no code with the package:
   off from i/p + j/q + 1/2 mod 2;
 * goeritz_det: determinant recomputed from the PD text alone: faces
   traced on half-edges, checkerboard colored, Goeritz matrix of one
-  color class eliminated over the rationals.
+  color class eliminated over the rationals;
+* braid_seifert_sigma: signature and determinant of a positive braid
+  closure from the symmetrized Seifert form of its fiber surface;
+* hecke_coeffs, homfly: the Hecke image and skein polynomial with every
+  coefficient a LaurentPoly2 (the package packs them into ints);
+* normal_form: the Garside normal form with tuple factors rebuilt by every
+  left weighting (the package swaps list factors in place).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from knotcert.laurent import LaurentPoly2
 
 
 def torus_sigma(p: int, q: int) -> int:
@@ -230,3 +239,127 @@ def braid_seifert_sigma(letters: tuple[int, ...]) -> tuple[int, int]:
                     value = 1 if inside_lo else -1
             s[x][y] = s[y][x] = value
     return _symmetric_sig_det(s)
+
+
+# ---------------------------------------------------------------------------
+# Hecke oracle: g_i^2 = z*g_i + 1 on the permutation basis, Markov trace
+# peeled level by level, every coefficient a LaurentPoly2 in a and z.
+
+_Z = LaurentPoly2.term(1, 0, 1)
+_UNPEELED = LaurentPoly2({(0, -1): 1, (2, -1): -1})  # (1 - a^2)/z
+
+
+def _swap_values(w: tuple[int, ...], i: int) -> tuple[int, ...]:
+    lst = list(w)
+    p, q = lst.index(i), lst.index(i + 1)
+    lst[p], lst[q] = lst[q], lst[p]
+    return tuple(lst)
+
+
+def _times_generator(terms: dict, i: int, inverse: bool = False) -> dict:
+    """Right-multiply sum c*g_w by g_{i+1} (i 0-based), or by its inverse g - z."""
+    extra = -_Z if inverse else _Z
+    out: dict = {}
+    for w, c in terms.items():
+        ws = _swap_values(w, i)
+        out[ws] = out[ws] + c if ws in out else c
+        if (w.index(i) < w.index(i + 1)) == inverse:
+            out[w] = out[w] + c * extra if w in out else c * extra
+    return {w: c for w, c in out.items() if c}
+
+
+def hecke_coeffs(strands: int, letters) -> dict[tuple[int, ...], LaurentPoly2]:
+    """{permutation: coefficient} of the Hecke image of a braid word."""
+    terms = {tuple(range(strands)): LaurentPoly2.one()}
+    for e in letters:
+        terms = _times_generator(terms, abs(e) - 1, inverse=e < 0)
+    return terms
+
+
+def _normalized_trace(level: dict, n: int) -> LaurentPoly2:
+    """((1 - a^2)/z)^(n-1) times the Markov trace, at c = z/(1 - a^2)."""
+    while n > 1:
+        nxt: dict[tuple[int, ...], LaurentPoly2] = {}
+
+        def add(w: tuple[int, ...], p: LaurentPoly2):
+            nxt[w] = nxt[w] + p if w in nxt else p
+
+        for w, poly in level.items():
+            j = w[n - 1]
+            if j == n - 1:
+                add(w[: n - 1], poly * _UNPEELED)
+                continue
+            # w = v . (cycle j -> j+1 -> ... -> n-1 -> j); peel one strand.
+            v = [x - 1 if x > j else x for x in w[: n - 1]]
+            term: dict[tuple[int, ...], LaurentPoly2] = {tuple(v): poly}
+            for i in range(n - 3, j - 1, -1):
+                term = _times_generator(term, i)
+            for key, val in term.items():
+                add(key, val)
+        level = nxt
+        n -= 1
+    return level.get((0,), LaurentPoly2())
+
+
+def homfly(strands: int, letters) -> LaurentPoly2:
+    """a^(e-n+1) ((1 - a^2)/z)^(n-1) tr(image), e the exponent sum."""
+    writhe = sum(1 if e > 0 else -1 for e in letters)
+    trace = _normalized_trace(hecke_coeffs(strands, letters), strands)
+    return trace.mul_term(1, writhe - strands + 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# Garside oracle: factors are one-line tuples, and each left weighting
+# returns a new pair that the leftward pass compares with the old one.
+
+
+def _left_weight(a: tuple[int, ...], b: tuple[int, ...]
+                 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    a, b = list(a), list(b)
+    where = [0] * len(a)
+    for x, v in enumerate(a):
+        where[v] = x
+    i = 0
+    while i < len(b) - 1:
+        if b[i] > b[i + 1] and where[i] < where[i + 1]:
+            x, y = where[i], where[i + 1]
+            a[x], a[y] = i + 1, i
+            where[i], where[i + 1] = y, x
+            b[i], b[i + 1] = b[i + 1], b[i]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(a), tuple(b)
+
+
+def normal_form(strands: int, letters) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(infimum, factor mappings) of the left-greedy normal form D^inf A_1 ... A_l."""
+    n = strands
+    if n == 1:
+        return 0, ()
+    identity = tuple(range(n))
+    remaining = sum(1 for e in letters if e < 0)
+    infimum = -remaining
+    factors: list[tuple[int, ...]] = []
+    for e in letters:
+        i = abs(e) - 1
+        if e < 0:
+            remaining -= 1
+        if remaining % 2:
+            i = n - 2 - i
+        s = list(identity)
+        s[i], s[i + 1] = i + 1, i
+        factors.append(tuple(s) if e > 0 else tuple(reversed(s)))
+        k = len(factors) - 1
+        while k > 0:
+            a, b = _left_weight(factors[k - 1], factors[k])
+            if a == factors[k - 1]:
+                break
+            factors[k - 1], factors[k] = a, b
+            k -= 1
+        if factors[-1] == identity:
+            factors.pop()
+    lead = 0
+    while lead < len(factors) and factors[lead] == identity[::-1]:
+        lead += 1
+    return infimum + lead, tuple(factors[lead:])

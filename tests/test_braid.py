@@ -7,6 +7,7 @@ check that the Garside normal form never changes.
 
 import random
 
+import oracles
 import pytest
 from hypothesis import given, strategies as st
 
@@ -201,6 +202,26 @@ class TestNormalForm:
         nf = normal_form(BraidWord(strands, letters))
         assert nf.infimum == infimum
         assert [f.mapping for f in nf.factors] == mappings
+
+
+class TestNormalFormAgainstOracle:
+    """In-place left weighting against the tuple oracle of tests/oracles.py."""
+
+    def check(self, strands: int, letters: list[int]):
+        nf = normal_form(BraidWord(strands, tuple(letters)))
+        assert (nf.infimum, tuple(f.mapping for f in nf.factors)) == \
+            oracles.normal_form(strands, letters)
+
+    def test_mixed_words_of_benchmark_shape(self, rng):
+        for strands, length in ((4, 200), (5, 170), (6, 140)) * 3:
+            self.check(strands, [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                                 for _ in range(length)])
+
+    def test_many_strands_and_negative_letters(self, rng):
+        for strands in (20, 31, 40):
+            for share in (0.5, 0.8):
+                self.check(strands, [rng.randint(1, strands - 1) * (-1 if rng.random() < share else 1)
+                                     for _ in range(rng.randint(30, 60))])
 
 
 class TestFullTwist:

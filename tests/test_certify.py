@@ -211,13 +211,14 @@ class TestCertifyNoSfs:
         for every odd parameter pair.  Confirmed by two independent
         signature implementations; this pins the fact so the wide window
         stays in place."""
-        from knotcert import signature
+        from knotcert import signature_and_determinant
         block = (2, 3, 1, 2)
         for r in (-3, -1):
             tail = 12 + r
             knot = braid_closure(BraidWord(4, block * 3 + (2, 3, 3, 2) * 3 + (1,) * tail))
             partner = braid_closure(BraidWord(4, block * 1 + (2, 3, 3, 2) * 3 + (1,) * tail))
-            assert signature(partner) - signature(knot) == 6
+            assert (signature_and_determinant(partner)[0]
+                    - signature_and_determinant(knot)[0]) == 6
 
     def test_even_family_fully_certified(self):
         report = certify_no_sfs(2, 3)

@@ -23,7 +23,6 @@ from knotcert import (
     positive_genus,
     pretzel_diagram,
     seifert_circle_count,
-    signature,
     signature_and_determinant,
     to_pd_text,
     torus_braid,
@@ -82,37 +81,37 @@ class TestClosureStructure:
 class TestAnchors:
     def test_right_trefoil(self):
         assert determinant(RIGHT_TREFOIL) == 3
-        assert signature(RIGHT_TREFOIL) == -2
+        assert signature_and_determinant(RIGHT_TREFOIL)[0] == -2
         assert writhe(RIGHT_TREFOIL) == 3
 
     def test_left_trefoil(self):
         d = mirror(RIGHT_TREFOIL)
         assert determinant(d) == 3
-        assert signature(d) == 2
+        assert signature_and_determinant(d)[0] == 2
 
     def test_figure_eight(self):
         assert determinant(FIGURE_EIGHT) == 5
-        assert signature(FIGURE_EIGHT) == 0
+        assert signature_and_determinant(FIGURE_EIGHT)[0] == 0
 
     def test_unknot(self):
         d = braid_closure(BraidWord(2, (1,)))
         assert determinant(d) == 1
-        assert signature(d) == 0
+        assert signature_and_determinant(d)[0] == 0
 
     def test_torus_two_strand(self):
         for q in (3, 5, 7, 9):
             d = braid_closure(torus_braid(2, q))
             assert determinant(d) == q
-            assert signature(d) == -(q - 1)
+            assert signature_and_determinant(d)[0] == -(q - 1)
 
     def test_granny_and_square(self):
         granny = braid_closure(BraidWord(3, (1, 1, 1, 2, 2, 2)))
         square = braid_closure(BraidWord(3, (1, 1, 1, -2, -2, -2)))
         # connected sums: det multiplies, signature adds
         assert determinant(granny) == 9
-        assert signature(granny) == -4
+        assert signature_and_determinant(granny)[0] == -4
         assert determinant(square) == 9
-        assert signature(square) == 0
+        assert signature_and_determinant(square)[0] == 0
 
     def test_split_diagram_determinant_vanishes(self):
         # only one of the two generators appears, so the closure splits
@@ -127,12 +126,12 @@ class TestSignatureAgainstEigenvalueCount:
                 if math.gcd(a, b) != 1:
                     continue
                 d = braid_closure(torus_braid(a, b))
-                assert signature(d) == torus_sigma(a, b), (a, b)
+                assert signature_and_determinant(d)[0] == torus_sigma(a, b), (a, b)
 
     def test_mirror_grid(self):
         for (a, b) in [(2, 5), (3, 4), (4, 5)]:
             d = mirror(braid_closure(torus_braid(a, b)))
-            assert signature(d) == -torus_sigma(a, b)
+            assert signature_and_determinant(d)[0] == -torus_sigma(a, b)
 
 
 class TestMirror:
@@ -144,7 +143,7 @@ class TestMirror:
     def test_signature_antisymmetric(self, random_knot_word):
         for _ in range(15):
             d = braid_closure(random_knot_word())
-            assert signature(mirror(d)) == -signature(d)
+            assert signature_and_determinant(mirror(d))[0] == -signature_and_determinant(d)[0]
 
     def test_determinant_invariant(self, random_knot_word):
         for _ in range(15):
@@ -181,7 +180,7 @@ class TestPretzel:
     def test_classic_pretzel_values(self):
         d = pretzel_diagram((-2, 3, 7))
         assert determinant(d) == 1
-        assert signature(d) == -8
+        assert signature_and_determinant(d)[0] == -8
         d333 = pretzel_diagram((3, 3, 3))
         assert determinant(d333) == 27
         assert writhe(d333) == -9
@@ -189,14 +188,14 @@ class TestPretzel:
     def test_trefoil_as_pretzel(self):
         d = pretzel_diagram((1, 1, 1))
         assert determinant(d) == 3
-        assert abs(signature(d)) == 2
+        assert abs(signature_and_determinant(d)[0]) == 2
 
     def test_single_column_closes_to_unknot(self):
         # one twist region ring-closed is a curl chain: det is the empty product
         for t in (3, 5):
             d = pretzel_diagram((t,))
             assert determinant(d) == 1
-            assert signature(d) == 0
+            assert signature_and_determinant(d)[0] == 0
 
     def test_two_columns_close_to_two_strand_torus(self):
         for (p, q) in [(3, 4), (1, 1), (5, 2)]:
@@ -238,9 +237,8 @@ class TestGoeritzOracle:
                     assert v != 0 and rows[j][i] == v, (i, j)
             dense = [[rows[i].get(j, 0) for j in range(n)] for i in range(n)]
             sig, det = _symmetric_sig_det(dense)
-            assert sig - data.correction == signature(d)
+            assert signature_and_determinant(d) == (sig - data.correction, det)
             assert det == determinant(d)
-            assert signature_and_determinant(d) == (signature(d), determinant(d))
 
     def test_rejects_split_diagram(self):
         two_trefoils = ("X 1 0 2 3 +\nX 3 2 4 5 +\nX 5 4 0 1 +\n"
@@ -449,7 +447,7 @@ class TestSeifertFormOracle:
             letters = tuple(range(1, a)) * b
             sig, det = braid_seifert_sigma(letters)
             d = braid_closure(BraidWord(a, letters))
-            assert (sig, det) == (signature(d), determinant(d))
+            assert (sig, det) == (signature_and_determinant(d)[0], determinant(d))
 
     def test_connected_sums(self):
         sig, det = braid_seifert_sigma((1, 1, 1, 2, 2, 2))
@@ -467,7 +465,7 @@ class TestSeifertFormOracle:
                 letters = block * power + (2, 3, 3, 2) * 3 + (1,) * tail
                 sig, det = braid_seifert_sigma(letters)
                 d = braid_closure(BraidWord(4, letters))
-                assert (sig, det) == (signature(d), determinant(d)), (r, power)
+                assert (sig, det) == (signature_and_determinant(d)[0], determinant(d)), (r, power)
 
     def test_random_positive_knot_words(self, rng, random_word):
         count = 0
@@ -480,7 +478,7 @@ class TestSeifertFormOracle:
             count += 1
             sig, det = braid_seifert_sigma(w.letters)
             d = braid_closure(w)
-            assert (sig, det) == (signature(d), determinant(d))
+            assert (sig, det) == (signature_and_determinant(d)[0], determinant(d))
 
     def test_rejects_non_positive_words(self):
         with pytest.raises(AssertionError):
@@ -494,7 +492,7 @@ class TestPDText:
             d2 = from_pd_text(to_pd_text(d))
             assert writhe(d2) == writhe(d)
             assert determinant(d2) == determinant(d)
-            assert signature(d2) == signature(d)
+            assert signature_and_determinant(d2)[0] == signature_and_determinant(d)[0]
 
     def test_round_trip_exact_text(self):
         text = to_pd_text(RIGHT_TREFOIL)
@@ -524,4 +522,4 @@ class TestPDText:
 class TestSignatureDomain:
     def test_rejects_links(self):
         with pytest.raises(ValueError):
-            signature(braid_closure(torus_braid(2, 4)))
+            signature_and_determinant(braid_closure(torus_braid(2, 4)))

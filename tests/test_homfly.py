@@ -5,6 +5,7 @@ and the right trefoil to 2a^2 + a^2 z^2 - a^4, so the skein relation reads
 a^{-1} P(L+) - a P(L-) = z P(L0).
 """
 
+import oracles
 import pytest
 
 from knotcert import (
@@ -22,6 +23,7 @@ from knotcert import (
     torus_braid,
 )
 from knotcert.braid import PermutationBraid
+from knotcert.homfly import _packed_image, _times_generator, _trace_terms, _unpack
 from knotcert.laurent import LaurentPoly2
 
 A_INV = LaurentPoly2.term(1, -1, 0)
@@ -97,6 +99,51 @@ class TestHeckeAlgebra:
             hecke_image(BraidWord(8, (1,)))
         with pytest.raises(ValueError, match="strands"):
             homfly(BraidWord(8, (1,)))
+
+
+def traced_coefficients(w: BraidWord, bits: int) -> list[int]:
+    """Every coefficient of the image and of the trace terms, packed at a given width."""
+    terms = {tuple(range(w.strands)): 1}
+    for e in w.letters:
+        terms = _times_generator(terms, abs(e) - 1, bits, inverse=e < 0)
+    packed = list(terms.values())
+    packed += _trace_terms(terms, w.strands, bits).values()
+    return [c for p in packed for c in _unpack(p, bits).values()]
+
+
+class TestPackedCoefficientsAgainstOracle:
+    """The packed trace against the LaurentPoly2 oracle of tests/oracles.py."""
+
+    def check(self, w: BraidWord):
+        assert homfly(w) == oracles.homfly(w.strands, w.letters), w
+        assert hecke_image(w).coeffs == oracles.hecke_coeffs(w.strands, w.letters), w
+
+    def test_random_words(self, rng):
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            length = 0 if n == 1 else rng.randint(0, 24)
+            positive = rng.random() < 0.3
+            letters = [rng.randint(1, n - 1) * (1 if positive else rng.choice((1, -1)))
+                       for _ in range(length)]
+            self.check(BraidWord(n, tuple(letters)))
+
+    def test_long_generator_powers(self):
+        for n in range(2, 7):
+            for k in (1, 2, 3, 30, 59, 60, 119, 120):
+                self.check(BraidWord(n, (1,) * k))
+                self.check(BraidWord(n, (-1,) * k))
+
+    def test_width_holds_every_coefficient(self, rng):
+        # Decoded at four times the width, so exactly, every coefficient must
+        # fit the package's width; those of sigma1^120 reach 80 bits.
+        words = [BraidWord(n, (1,) * 120) for n in range(2, 7)]
+        for sign in ((1,), (1, -1)):
+            words += [BraidWord(6, tuple(rng.choice(sign) * rng.randint(1, 5)
+                                         for _ in range(40))) for _ in range(3)]
+        for w in words:
+            bits = _packed_image(w)[1]
+            largest = max(abs(c) for c in traced_coefficients(w, 4 * bits))
+            assert largest < 1 << (bits - 1), (w.strands, largest.bit_length(), bits)
 
 
 class TestLaurentPoly2Input:

@@ -14,7 +14,7 @@ from knotcert import (
     quotient_braid_odd,
     quotient_knot_genus_even,
     quotient_knot_genus_odd,
-    signature,
+    signature_and_determinant,
     torus_alexander,
     torus_braid,
     torus_det_4x,
@@ -139,7 +139,7 @@ class TestPositiveGenus:
             from knotcert import component_count
             if component_count(d) != 1:
                 continue
-            assert 2 * positive_genus(d) + signature(d) >= 0
+            assert 2 * positive_genus(d) + signature_and_determinant(d)[0] >= 0
 
 
 class TestFamilyGenus:
