@@ -20,6 +20,7 @@ the mapping ``tuple(b[x] for x in a)``.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 
 __all__ = [
     "MAX_INPUT_STRANDS",
@@ -68,17 +69,19 @@ class PermutationBraid:
         return sum(1 for i in range(len(m)) for j in range(i + 1, len(m)) if m[i] > m[j])
 
     def reduced_word(self) -> list[int]:
-        """A word of 0-based generator indices realizing this permutation braid."""
+        """A word of 0-based generator indices realizing this permutation braid:
+        swap the first descent until none is left."""
         word: list[int] = []
         m = list(self.mapping)
-        while True:
-            for i in range(len(m) - 1):
-                if m[i] > m[i + 1]:
-                    word.append(i)
-                    m[i], m[i + 1] = m[i + 1], m[i]
-                    break
+        i, last = 0, len(m) - 1
+        while i < last:
+            if m[i] > m[i + 1]:
+                word.append(i)
+                m[i], m[i + 1] = m[i + 1], m[i]
+                i = i - 1 if i else 0  # the swap changed only the pairs at i-1, i, i+1
             else:
-                return word
+                i += 1
+        return word
 
 
 @dataclasses.dataclass(frozen=True)
@@ -200,67 +203,79 @@ def _half_twist_letters(n: int) -> list[int]:
     return letters
 
 
-def _left_weight(a: list[int], b: list[int]) -> bool:
-    """Slide initial generators of b into a, in place, until the pair is left
-    weighted.  Returns whether any generator moved.
-
-    Generator i starts b when b[i] > b[i+1] and finishes a when value i+1 sits
-    before value i in a; moving it swaps those values of a and entries of b.
-    """
-    where = [0] * len(a)
-    for x, v in enumerate(a):
-        where[v] = x
-    moved, i, last = False, 0, len(b) - 1
-    while i < last:
-        if b[i] > b[i + 1] and where[i] < where[i + 1]:
-            x, y = where[i], where[i + 1]
-            a[x], a[y] = i + 1, i
-            where[i], where[i + 1] = y, x
-            b[i], b[i + 1] = b[i + 1], b[i]
-            moved = True
-            i = i - 1 if i else 0  # the swap changed only the tests at i-1, i, i+1
-        else:
-            i += 1
-    return moved
+def _runs(w: BraidWord) -> Iterator[tuple[bool, list[int], list[int]]]:
+    """Yield (positive, permutation, inverse) for each maximal same-sign run
+    of w in which no two strands cross twice.  Letters are read conjugated
+    by D (s_i becomes s_{n-2-i}, 0-based) while an odd number of negative
+    runs have begun, counting the letter's own."""
+    n = w.strands
+    flip, positive, perm, inv = False, None, [], []
+    for e in w.letters:
+        i = n - 1 - abs(e) if flip else abs(e) - 1
+        if positive != (e > 0) or inv[i] > inv[i + 1]:
+            if perm:
+                yield positive, perm, inv
+            positive, perm, inv = e > 0, list(range(n)), list(range(n))
+            if e < 0:
+                flip = not flip
+                i = n - 2 - i
+        x, y = inv[i], inv[i + 1]
+        perm[x], perm[y] = i + 1, i
+        inv[i], inv[i + 1] = y, x
+    if perm:
+        yield positive, perm, inv
 
 
 def normal_form(w: BraidWord) -> GarsideNormalForm:
     """Left-greedy normal form of a braid word.
 
-    Each letter becomes a permutation braid, s_i or D s_i^-1 with one D^-1;
-    moving the D^-1 to the front conjugates by D every factor with an odd
-    number of them to its right.  Factors enter from the right, each followed
-    by one leftward pass of ``_left_weight`` that stops at the first pair it
-    leaves unchanged.  One pass suffices: in a left-weighted product no middle
-    factor becomes trivial, so only the incoming one may (it is dropped).
-    Half twists collect at the front and go into the infimum.
+    Each run of ``_runs`` is one factor: a positive run A, or D A^-1 for a
+    negative run A^-1 = D^-1 (D A^-1).  The m D^-1 move to the right end,
+    conjugating by D each factor with an odd number of them to its left,
+    then to the front, conjugating all by D^m.  Factors enter from the
+    right beside their inverses, each followed by one leftward pass of
+    in-place left weightings, which stops at the first pair where no
+    generator moves and leaves only the incoming factor possibly trivial.
     """
     n = w.strands
     if n == 1:
         return GarsideNormalForm(1, 0, ())
+    last = n - 1
     identity = list(range(n))
-    remaining = sum(1 for e in w.letters if e < 0)
-    infimum = -remaining
-    factors: list[list[int]] = []
-    for e in w.letters:
-        i = abs(e) - 1
-        if e < 0:
-            remaining -= 1
-        if remaining % 2:
-            i = n - 2 - i  # conjugation by D maps s_i to s_{n-2-i}
-        s = identity[:]
-        s[i], s[i + 1] = i + 1, i
-        factors.append(s if e > 0 else s[::-1])
-        k = len(factors) - 1
-        while k > 0 and _left_weight(factors[k - 1], factors[k]):
-            k -= 1
-        if factors[-1] == identity:
+    negative_runs = 0
+    factors: list[tuple[list[int], list[int]]] = []
+    for positive, perm, inv in _runs(w):
+        if not positive:
+            negative_runs += 1
+            perm, inv = perm[::-1], [last - v for v in inv]
+        factors.append((perm, inv))
+        for k in range(len(factors) - 1, 0, -1):
+            (a, a_inv), (b, b_inv) = factors[k - 1], factors[k]
+            moved, i = False, 0
+            while i < last:
+                # s_i starts b and a s_i is still a permutation braid: move it
+                if b[i] > b[i + 1] and a_inv[i] < a_inv[i + 1]:
+                    x, y = a_inv[i], a_inv[i + 1]
+                    a[x], a[y] = i + 1, i
+                    a_inv[i], a_inv[i + 1] = y, x
+                    x, y = b[i], b[i + 1]
+                    b[i], b[i + 1] = y, x
+                    b_inv[x], b_inv[y] = i + 1, i
+                    moved = True
+                    i = i - 1 if i else 0  # the swap changed only the tests at i-1, i, i+1
+                else:
+                    i += 1
+            if not moved:
+                break
+        if factors[-1][0] == identity:
             factors.pop()
     lead = 0
-    while lead < len(factors) and factors[lead] == identity[::-1]:
+    while lead < len(factors) and factors[lead][0] == identity[::-1]:
         lead += 1
-    return GarsideNormalForm(n, infimum + lead,
-                             tuple(PermutationBraid(tuple(f)) for f in factors[lead:]))
+    flip = negative_runs % 2
+    return GarsideNormalForm(n, lead - negative_runs, tuple(
+        PermutationBraid(tuple(last - v for v in reversed(f)) if flip else tuple(f))
+        for f, _ in factors[lead:]))
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:

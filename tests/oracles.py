@@ -14,8 +14,12 @@ oracle builds on its LaurentPoly2 container):
   closure from the symmetrized Seifert form of its fiber surface;
 * hecke_coeffs, homfly: the Hecke image and skein polynomial with every
   coefficient a LaurentPoly2 (the package packs them into ints);
-* normal_form: the Garside normal form with tuple factors rebuilt by every
-  left weighting (the package swaps list factors in place).
+* normal_form: the Garside normal form with one tuple factor per letter,
+  rebuilt by every left weighting (the package enters one list factor per
+  same-sign run and swaps it in place beside its inverse);
+* reduced_word: a permutation braid's word found by restarting the search
+  for the first descent after every swap (the package resumes it at the
+  swap).
 """
 
 from __future__ import annotations
@@ -363,3 +367,17 @@ def normal_form(strands: int, letters) -> tuple[int, tuple[tuple[int, ...], ...]
     while lead < len(factors) and factors[lead] == identity[::-1]:
         lead += 1
     return infimum + lead, tuple(factors[lead:])
+
+
+def reduced_word(mapping: tuple[int, ...]) -> list[int]:
+    """0-based generator indices: swap the first descent until none is left."""
+    word: list[int] = []
+    m = list(mapping)
+    while True:
+        for i in range(len(m) - 1):
+            if m[i] > m[i + 1]:
+                word.append(i)
+                m[i], m[i + 1] = m[i + 1], m[i]
+                break
+        else:
+            return word

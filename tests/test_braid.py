@@ -205,7 +205,8 @@ class TestNormalForm:
 
 
 class TestNormalFormAgainstOracle:
-    """In-place left weighting against the tuple oracle of tests/oracles.py."""
+    """Run-grouped, in-place left weighting against the letter-at-a-time
+    tuple oracle of tests/oracles.py."""
 
     def check(self, strands: int, letters: list[int]):
         nf = normal_form(BraidWord(strands, tuple(letters)))
@@ -222,6 +223,27 @@ class TestNormalFormAgainstOracle:
             for share in (0.5, 0.8):
                 self.check(strands, [rng.randint(1, strands - 1) * (-1 if rng.random() < share else 1)
                                      for _ in range(rng.randint(30, 60))])
+
+    def test_single_sign_words(self, rng):
+        for strands in range(2, 9):
+            for sign in (1, -1):
+                for _ in range(3):
+                    self.check(strands, [sign * rng.randint(1, strands - 1)
+                                         for _ in range(rng.randint(1, 40))])
+
+    @pytest.mark.parametrize("strands, letters", [
+        (1, []), (2, []), (4, []),
+        (2, [1]), (2, [-1]), (2, [1, 1]), (2, [-1, -1]), (2, [1, -1, -1, 1]),
+        (4, [2, 2]), (4, [-2, -2]), (4, [1, 3, 3, 1]), (4, [-1, -3, -3, -1]),
+        (3, [1, 2, 1, 2]), (3, [-1, -2, -1, -2]), (3, [2, 1, 2, 1, 2, 1]),
+        (3, [1, 2, 1]), (3, [-1, -2, -1]), (3, [-1, -2, -1, 1]), (3, [1, 2, 1, -2, -1, -2]),
+    ])
+    def test_short_words_and_runs_that_must_split(self, strands, letters):
+        self.check(strands, letters)
+
+    def test_long_negative_word_on_many_strands(self, rng):
+        self.check(40, [rng.randint(1, 39) * (-1 if rng.random() < 0.8 else 1)
+                        for _ in range(150)])
 
 
 class TestFullTwist:
@@ -363,3 +385,16 @@ class TestPermutationBraid:
             rebuilt = permutation_of(BraidWord(5, tuple(i + 1 for i in p.reduced_word())))
             assert rebuilt == p
             assert len(p.reduced_word()) == p.length()
+
+    def test_reduced_word_matches_oracle(self, rng):
+        mappings = []
+        for strands in (1, 2, 3, 5, 8, 30):
+            for _ in range(8):
+                img = list(range(strands))
+                rng.shuffle(img)
+                mappings.append(tuple(img))
+        near_delta = list(range(255, -1, -1))  # one crossing short of D on 256 strands
+        near_delta[100], near_delta[101] = near_delta[101], near_delta[100]
+        mappings.append(tuple(near_delta))
+        for m in mappings:
+            assert PermutationBraid(m).reduced_word() == oracles.reduced_word(m)
