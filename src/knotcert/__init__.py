@@ -52,9 +52,8 @@ from .diagram import (
     to_pd_text,
     writhe,
 )
-from .homfly import det_from_homfly, hecke_image, homfly, mfw_bound
+from .homfly import det_from_homfly, homfly, mfw_bound
 from .invariants import (
-    IntInterval,
     det_from_alexander,
     positive_genus,
     quotient_knot_genus_even,
@@ -73,7 +72,6 @@ __all__ = [
     "Crossing",
     "ExclusionVerdict",
     "GarsideNormalForm",
-    "IntInterval",
     "LaurentPoly2",
     "LinkDiagram",
     "PermutationBraid",
@@ -98,7 +96,6 @@ __all__ = [
     "from_pd_text",
     "full_twist",
     "goeritz",
-    "hecke_image",
     "homfly",
     "mfw_bound",
     "mirror",

@@ -63,11 +63,6 @@ class PermutationBraid:
     def strands(self) -> int:
         return len(self.mapping)
 
-    def length(self) -> int:
-        """Number of crossings: inversions of the one-line tuple."""
-        m = self.mapping
-        return sum(1 for i in range(len(m)) for j in range(i + 1, len(m)) if m[i] > m[j])
-
     def reduced_word(self) -> list[int]:
         """A word of 0-based generator indices realizing this permutation braid:
         swap the first descent until none is left."""

@@ -35,12 +35,7 @@ from typing import Callable, NamedTuple
 
 from .braid import MAX_INPUT_LETTERS, BraidWord, contains_full_twist, quotient_braid
 from .diagram import closure_signature_and_determinant
-from .invariants import (
-    IntInterval,
-    quotient_knot_genus_even,
-    quotient_knot_genus_odd,
-    torus_genus,
-)
+from .invariants import quotient_knot_genus_even, quotient_knot_genus_odd, torus_genus
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -238,32 +233,26 @@ class CertificateReport:
         return CertificateReport.from_dict(json.loads(text))
 
 
-def _as_interval(value: "IntInterval | int", name: str) -> IntInterval:
-    if isinstance(value, IntInterval):
-        return value
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an even integer or an IntInterval, got {value!r}")
-    return IntInterval.exact(value)
+def exclude_montesinos_knot(s: int, sigma: int) -> ExclusionVerdict:
+    """Montesinos test: |s + sigma| <= 2 for Montesinos knots, so s + sigma
+    >= 4 or <= -4 excludes them.  Both invariants are even integers, so any
+    other input is rejected."""
+    for name, value in (("s", s), ("sigma", sigma)):
+        if isinstance(value, bool) or not isinstance(value, int) or value % 2:
+            raise ValueError(f"{name} must be an even integer, got {value!r}")
+    return _montesinos_verdict(s, sigma, sigma)
 
 
-def _interval_evidence(value: IntInterval):
-    return value.lo if value.width == 0 else value.as_list()
-
-
-def exclude_montesinos_knot(s_value: "IntInterval | int",
-                            sigma_value: "IntInterval | int") -> ExclusionVerdict:
-    """Montesinos test: |s + sigma| <= 2 for Montesinos knots, so a
-    certified enclosure of s + sigma lying in [4, inf) or (-inf, -4]
-    excludes them.  Accepts exact values or enclosures; both invariants
-    are even integers, so odd inputs are rejected."""
-    s = _as_interval(s_value, "s")
-    sigma = _as_interval(sigma_value, "sigma")
-    total = s + sigma
-    excluded = total.lo >= MONTESINOS_THRESHOLD or total.hi <= -MONTESINOS_THRESHOLD
+def _montesinos_verdict(s: int, sigma_lo: int, sigma_hi: int) -> ExclusionVerdict:
+    """The Montesinos test on an exact s and sigma in [sigma_lo, sigma_hi]:
+    it excludes when the whole enclosure of s + sigma lies in [4, inf) or
+    (-inf, -4].  The evidence records sigma as one int when it is exact."""
+    total = [s + sigma_lo, s + sigma_hi]
+    excluded = total[0] >= MONTESINOS_THRESHOLD or total[1] <= -MONTESINOS_THRESHOLD
     evidence = {
-        "s": _interval_evidence(s),
-        "sigma": _interval_evidence(sigma),
-        "s_plus_sigma": total.as_list(),
+        "s": s,
+        "sigma": sigma_lo if sigma_lo == sigma_hi else [sigma_lo, sigma_hi],
+        "s_plus_sigma": total,
         "threshold": MONTESINOS_THRESHOLD,
     }
     return ExclusionVerdict(
@@ -465,7 +454,7 @@ def _toroidal_slope_verdict() -> ExclusionVerdict:
 # diagrams with equal Seifert circle counts and 8 crossings apart: s drops
 # by exactly 8 and sigma rises by 2 to 6.
 _MOVE_S_DROP = 8
-_MOVE_SIGMA_WINDOW = IntInterval(2, 6)
+_MOVE_SIGMA_WINDOW = (2, 6)
 
 
 def _montesinos_knot_verdict(partner_block_power: int, s_direct: int, sigma_direct: int,
@@ -494,10 +483,9 @@ def _montesinos_knot_verdict(partner_block_power: int, s_direct: int, sigma_dire
 
     # sigma(partner) sits in [sigma + 2, sigma + 6]; invert the window to
     # enclose sigma of the original knot.
-    window = _MOVE_SIGMA_WINDOW
-    s_chain = IntInterval.exact(s_partner + _MOVE_S_DROP)
-    sigma_chain = IntInterval(sigma_partner - window.hi, sigma_partner - window.lo)
-    chain = exclude_montesinos_knot(s_chain, sigma_chain)
+    low, high = _MOVE_SIGMA_WINDOW
+    chain = _montesinos_verdict(
+        s_partner + _MOVE_S_DROP, sigma_partner - high, sigma_partner - low)
 
     chain_lo, chain_hi = chain.evidence["s_plus_sigma"]
     contained = chain_lo <= s_direct + sigma_direct <= chain_hi
@@ -514,7 +502,7 @@ def _montesinos_knot_verdict(partner_block_power: int, s_direct: int, sigma_dire
             "partner_sigma": sigma_partner,
             "partner_s_plus_sigma": s_partner + sigma_partner,
             "s_drop": s_drop,
-            "sigma_window": window.as_list(),
+            "sigma_window": list(_MOVE_SIGMA_WINDOW),
             "sigma_window_note": (
                 "parameter-free form of the move lemma; the two-component "
                 "window [2, 4] is contradicted by direct computation at "

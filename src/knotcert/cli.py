@@ -14,7 +14,6 @@ certification, 2 usage or parameter error, 3 internal consistency failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import pathlib
@@ -78,28 +77,9 @@ def _emit(text: str, out: str | None):
         print(text)
 
 
-@dataclasses.dataclass(frozen=True)
-class InvariantRecord:
-    """Bundle of diagram invariants for reporting; None marks an invariant
-    that the available certified methods cannot compute for this diagram,
-    with the reason in notes."""
-
-    crossings: int
-    components: int
-    seifert_circles: int
-    writhe: int
-    positive: bool
-    determinant: int
-    signature: int | None = None
-    rasmussen: int | None = None
-    genus: int | None = None
-    slice_genus: int | None = None
-    notes: tuple[str, ...] = ()
-
-
-def invariant_record(d: LinkDiagram) -> InvariantRecord:
-    """Compute every invariant the engines certify for this diagram,
-    collecting a note for each one they cannot."""
+def invariant_record(d: LinkDiagram) -> dict:
+    """Every invariant the engines certify for this diagram.  None marks
+    one they cannot compute for it, with the reason in ``notes``."""
     comps = component_count(d)
     pos = is_positive(d)
     notes: list[str] = []
@@ -109,47 +89,47 @@ def invariant_record(d: LinkDiagram) -> InvariantRecord:
     else:
         det = determinant(d)
         notes.append(f"signature: needs a knot, diagram has {comps} components")
-    ras = gen = sli = None
+    ras = gen = None
     if comps == 1 and pos:
-        gen = sli = positive_genus(d)
+        gen = positive_genus(d)
         ras = 2 * gen  # the Rasmussen invariant of a positive knot
     elif comps == 1:
         notes.append("s, genus, slice genus: certified only for positive diagrams")
     else:
         notes.append("s, genus, slice genus: need a positive knot diagram")
-    return InvariantRecord(
-        crossings=len(d.crossings),
-        components=comps,
-        seifert_circles=seifert_circle_count(d),
-        writhe=writhe(d),
-        positive=pos,
-        determinant=det,
-        signature=sig,
-        rasmussen=ras,
-        genus=gen,
-        slice_genus=sli,
-        notes=tuple(notes),
-    )
+    return {
+        "crossings": len(d.crossings),
+        "components": comps,
+        "seifert_circles": seifert_circle_count(d),
+        "writhe": writhe(d),
+        "positive": pos,
+        "determinant": det,
+        "signature": sig,
+        "rasmussen": ras,
+        "genus": gen,
+        "slice_genus": gen,
+        "notes": notes,
+    }
 
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     record = invariant_record(_diagram_from_args(args))
     if args.json:
-        _emit(json.dumps(dataclasses.asdict(record), indent=2, sort_keys=True), args.out)
+        _emit(json.dumps(record, indent=2, sort_keys=True), args.out)
         return EXIT_OK
     lines = [
-        f"crossings:       {record.crossings}",
-        f"components:      {record.components}",
-        f"seifert circles: {record.seifert_circles}",
-        f"writhe:          {record.writhe}",
-        f"positive:        {'yes' if record.positive else 'no'}",
-        f"determinant:     {record.determinant}",
+        f"crossings:       {record['crossings']}",
+        f"components:      {record['components']}",
+        f"seifert circles: {record['seifert_circles']}",
+        f"writhe:          {record['writhe']}",
+        f"positive:        {'yes' if record['positive'] else 'no'}",
+        f"determinant:     {record['determinant']}",
     ]
-    for label, value in (("signature", record.signature), ("s", record.rasmussen),
-                         ("genus", record.genus), ("slice genus", record.slice_genus)):
-        if value is not None:
-            lines.append(f"{label + ':':<17}{value}")
-    for note in record.notes:
+    for label, key in (("signature", "signature"), ("s", "rasmussen"),
+                       ("genus", "genus"), ("slice genus", "slice_genus")):
+        if record[key] is not None:
+            lines.append(f"{label + ':':<17}{record[key]}")
+    for note in record["notes"]:
         lines.append(f"unavailable: {note}")
     _emit("\n".join(lines), args.out)
     return EXIT_OK

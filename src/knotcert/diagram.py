@@ -22,7 +22,6 @@ Goeritz matrix from the word, with no diagram and no face trace.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 from ._matrix import symmetric_inertia
 from .braid import BraidWord
@@ -79,18 +78,6 @@ class LinkDiagram:
         bad = {a: k for a, k in counts.items() if k != 2}
         if bad:
             raise ValueError(f"every arc must occur exactly twice; offending arcs: {bad}")
-
-    # The two cycle counts, each walked once per diagram however many
-    # checks ask for it; cached_property writes to the instance dict, past
-    # the frozen __setattr__.
-
-    @functools.cached_property
-    def _strand_cycles(self) -> int:
-        return _cycle_count(self, _STRAND_SLOTS)
-
-    @functools.cached_property
-    def _smoothing_cycles(self) -> int:
-        return _cycle_count(self, _SMOOTHING_SLOTS)
 
 
 # Slot pairs, by crossing sign, that the through strands join and that the
@@ -240,12 +227,12 @@ def is_positive(d: LinkDiagram) -> bool:
 
 def component_count(d: LinkDiagram) -> int:
     """Number of link components (through-strand tracing)."""
-    return d._strand_cycles + d.free_loops
+    return _cycle_count(d, _STRAND_SLOTS) + d.free_loops
 
 
 def seifert_circle_count(d: LinkDiagram) -> int:
     """Circles left by the orientation-respecting smoothing of every crossing."""
-    return d._smoothing_cycles + d.free_loops
+    return _cycle_count(d, _SMOOTHING_SLOTS) + d.free_loops
 
 
 def mirror(d: LinkDiagram) -> LinkDiagram:
@@ -500,4 +487,9 @@ def from_pd_text(text: str) -> LinkDiagram:
     # slot order does not describe a planar embedding.
     if len(faces(d)) != len(d.crossings) + 2 * _piece_count(d):
         raise ValueError("PD code is not planar: face count fails Euler's formula")
+    # An oriented arc leaves one crossing and enters another.  There are as
+    # many leaving slots as arcs, so no arc may fill two of them.
+    leaving = [a for c in d.crossings for a in (c.arcs[2], c.arcs[3 if c.sign == 1 else 1])]
+    if len(set(leaving)) != len(leaving):
+        raise ValueError("PD code is not oriented: some arc leaves two crossings")
     return d

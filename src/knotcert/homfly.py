@@ -3,11 +3,13 @@
 A braid word maps into the Hecke algebra H_n spanned by permutation basis
 elements g_w, with generators obeying g_i^2 = z*g_i + 1 (so the inverse is
 g_i - z).  In this scaling every product of generators and inverses keeps
-integer polynomial coefficients in z.  The Markov trace tr is computed level
-by level: each w in S_n either fixes the last strand or factors uniquely as
-v * (descending cycle through the last strand), and peeling that cycle
-multiplies the coefficient by the trace parameter c = z/(1 - a^2).  The
-closure invariant normalizes by writhe and strand count:
+integer polynomial coefficients in z.  Each g_w is stored under the inverse
+of w's one-line tuple, so a generator swaps two adjacent entries of the key.
+The Markov trace tr is computed level by level: each w in S_n either fixes
+the last strand or factors uniquely as v * (descending cycle through the
+last strand), and peeling that cycle multiplies the coefficient by the
+trace parameter c = z/(1 - a^2).  The closure invariant normalizes by
+writhe and strand count:
 
     P(a, z) = a^(e-n+1) * ((1 - a^2)/z)^(n-1) * tr(image of the word)
 
@@ -26,7 +28,6 @@ Franks and Williams.
 
 from __future__ import annotations
 
-import dataclasses
 from math import comb
 
 from .braid import BraidWord, exponent_sum
@@ -34,8 +35,6 @@ from .laurent import LaurentPoly2
 
 __all__ = [
     "MAX_TRACE_STRANDS",
-    "HeckeElement",
-    "hecke_image",
     "homfly",
     "mfw_bound",
     "det_from_homfly",
@@ -44,37 +43,29 @@ __all__ = [
 MAX_TRACE_STRANDS = 6
 
 
-@dataclasses.dataclass(frozen=True)
-class HeckeElement:
-    """Element of H_n: permutation basis with nonzero polynomial coefficients in z."""
-
-    strands: int
-    coeffs: dict[tuple[int, ...], LaurentPoly2]
-
-
 def _times_generator(terms: dict, i: int, bits: int, inverse: bool = False) -> dict:
     """Right-multiply sum c*g_w by g = g_{i+1}, or by its inverse g - z (i is 0-based).
 
-    g_w * g is g_{ws} at an ascent of w (value i before i+1) and g_{ws} + z*g_w
-    at a descent; the inverse subtracts z*g_w, which cancels the descent term
-    and leaves -z*g_w at an ascent.  Packed, z*c is ``c << bits``; zeros drop.
+    A term is keyed by u, the inverse of w's one-line tuple: u[x] is the
+    position of x in w, so ws swaps u[i] and u[i+1].  g_w * g is g_{ws} at
+    an ascent of w (u[i] < u[i+1]) and g_{ws} + z*g_w at a descent; the
+    inverse subtracts z*g_w, which cancels the descent term and leaves
+    -z*g_w at an ascent.  Packed, z*c is ``c << bits``; zeros drop.
     """
     out: dict = {}
-    for w, c in terms.items():
-        p, q = w.index(i), w.index(i + 1)
-        ws = list(w)
-        ws[p], ws[q] = i + 1, i
-        ws = tuple(ws)
-        out[ws] = out.get(ws, 0) + c
-        if (p < q) == inverse:
-            out[w] = out.get(w, 0) + (-(c << bits) if inverse else c << bits)
-    return {w: c for w, c in out.items() if c}
+    for u, c in terms.items():
+        a, b = u[i], u[i + 1]
+        us = u[:i] + (b, a) + u[i + 2:]
+        out[us] = out.get(us, 0) + c
+        if (a < b) == inverse:
+            out[u] = out.get(u, 0) + (-(c << bits) if inverse else c << bits)
+    return {u: c for u, c in out.items() if c}
 
 
 def _packed_image(w: BraidWord) -> tuple[dict[tuple[int, ...], int], int]:
     """Image of a braid word with each coefficient packed into one int, and the width.
 
-    Before the trace every coefficient is a polynomial in z with nonnegative
+    Terms are keyed as in ``_times_generator``.  Before the trace every coefficient is a polynomial in z with nonnegative
     exponents; it is stored as its value at z = 2^bits (Kronecker packing).
     The width bits = letters + n^2 + 2 is exact here and in ``_trace_terms``.
     Right multiplication by g or g - z sends each term c*g_w to at most two
@@ -108,26 +99,20 @@ def _unpack(packed: int, bits: int) -> dict[int, int]:
     return out
 
 
-def hecke_image(w: BraidWord) -> HeckeElement:
-    """Image of a braid word in the Hecke algebra."""
-    terms, bits = _packed_image(w)
-    return HeckeElement(w.strands, {
-        perm: LaurentPoly2({(0, j): c for j, c in _unpack(packed, bits).items()})
-        for perm, packed in terms.items()})
-
-
 def _trace_terms(terms: dict, n: int, bits: int) -> dict[int, int]:
-    """Trace of a packed image as {k: packed coefficient}: a term (w, k) has k
+    """Trace of a packed image as {k: packed coefficient}: a term (u, k) has k
     unpeeled levels, and the normalized trace sums ((1 - a^2)/z)^k times these."""
-    level = {(w, 0): c for w, c in terms.items()}
+    level = {(u, 0): c for u, c in terms.items()}
     while n > 1:
         groups: dict[tuple[int, int], dict] = {}
-        for (w, k), c in level.items():
-            # w = v . (cycle j -> j+1 -> ... -> n-1 -> j): peel one strand, or
-            # count one more unpeeled level when the last strand is fixed.
-            j = w[n - 1]
+        for (u, k), c in level.items():
+            # w = v . (cycle j -> j+1 -> ... -> n-1 -> j), where j = w[n-1]
+            # is where u holds n-1: peel one strand, or count one more
+            # unpeeled level when the last strand is fixed.  Dropping entry
+            # j of u leaves the key of v.
+            j = u.index(n - 1)
             group = groups.setdefault((j, k + (j == n - 1)), {})
-            v = tuple(x - 1 if x > j else x for x in w[: n - 1])
+            v = u[:j] + u[j + 1:]
             group[v] = group.get(v, 0) + c
         level = {}
         for (j, k), term in groups.items():
@@ -136,7 +121,7 @@ def _trace_terms(terms: dict, n: int, bits: int) -> dict[int, int]:
             for v, c in term.items():
                 level[v, k] = level.get((v, k), 0) + c
         n -= 1
-    return {k: c for (_w, k), c in level.items() if c}
+    return {k: c for (_u, k), c in level.items() if c}
 
 
 def homfly(w: BraidWord) -> LaurentPoly2:
@@ -159,7 +144,7 @@ def mfw_bound(p: LaurentPoly2) -> int:
     exps = p.exponents_first()
     breadth = exps[-1] - exps[0]
     if breadth % 2:
-        raise AssertionError(f"a-breadth should be even, got {breadth}")
+        raise ValueError(f"a-breadth of a link polynomial is even, got {breadth}")
     return breadth // 2 + 1
 
 

@@ -1,19 +1,17 @@
-"""Closed-form knot invariants and certified inequality bounds.
+"""Closed-form knot invariants.
 
-Torus knot Alexander polynomials and determinants, genus of positive
-diagrams, genus formulas for the two quotient knot families, and the
-even-width integer intervals that enclose s and sigma.
+Torus knot Alexander polynomials, determinants and genera, the genus of
+positive knot diagrams, and the closed-form genus of the quotient knots of
+the two pretzel families.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 from .diagram import LinkDiagram, component_count, is_positive, seifert_circle_count
 
 __all__ = [
-    "IntInterval",
     "torus_alexander",
     "det_from_alexander",
     "torus_det_4x",
@@ -22,38 +20,6 @@ __all__ = [
     "quotient_knot_genus_even",
     "torus_genus",
 ]
-
-
-@dataclasses.dataclass(frozen=True)
-class IntInterval:
-    """Closed integer interval [lo, hi] with even endpoints.
-
-    The invariants s and sigma of knots are even, and the tangle move
-    shifts them by even amounts, so certified enclosures stay even.
-    """
-
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
-        if self.lo % 2 or self.hi % 2:
-            raise ValueError(f"interval endpoints must be even: [{self.lo}, {self.hi}]")
-
-    def __add__(self, other: "IntInterval") -> "IntInterval":
-        return IntInterval(self.lo + other.lo, self.hi + other.hi)
-
-    @staticmethod
-    def exact(x: int) -> "IntInterval":
-        return IntInterval(x, x)
-
-    @property
-    def width(self) -> int:
-        return self.hi - self.lo
-
-    def as_list(self) -> list[int]:
-        return [self.lo, self.hi]
 
 
 def _t_power_minus_one(k: int) -> list[int]:

@@ -384,7 +384,8 @@ class TestPermutationBraid:
             p = PermutationBraid(tuple(img))
             rebuilt = permutation_of(BraidWord(5, tuple(i + 1 for i in p.reduced_word())))
             assert rebuilt == p
-            assert len(p.reduced_word()) == p.length()
+            inversions = sum(a > b for k, a in enumerate(img) for b in img[k + 1:])
+            assert len(p.reduced_word()) == inversions
 
     def test_reduced_word_matches_oracle(self, rng):
         mappings = []

@@ -14,7 +14,6 @@ from knotcert import (
     BraidWord,
     CertificateReport,
     ExclusionVerdict,
-    IntInterval,
     SlopeReport,
     braid_closure,
     certify_no_sfs,
@@ -31,7 +30,12 @@ from knotcert import (
     torus_braid,
     torus_knot_genus_conflict,
 )
-from knotcert.certify import _TWIST_HEAD, SCHEMA_VERSION, SlopeCandidate
+from knotcert.certify import (
+    _TWIST_HEAD,
+    SCHEMA_VERSION,
+    SlopeCandidate,
+    _montesinos_knot_verdict,
+)
 
 from conftest import grid_knot_slope_words
 
@@ -62,19 +66,23 @@ class TestMontesinosKnotRule:
         assert exclude_montesinos_knot(0, 0).conclusion == "inconclusive"
 
     def test_interval_straddling_threshold_is_inconclusive(self):
-        v = exclude_montesinos_knot(IntInterval.exact(26), IntInterval(-24, -22))
-        assert v.evidence["s_plus_sigma"] == [2, 4]
+        # The direct sum 4 excludes, but the chain encloses sigma in
+        # [-20 - 6, -20 - 2], so s + sigma only in [0, 4].
+        v = _montesinos_knot_verdict(3, 26, -22, 18, -20)
+        assert v.evidence["direct"]["s_plus_sigma"] == [4, 4]
+        assert v.evidence["chain"]["sigma"] == [-26, -22]
+        assert v.evidence["chain"]["s_plus_sigma"] == [0, 4]
         assert v.conclusion == "inconclusive"
 
     def test_interval_inside_exclusion_zone(self):
-        v = exclude_montesinos_knot(IntInterval(24, 26), IntInterval(-20, -18))
+        v = _montesinos_knot_verdict(3, 26, -18, 18, -14)
+        assert v.evidence["chain"]["s_plus_sigma"] == [6, 10]
         assert v.conclusion == "excluded"
 
     def test_rejects_odd_values(self):
-        with pytest.raises(ValueError):
-            exclude_montesinos_knot(3, 0)
-        with pytest.raises(ValueError):
-            exclude_montesinos_knot(4, 1.5)
+        for s, sigma in ((3, 0), (4, 1.5), (4, 2.0), (False, 4), (4, True)):
+            with pytest.raises(ValueError, match="even integer"):
+                exclude_montesinos_knot(s, sigma)
 
 
 class TestQuotientLinkRules:

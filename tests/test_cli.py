@@ -43,28 +43,21 @@ class TestInvariants:
         assert record["positive"] is True
 
     def test_positive_knot_has_one_genus_computation(self, monkeypatch, capsys):
-        """s is twice the recorded genus, and each cycle count of the
-        diagram (strands, Seifert circles) is walked once."""
-        import knotcert.diagram
+        """The genus is computed once, and s is twice it."""
         import knotcert.invariants
         calls = []
-        genus, walk = knotcert.invariants.positive_genus, knotcert.diagram._cycle_count
+        genus = knotcert.invariants.positive_genus
 
         def counted_genus(d):
             calls.append("genus")
             return genus(d)
 
-        def counted_walk(d, slots):
-            calls.append("strands" if slots is knotcert.diagram._STRAND_SLOTS else "circles")
-            return walk(d, slots)
-
         monkeypatch.setattr(cli, "positive_genus", counted_genus)
         monkeypatch.setattr(knotcert.invariants, "positive_genus", counted_genus)
-        monkeypatch.setattr(knotcert.diagram, "_cycle_count", counted_walk)
         assert main(["invariants", "--json", *TREFOIL]) == EXIT_OK
-        assert sorted(calls) == ["circles", "genus", "strands"]
+        assert calls == ["genus"]
         record = json.loads(capsys.readouterr().out)
-        assert (record["genus"], record["rasmussen"], record["seifert_circles"]) == (1, 2, 2)
+        assert (record["genus"], record["rasmussen"]) == (1, 2)
 
     def test_pretzel_with_negative_leading_twist(self, capsys):
         # argparse needs the = form when the value starts with a dash

@@ -518,6 +518,38 @@ class TestPDText:
         with pytest.raises(ValueError):
             to_pd_text(braid_closure(BraidWord(1, ())))
 
+    def test_parse_rejects_inconsistent_orientation(self):
+        # Planar, but arc 0 enters crossing 1 at both of its ends.
+        with pytest.raises(ValueError, match="oriented"):
+            from_pd_text("X 0 0 3 2 +\nX 3 1 1 2 +\n")
+
+    def test_random_pairings_raise_only_value_error(self, rng):
+        """Random arc pairings of 1-4 crossings: parsing and every invariant
+        may reject a code with ValueError, and may raise nothing else."""
+        checks = (determinant, signature_and_determinant, component_count,
+                  seifert_circle_count, positive_genus)
+        parsed = 0
+        for _ in range(2000):
+            n = rng.randint(1, 4)
+            slots = list(range(4 * n))
+            rng.shuffle(slots)
+            arcs = [0] * (4 * n)
+            for label in range(2 * n):
+                arcs[slots[2 * label]] = arcs[slots[2 * label + 1]] = label
+            text = "".join(f"X {' '.join(map(str, arcs[4 * k:4 * k + 4]))} "
+                           f"{rng.choice('+-')}\n" for k in range(n))
+            try:
+                d = from_pd_text(text)
+            except ValueError:
+                continue
+            parsed += 1
+            for check in checks:
+                try:
+                    check(d)
+                except ValueError:
+                    pass
+        assert parsed > 100
+
 
 class TestSignatureDomain:
     def test_rejects_links(self):

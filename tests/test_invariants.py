@@ -1,10 +1,8 @@
-"""Invariant layer tests: intervals, torus formulas, genus."""
+"""Invariant layer tests: torus formulas, genus."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from knotcert import (
-    IntInterval,
     braid_closure,
     det_from_alexander,
     determinant,
@@ -20,53 +18,6 @@ from knotcert import (
     torus_det_4x,
     torus_genus,
 )
-
-evens = st.integers(min_value=-40, max_value=40).map(lambda k: 2 * k)
-
-
-def interval(pair):
-    a, b = pair
-    return IntInterval(min(a, b), max(a, b))
-
-
-intervals = st.tuples(evens, evens).map(interval)
-
-
-class TestIntInterval:
-    def test_rejects_odd_endpoints(self):
-        with pytest.raises(ValueError):
-            IntInterval(1, 3)
-        with pytest.raises(ValueError):
-            IntInterval(0, 3)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            IntInterval(4, 2)
-
-    @given(intervals, intervals)
-    def test_addition_is_minkowski(self, a, b):
-        total = a + b
-        assert total.lo == a.lo + b.lo
-        assert total.hi == a.hi + b.hi
-
-    @given(intervals, intervals, intervals)
-    def test_addition_associative(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-
-    @given(intervals, evens)
-    def test_integer_shift_matches_exact_interval(self, a, x):
-        assert a + IntInterval.exact(x) == IntInterval(a.lo + x, a.hi + x)
-
-    @given(intervals)
-    def test_membership_and_width(self, a):
-        assert a.width == a.hi - a.lo >= 0
-        assert a.as_list() == [a.lo, a.hi]
-
-    @given(evens)
-    def test_exact_is_degenerate(self, x):
-        e = IntInterval.exact(x)
-        assert e.lo == e.hi == x
-        assert e.width == 0
 
 
 class TestTorusFormulas:
