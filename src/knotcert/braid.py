@@ -301,6 +301,11 @@ def contains_full_twist(w: BraidWord) -> bool:
     return normal_form(w).infimum >= 2
 
 
+# The head s3^2 (s2 s3 s1 s2) s3^2 (s2 s3 s1 s2) that quotient_braid
+# starts its word with whenever the word contains a full twist.
+_TWIST_HEAD = (3, 3, 2, 3, 1, 2) * 2
+
+
 def quotient_braid(block_power: int, middle_power: int, tail: int) -> BraidWord:
     """The four-strand quotient word (s2 s3 s1 s2)^block_power
     (s2 s3^2 s2)^middle_power s1^tail, full twist made explicit.
@@ -322,7 +327,7 @@ def quotient_braid(block_power: int, middle_power: int, tail: int) -> BraidWord:
     block = (2, 3, 1, 2)
     middle = (2, 3, 3, 2) * middle_power
     if tail >= 4 and block_power >= 2:
-        head = (3, 3) + block + (3, 3) + block * (block_power - 1)
+        head = _TWIST_HEAD + block * (block_power - 2)
         return BraidWord(4, head + middle + (1,) * (tail - 4))
     return BraidWord(4, block * block_power + middle + (1,) * tail)
 

@@ -33,7 +33,7 @@ import functools
 import json
 from typing import Callable, NamedTuple
 
-from .braid import MAX_INPUT_LETTERS, BraidWord, contains_full_twist, quotient_braid
+from .braid import _TWIST_HEAD, MAX_INPUT_LETTERS, BraidWord, contains_full_twist, quotient_braid
 from .diagram import closure_signature_and_determinant
 from .invariants import quotient_knot_genus_even, quotient_knot_genus_odd, torus_genus
 
@@ -225,8 +225,8 @@ class CertificateReport:
                              f"with the slope verdicts ({report.conclusion!r})")
         return report
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "CertificateReport":
@@ -428,11 +428,6 @@ def _positive_word_genus(word: BraidWord) -> int:
     if not word.is_positive:
         raise ValueError("genus formula requires a positive braid word")
     return (len(word) - word.strands + 1) // 2
-
-
-# The head s3^2 (s2 s3 s1 s2) s3^2 (s2 s3 s1 s2) that quotient_braid
-# starts its word with whenever the word contains a full twist.
-_TWIST_HEAD = (3, 3, 2, 3, 1, 2) * 2
 
 
 @functools.cache

@@ -28,19 +28,68 @@ Franks and Williams.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, factorial
 
 from .braid import BraidWord, exponent_sum
-from .laurent import LaurentPoly2
 
 __all__ = [
     "MAX_TRACE_STRANDS",
+    "MAX_TRACE_WORK",
+    "LaurentPoly2",
     "homfly",
     "mfw_bound",
     "det_from_homfly",
 ]
 
 MAX_TRACE_STRANDS = 6
+# Bound on n! * letters^2 * bits, which estimates the bit operations that
+# build the packed image (see ``_packed_image``).  It admits every word of
+# at most 3 strands up to the 2,000-letter input limit, and 444 letters on
+# 6 strands.
+MAX_TRACE_WORK = 2 ** 36
+
+
+class LaurentPoly2:
+    """The skein polynomial: a Laurent polynomial in a and z with int coefficients.
+
+    ``coeffs`` maps (i, j) exponent pairs to nonzero coefficients, so
+    equality is structural equality of the stored terms; ``str`` prints
+    them as a^i*z^j.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
+        clean: dict[tuple[int, int], int] = {}
+        for (i, j), c in (coeffs or {}).items():
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in (i, j, c)):
+                raise ValueError(f"bad term {c!r}*a^{i!r}*z^{j!r}: exponents and "
+                                 "coefficients must be int")
+            if c != 0:
+                clean[(i, j)] = c
+        self.coeffs = clean
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, int):
+            other = LaurentPoly2({(0, 0): other})
+        if not isinstance(other, LaurentPoly2):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def terms(self) -> list[tuple[int, int, int]]:
+        """Sorted (i, j, coeff) triples."""
+        return [(i, j, self.coeffs[(i, j)]) for (i, j) in sorted(self.coeffs)]
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"{c}*a^{i}*z^{j}" for i, j, c in self.terms())
+
+    def __repr__(self) -> str:
+        return f"LaurentPoly2({self.coeffs!r})"
 
 
 def _times_generator(terms: dict, i: int, bits: int, inverse: bool = False) -> dict:
@@ -50,23 +99,34 @@ def _times_generator(terms: dict, i: int, bits: int, inverse: bool = False) -> d
     position of x in w, so ws swaps u[i] and u[i+1].  g_w * g is g_{ws} at
     an ascent of w (u[i] < u[i+1]) and g_{ws} + z*g_w at a descent; the
     inverse subtracts z*g_w, which cancels the descent term and leaves
-    -z*g_w at an ascent.  Packed, z*c is ``c << bits``; zeros drop.
+    -z*g_w at an ascent.  Packed, z*c is ``c << bits``.  A key whose sum
+    reaches 0 is dropped; ``_trace_terms`` passes zero coefficients in, so
+    the key may not be there.
     """
     out: dict = {}
     for u, c in terms.items():
         a, b = u[i], u[i + 1]
         us = u[:i] + (b, a) + u[i + 2:]
-        out[us] = out.get(us, 0) + c
+        s = out.get(us, 0) + c
+        if s:
+            out[us] = s
+        else:
+            out.pop(us, None)
         if (a < b) == inverse:
-            out[u] = out.get(u, 0) + (-(c << bits) if inverse else c << bits)
-    return {u: c for u, c in out.items() if c}
+            s = out.get(u, 0) + (-(c << bits) if inverse else c << bits)
+            if s:
+                out[u] = s
+            else:
+                out.pop(u, None)
+    return out
 
 
 def _packed_image(w: BraidWord) -> tuple[dict[tuple[int, ...], int], int]:
     """Image of a braid word with each coefficient packed into one int, and the width.
 
-    Terms are keyed as in ``_times_generator``.  Before the trace every coefficient is a polynomial in z with nonnegative
-    exponents; it is stored as its value at z = 2^bits (Kronecker packing).
+    Terms are keyed as in ``_times_generator``.  Before the trace every
+    coefficient is a polynomial in z with nonnegative exponents; it is
+    stored as its value at z = 2^bits (Kronecker packing).
     The width bits = letters + n^2 + 2 is exact here and in ``_trace_terms``.
     Right multiplication by g or g - z sends each term c*g_w to at most two
     terms, of coefficients +-c and +-z*c, so it at most doubles the sum S of
@@ -75,12 +135,22 @@ def _packed_image(w: BraidWord) -> tuple[dict[tuple[int, ...], int], int]:
     each, fewer than n^2 times.  So every coefficient stays below
     2^(letters + n^2) < 2^(bits-1): a packed polynomial is 0 only when it is,
     and ``_unpack`` reads its digits back exactly.
+
+    The image has at most n! terms, each a polynomial of z-degree at most
+    len(letters), so each packed coefficient has at most about
+    len(letters) * bits bits, and every letter touches each term once.
+    Their product is the work checked against MAX_TRACE_WORK.
     """
     if w.strands > MAX_TRACE_STRANDS:
         raise ValueError(
             f"Hecke computations are guarded to at most {MAX_TRACE_STRANDS} strands, "
             f"got {w.strands}")
     bits = len(w.letters) + w.strands ** 2 + 2
+    work = factorial(w.strands) * len(w.letters) ** 2 * bits
+    if work > MAX_TRACE_WORK:
+        raise ValueError(
+            f"Hecke computations are guarded to n! * letters^2 * bits <= {MAX_TRACE_WORK}; "
+            f"a {len(w.letters)}-letter word on {w.strands} strands needs {work}")
     terms = {tuple(range(w.strands)): 1}
     for e in w.letters:
         terms = _times_generator(terms, abs(e) - 1, bits, inverse=e < 0)
@@ -141,8 +211,8 @@ def mfw_bound(p: LaurentPoly2) -> int:
     """Braid index lower bound: half the a-exponent breadth plus one."""
     if not p:
         raise ValueError("the zero polynomial has no breadth")
-    exps = p.exponents_first()
-    breadth = exps[-1] - exps[0]
+    exps = [i for (i, _j) in p.coeffs]
+    breadth = max(exps) - min(exps)
     if breadth % 2:
         raise ValueError(f"a-breadth of a link polynomial is even, got {breadth}")
     return breadth // 2 + 1

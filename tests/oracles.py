@@ -1,7 +1,6 @@
 """Independent cross-check oracles for the test suite.
 
-Computation routes that share no arithmetic with the package (the Hecke
-oracle builds on its LaurentPoly2 container):
+Computation routes that share no arithmetic with the package:
 
 * torus_sigma: torus knot signatures from the eigenvalue count of the
   Brieskorn form of x^p + y^q + z^2 (the double branched cover of the
@@ -12,8 +11,11 @@ oracle builds on its LaurentPoly2 container):
   color class eliminated over the rationals;
 * braid_seifert_sigma: signature and determinant of a positive braid
   closure from the symmetrized Seifert form of its fiber surface;
+* Poly: a dict-backed Laurent polynomial in a and z with the sums and
+  products that the Hecke oracle and the skein tests need (the package's
+  LaurentPoly2 only holds a finished result);
 * hecke_coeffs, homfly: the Hecke image and skein polynomial with every
-  coefficient a LaurentPoly2 (the package packs them into ints);
+  coefficient a Poly (the package packs them into ints);
 * normal_form: the Garside normal form with one tuple factor per letter,
   rebuilt by every left weighting (the package enters one list factor per
   same-sign run and swaps it in place beside its inverse);
@@ -25,8 +27,6 @@ oracle builds on its LaurentPoly2 container):
 from __future__ import annotations
 
 from fractions import Fraction
-
-from knotcert.laurent import LaurentPoly2
 
 
 def torus_sigma(p: int, q: int) -> int:
@@ -247,10 +247,66 @@ def braid_seifert_sigma(letters: tuple[int, ...]) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # Hecke oracle: g_i^2 = z*g_i + 1 on the permutation basis, Markov trace
-# peeled level by level, every coefficient a LaurentPoly2 in a and z.
+# peeled level by level, every coefficient a Poly in a and z.
 
-_Z = LaurentPoly2.term(1, 0, 1)
-_UNPEELED = LaurentPoly2({(0, -1): 1, (2, -1): -1})  # (1 - a^2)/z
+
+class Poly:
+    """Laurent polynomial in a and z as {(i, j): coefficient}, zeros dropped.
+
+    Sums, products and equality take any operand with such a ``coeffs``
+    dict, so a package LaurentPoly2 mixes in.
+    """
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
+        self.coeffs = {k: c for k, c in (coeffs or {}).items() if c}
+
+    @classmethod
+    def one(cls) -> "Poly":
+        return cls({(0, 0): 1})
+
+    @classmethod
+    def term(cls, coeff: int, i: int, j: int) -> "Poly":
+        return cls({(i, j): coeff})
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if not hasattr(other, "coeffs"):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __repr__(self) -> str:
+        return f"Poly({self.coeffs!r})"
+
+    def __neg__(self) -> "Poly":
+        return Poly({k: -c for k, c in self.coeffs.items()})
+
+    def __add__(self, other) -> "Poly":
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return Poly(out)
+
+    def __sub__(self, other) -> "Poly":
+        return self + (-Poly(other.coeffs))
+
+    def __mul__(self, other) -> "Poly":
+        out: dict[tuple[int, int], int] = {}
+        for (i1, j1), c1 in self.coeffs.items():
+            for (i2, j2), c2 in other.coeffs.items():
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + c1 * c2
+        return Poly(out)
+
+    def mul_term(self, coeff: int, di: int, dj: int) -> "Poly":
+        return Poly({(i + di, j + dj): c * coeff for (i, j), c in self.coeffs.items()})
+
+
+_Z = Poly.term(1, 0, 1)
+_UNPEELED = Poly({(0, -1): 1, (2, -1): -1})  # (1 - a^2)/z
 
 
 def _swap_values(w: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -272,20 +328,20 @@ def _times_generator(terms: dict, i: int, inverse: bool = False) -> dict:
     return {w: c for w, c in out.items() if c}
 
 
-def hecke_coeffs(strands: int, letters) -> dict[tuple[int, ...], LaurentPoly2]:
+def hecke_coeffs(strands: int, letters) -> dict[tuple[int, ...], Poly]:
     """{permutation: coefficient} of the Hecke image of a braid word."""
-    terms = {tuple(range(strands)): LaurentPoly2.one()}
+    terms = {tuple(range(strands)): Poly.one()}
     for e in letters:
         terms = _times_generator(terms, abs(e) - 1, inverse=e < 0)
     return terms
 
 
-def _normalized_trace(level: dict, n: int) -> LaurentPoly2:
+def _normalized_trace(level: dict, n: int) -> Poly:
     """((1 - a^2)/z)^(n-1) times the Markov trace, at c = z/(1 - a^2)."""
     while n > 1:
-        nxt: dict[tuple[int, ...], LaurentPoly2] = {}
+        nxt: dict[tuple[int, ...], Poly] = {}
 
-        def add(w: tuple[int, ...], p: LaurentPoly2):
+        def add(w: tuple[int, ...], p: Poly):
             nxt[w] = nxt[w] + p if w in nxt else p
 
         for w, poly in level.items():
@@ -295,17 +351,17 @@ def _normalized_trace(level: dict, n: int) -> LaurentPoly2:
                 continue
             # w = v . (cycle j -> j+1 -> ... -> n-1 -> j); peel one strand.
             v = [x - 1 if x > j else x for x in w[: n - 1]]
-            term: dict[tuple[int, ...], LaurentPoly2] = {tuple(v): poly}
+            term: dict[tuple[int, ...], Poly] = {tuple(v): poly}
             for i in range(n - 3, j - 1, -1):
                 term = _times_generator(term, i)
             for key, val in term.items():
                 add(key, val)
         level = nxt
         n -= 1
-    return level.get((0,), LaurentPoly2())
+    return level.get((0,), Poly())
 
 
-def homfly(strands: int, letters) -> LaurentPoly2:
+def homfly(strands: int, letters) -> Poly:
     """a^(e-n+1) ((1 - a^2)/z)^(n-1) tr(image), e the exponent sum."""
     writhe = sum(1 if e > 0 else -1 for e in letters)
     trace = _normalized_trace(hecke_coeffs(strands, letters), strands)

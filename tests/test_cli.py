@@ -142,6 +142,9 @@ class TestHomfly:
         word = " ".join(str(i) for i in range(1, 8))
         assert main(["homfly", "--braid", word, "-n", "8"]) == EXIT_USAGE
         assert "strands" in capsys.readouterr().err
+        word = " ".join(["1 2 3 4 5"] * 400)
+        assert main(["homfly", "--braid", word, "-n", "6"]) == EXIT_USAGE
+        assert "letters" in capsys.readouterr().err
 
 
 class TestCertify:

@@ -10,6 +10,7 @@ import pytest
 
 from knotcert import (
     BraidWord,
+    LaurentPoly2,
     braid_closure,
     det_from_alexander,
     det_from_homfly,
@@ -22,12 +23,17 @@ from knotcert import (
     torus_braid,
 )
 from knotcert.braid import PermutationBraid
-from knotcert.homfly import _packed_image, _times_generator, _trace_terms, _unpack
-from knotcert.laurent import LaurentPoly2
+from knotcert.homfly import (
+    MAX_TRACE_WORK,
+    _packed_image,
+    _times_generator,
+    _trace_terms,
+    _unpack,
+)
 
-A_INV = LaurentPoly2.term(1, -1, 0)
-A = LaurentPoly2.term(1, 1, 0)
-Z = LaurentPoly2.term(1, 0, 1)
+A_INV = oracles.Poly.term(1, -1, 0)
+A = oracles.Poly.term(1, 1, 0)
+Z = oracles.Poly.term(1, 0, 1)
 
 
 def mirror_poly(p: LaurentPoly2) -> LaurentPoly2:
@@ -69,7 +75,7 @@ def hecke_image(w: BraidWord) -> dict:
     the keys back."""
     terms, bits = _packed_image(w)
     return {tuple(sorted(range(len(u)), key=u.__getitem__)):
-            LaurentPoly2({(0, j): c for j, c in _unpack(packed, bits).items()})
+            oracles.Poly({(0, j): c for j, c in _unpack(packed, bits).items()})
             for u, packed in terms.items()}
 
 
@@ -108,6 +114,13 @@ class TestHeckeAlgebra:
             _packed_image(BraidWord(8, (1,)))
         with pytest.raises(ValueError, match="strands"):
             homfly(BraidWord(8, (1,)))
+        # The work bound: sigma1^k has two terms, so the longest accepted power is cheap.
+        k = max(k for k in range(2001) if 720 * k * k * (k + 38) <= MAX_TRACE_WORK)
+        _packed_image(BraidWord(6, (1,) * k))
+        with pytest.raises(ValueError, match="letters"):
+            _packed_image(BraidWord(6, (1,) * (k + 1)))
+        with pytest.raises(ValueError, match="letters"):
+            homfly(BraidWord(6, (1, 2, 3, 4, 5) * 400))
 
 
 def traced_coefficients(w: BraidWord, bits: int) -> list[int]:
@@ -121,7 +134,7 @@ def traced_coefficients(w: BraidWord, bits: int) -> list[int]:
 
 
 class TestPackedCoefficientsAgainstOracle:
-    """The packed trace against the LaurentPoly2 oracle of tests/oracles.py."""
+    """The packed trace against the Poly oracle of tests/oracles.py."""
 
     def check(self, w: BraidWord):
         assert homfly(w) == oracles.homfly(w.strands, w.letters), w
@@ -157,7 +170,7 @@ class TestPackedCoefficientsAgainstOracle:
 
 class TestLaurentPoly2Input:
     def test_rejects_non_int_terms(self):
-        for coeffs in ({(0, 0): 0.5}, {(0.5, 0): 1}):
+        for coeffs in ({(0, 0): 0.5}, {(0.5, 0): 1}, {(True, 0): 1}, {(1, 2): True}):
             with pytest.raises(ValueError, match="must be int"):
                 LaurentPoly2(coeffs)
 
