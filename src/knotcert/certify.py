@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
+import reprlib
 from typing import Callable, NamedTuple
 
 from .braid import _TWIST_HEAD, MAX_INPUT_LETTERS, BraidWord, contains_full_twist, quotient_braid
@@ -76,16 +78,7 @@ _RULE_BRANCHES = {
     "toroidal-slope": ("montesinos", "seifert"),
 }
 _REQUIRED_BRANCHES = frozenset(("montesinos", "seifert"))
-
-
-def _check_fields(d, what: str, fields: dict[str, type]):
-    """Raise ValueError unless d is an object with exactly these fields, each
-    of its type (an int field takes no bool)."""
-    if not isinstance(d, dict) or d.keys() != fields.keys():
-        raise ValueError(f"{what} must be an object with the fields {sorted(fields)}")
-    for name, kind in fields.items():
-        if not isinstance(d[name], kind) or (kind is int and isinstance(d[name], bool)):
-            raise ValueError(f"{what} field {name!r} must be {kind.__name__}, got {d[name]!r}")
+_ABSENT = object()  # a key or entry one side lacks; _shown prints it as "nothing"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,13 +86,11 @@ class SlopeCandidate:
     """A surgery slope admitted by one of the slope-restriction results."""
 
     r: int
-    parity: str
     source_rule: str
 
-    def __post_init__(self):
-        expected = "even" if self.r % 2 == 0 else "odd"
-        if self.parity != expected:
-            raise ValueError(f"slope {self.r} is {expected}, not {self.parity}")
+    @property
+    def parity(self) -> str:
+        return "odd" if self.r % 2 else "even"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,7 +102,7 @@ class ExclusionVerdict:
     evidence: dict
 
     def __post_init__(self):
-        if self.rule not in _RULE_BRANCHES:
+        if not isinstance(self.rule, str) or self.rule not in _RULE_BRANCHES:
             raise ValueError(f"unknown rule {self.rule!r}")
         if self.conclusion not in (EXCLUDED, INCONCLUSIVE):
             raise ValueError(f"unknown conclusion {self.conclusion!r}")
@@ -121,8 +112,9 @@ class ExclusionVerdict:
 
     @staticmethod
     def from_dict(d: dict) -> "ExclusionVerdict":
-        _check_fields(d, "verdict", {"rule": str, "conclusion": str, "evidence": dict})
-        if not d["evidence"]:
+        if not isinstance(d, dict) or d.keys() != {"rule", "conclusion", "evidence"}:
+            raise ValueError("a verdict needs exactly the keys rule, conclusion and evidence")
+        if not isinstance(d["evidence"], dict) or not d["evidence"]:
             raise ValueError(f"verdict {d['rule']!r} has no evidence")
         return ExclusionVerdict(d["rule"], d["conclusion"], d["evidence"])
 
@@ -134,43 +126,28 @@ class SlopeReport:
 
     @property
     def excluded(self) -> bool:
-        covered: set[str] = set()
-        for v in self.verdicts:
-            if v.conclusion == EXCLUDED:
-                covered.update(_RULE_BRANCHES[v.rule])
-        return _REQUIRED_BRANCHES <= covered
+        return _REQUIRED_BRANCHES <= {branch for v in self.verdicts if v.conclusion == EXCLUDED
+                                      for branch in _RULE_BRANCHES[v.rule]}
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.candidate.r,
-            "parity": self.candidate.parity,
-            "admitted_by": self.candidate.source_rule,
-            "excluded": self.excluded,
-            "verdicts": [v.to_dict() for v in self.verdicts],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SlopeReport":
-        _check_fields(d, "slope", {"r": int, "parity": str, "admitted_by": str,
-                                   "excluded": bool, "verdicts": list})
-        cand = SlopeCandidate(d["r"], d["parity"], d["admitted_by"])
-        verdicts = tuple(ExclusionVerdict.from_dict(v) for v in d["verdicts"])
-        report = SlopeReport(cand, verdicts)
-        if d["excluded"] != report.excluded:
-            raise ValueError(f"slope {cand.r}: recorded excluded {d['excluded']!r} "
-                             f"disagrees with its verdicts ({report.excluded})")
-        return report
+        cand = self.candidate
+        return {"r": cand.r, "parity": cand.parity, "admitted_by": cand.source_rule,
+                "verdicts": [v.to_dict() for v in self.verdicts], "excluded": self.excluded}
 
 
 @dataclasses.dataclass(frozen=True)
 class CertificateReport:
-    """Full certification run: parameters, assumptions, per-slope verdicts."""
+    """Full certification run: the parameters and the per-slope verdicts."""
 
-    family: str
     parameters: dict
-    assumptions: tuple[str, ...]
-    notes: tuple[str, ...]
     slopes: tuple[SlopeReport, ...]
+
+    def _pretzel(self) -> _Family:
+        return _pretzel_family(self.parameters["p"], self.parameters["q"])
+
+    family = property(lambda self: self._pretzel().name)
+    assumptions = property(lambda self: self._pretzel().assumptions)
+    notes = property(lambda self: self._pretzel().notes)
 
     @property
     def certified(self) -> bool:
@@ -181,48 +158,35 @@ class CertificateReport:
         return CERTIFIED if self.certified else INCONCLUSIVE
 
     def to_dict(self) -> dict:
+        family = self._pretzel()
         return {
             "schema_version": SCHEMA_VERSION,
-            "family": self.family,
+            "family": family.name,
             "parameters": self.parameters,
-            "assumptions": list(self.assumptions),
-            "notes": list(self.notes),
+            "assumptions": list(family.assumptions),
+            "notes": list(family.notes),
             "slopes": [s.to_dict() for s in self.slopes],
             "conclusion": self.conclusion,
         }
 
     @staticmethod
     def from_dict(d: dict) -> "CertificateReport":
-        if isinstance(d, dict) and d.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported certificate schema version {d.get('schema_version')!r}")
-        _check_fields(d, "certificate", {
-            "schema_version": int, "family": str, "parameters": dict, "assumptions": list,
-            "notes": list, "slopes": list, "conclusion": str})
-        params = d["parameters"]
-        family = _pretzel_family(params.get("p"), params.get("q"))
-        _check_fields(params, f"{family.name} family parameters",
-                      dict.fromkeys(family.parameters, int))
-        if (d["family"], params) != (family.name, family.parameters):
-            raise ValueError(f"recorded family {d['family']!r} with parameters {params} "
-                             f"differs from the {family.name} family's {family.parameters}")
-        for name in ("assumptions", "notes"):
-            if tuple(d[name]) != getattr(family, name):
-                raise ValueError(f"recorded {name} differ from the {family.name} family's")
-        report = CertificateReport(
-            family=d["family"],
-            parameters=dict(d["parameters"]),
-            assumptions=tuple(d["assumptions"]),
-            notes=tuple(d["notes"]),
-            slopes=tuple(SlopeReport.from_dict(s) for s in d["slopes"]),
-        )
-        if tuple(s.candidate for s in report.slopes) != family.slopes:
-            raise ValueError(f"recorded slopes {[s.candidate.r for s in report.slopes]} are "
-                             f"not the {family.name} family's candidates "
-                             f"{[c.r for c in family.slopes]}")
-        if d["conclusion"] != report.conclusion:
-            raise ValueError(f"recorded conclusion {d['conclusion']!r} disagrees "
-                             f"with the slope verdicts ({report.conclusion!r})")
+        """Rebuild the report that the recorded p and q fix, with the
+        recorded verdicts (parsed, not replayed), and compare the file with
+        its to_dict() once.  Raises ValueError naming the first difference."""
+        if type(d) is not dict:
+            raise ValueError(f"a certificate must be an object, got {reprlib.repr(d)}")
+        if d.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported certificate schema version {d.get('schema_version')!r}")
+        params = d.get("parameters")
+        p, q = (params.get("p"), params.get("q")) if isinstance(params, dict) else (params, None)
+        family = _pretzel_family(p, q)
+        report = CertificateReport(family.parameters, tuple(
+            SlopeReport(cand, _recorded_verdicts(d.get("slopes"), i))
+            for i, cand in enumerate(family.slopes)))
+        difference = _first_difference(report.to_dict(), d)
+        if difference:
+            raise ValueError(f"certificate{difference[0]}: {difference[1]}")
         return report
 
     def to_json(self) -> str:
@@ -231,6 +195,49 @@ class CertificateReport:
     @staticmethod
     def from_json(text: str) -> "CertificateReport":
         return CertificateReport.from_dict(json.loads(text))
+
+
+def _recorded_verdicts(slopes, i: int) -> tuple[ExclusionVerdict, ...]:
+    """The verdicts recorded at slopes[i], or none where there is no list."""
+    try:
+        verdicts = slopes[i]["verdicts"]
+    except (IndexError, KeyError, TypeError):
+        return ()
+    try:
+        return tuple(map(ExclusionVerdict.from_dict, verdicts)) if type(verdicts) is list else ()
+    except ValueError as exc:
+        raise ValueError(f"certificate.slopes[{i}].verdicts: {exc}") from None
+
+
+def _first_difference(built, recorded) -> tuple[str, str] | None:
+    """Where recorded, a JSON container of built's type, first differs from it,
+    as (the path below it, what), or None.  Types are strict: 1.0 and true are not 1."""
+    if type(built) is dict:
+        step = ".{}".format
+        if built.keys() == recorded.keys():
+            pairs = zip(built, built.values(), map(recorded.__getitem__, built))
+        else:
+            keys, absent = {**built, **recorded}, itertools.repeat(_ABSENT)
+            pairs = zip(keys, map(built.get, keys, absent), map(recorded.get, keys, absent))
+    else:
+        step, pairs = "[{}]".format, itertools.zip_longest(
+            range(max(len(built), len(recorded))), built, recorded, fillvalue=_ABSENT)
+    for key, b, r in pairs:
+        if b is r:
+            continue
+        kind = type(b)
+        if kind is not type(r) or (kind is not dict and kind is not list and b != r):
+            return step(key), f"recorded {_shown(r)}, expected {_shown(b)}"
+        difference = (kind is dict or kind is list) and _first_difference(b, r)
+        if difference:
+            return step(key) + difference[0], difference[1]
+    return None
+
+
+def _shown(value) -> str:
+    """A value as a difference names it: a container by its JSON type."""
+    return {dict: "an object", list: "an array", object: "nothing"}.get(
+        type(value)) or reprlib.repr(value)
 
 
 def exclude_montesinos_knot(s: int, sigma: int) -> ExclusionVerdict:
@@ -546,6 +553,7 @@ _EVEN_ASSUMPTIONS = _COMMON_ASSUMPTIONS + (
 _RECOMPUTE_NOTE = (
     "verdict evidence recomputes from the braid, diagram, and invariant "
     "engines; the assumptions above are geometric inputs, not computed")
+_ODD_SLOPES = tuple(SlopeCandidate(r, "exceptional-slope-bound") for r in range(-8, 9))
 
 
 class _Family(NamedTuple):
@@ -567,10 +575,6 @@ class _Family(NamedTuple):
         """Block, middle and tail powers of the quotient word of r-surgery,
         (s2 s3 s1 s2)^q (s2 s3^2 s2)^middle s1^tail."""
         return self.parameters["q"], self.middle_power, self.tail_at_zero + r
-
-
-def _candidates(slopes, admitted_by: str) -> tuple[SlopeCandidate, ...]:
-    return tuple(SlopeCandidate(r, "odd" if r % 2 else "even", admitted_by) for r in slopes)
 
 
 def _family(name: str, params: tuple[int, int]) -> _Family:
@@ -595,7 +599,7 @@ def _family(name: str, params: tuple[int, int]) -> _Family:
         # genus-one knot has toroidal 0-surgery, so every Seifert fibered
         # slope is exceptional.
         return _Family("odd", {"p": p, "q": q}, p, 2 * p + 2 * q,
-                       _candidates(range(-8, 9), "exceptional-slope-bound"),
+                       _ODD_SLOPES,
                        functools.partial(quotient_knot_genus_odd, p, q),
                        _ODD_ASSUMPTIONS, (_RECOMPUTE_NOTE,))
     if name == "even":
@@ -606,7 +610,8 @@ def _family(name: str, params: tuple[int, int]) -> _Family:
         # fibered surgery would descend to a lens space surgery on the
         # factor, which pins the slope to 4q +/- 1.
         return _Family("even", {"p": 2 * n, "n": n, "q": q}, 2 * n, 2 * (2 * n - q),
-                       _candidates((4 * q - 1, 4 * q + 1), "period-two-lens-factor"),
+                       (SlopeCandidate(4 * q - 1, "period-two-lens-factor"),
+                        SlopeCandidate(4 * q + 1, "period-two-lens-factor")),
                        functools.partial(quotient_knot_genus_even, n, q),
                        _EVEN_ASSUMPTIONS,
                        ("every admissible slope 4q-1, 4q+1 is odd, so the even family "
@@ -680,11 +685,4 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
         else:
             verdicts = _knot_slope_verdicts(family, r)
         slopes.append(SlopeReport(cand, verdicts))
-
-    return CertificateReport(
-        family=family.name,
-        parameters=family.parameters,
-        assumptions=family.assumptions,
-        notes=family.notes,
-        slopes=tuple(slopes),
-    )
+    return CertificateReport(family.parameters, tuple(slopes))

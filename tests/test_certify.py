@@ -7,6 +7,7 @@ step), and on inputs it must reject outright.
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -293,12 +294,12 @@ class TestCertifyNoSfs:
 
 class TestBranchCoverage:
     def test_single_branch_does_not_settle_a_slope(self):
-        cand = SlopeCandidate(1, "odd", "exceptional-slope-bound")
+        cand = SlopeCandidate(1, "exceptional-slope-bound")
         montesinos_only = SlopeReport(cand, (exclude_montesinos_knot(10, -4),))
         assert not montesinos_only.excluded
 
     def test_inconclusive_verdict_does_not_settle_its_branch(self):
-        cand = SlopeCandidate(1, "odd", "exceptional-slope-bound")
+        cand = SlopeCandidate(1, "exceptional-slope-bound")
         report = SlopeReport(cand, (
             exclude_montesinos_knot(2, 0),
             exclude_torus_knot("odd", (3, 3), 1),
@@ -309,6 +310,79 @@ class TestBranchCoverage:
         report = certify_no_sfs(3, 3)
         zero = next(s for s in report.slopes if s.candidate.r == 0)
         assert zero.excluded
+
+
+DROP = object()
+
+# Tampered certificates: the JSON path changed (keys and indices, () for the
+# whole file), the value put there (DROP deletes the entry, an index one
+# past the end appends, a function of the data gives the value) and a part
+# of the ValueError it must raise.  Slope
+# 9 of the odd family is r = 1, which is excluded.
+MALFORMED = {
+    "not-an-object": ((), [], "a certificate must be an object"),
+    "missing-family": (("family",), DROP, "certificate.family: recorded nothing"),
+    "missing-verdicts": (("slopes", 0, "verdicts"), DROP, "certificate.slopes[0].verdicts: "),
+    "null-slopes": (("slopes",), None, "certificate.slopes: recorded None"),
+    "string-r": (("slopes", 0, "r"), "x", "certificate.slopes[0].r: recorded 'x'"),
+    "unknown-key": (("bogus",), 1, "certificate.bogus: recorded 1, expected nothing"),
+    "bogus-family": (("family",), "bogus", "certificate.family: recorded 'bogus'"),
+    "missing-parameter": (("parameters", "q"), DROP, "got None"),
+    "string-parameter": (("parameters", "p"), "x", "got 'x'"),
+    "bool-parameter": (("parameters", "q"), True, "got True"),
+    "int-assumption": (("assumptions", 7), 1, "certificate.assumptions[7]: recorded 1"),
+    "int-note": (("notes",), [1], "certificate.notes[0]: recorded 1"),
+    "empty-evidence": (("slopes", 16, "verdicts", 0, "evidence"), {}, "has no evidence"),
+    "no-slopes": (("slopes",), [], "certificate.slopes[0]: recorded nothing"),
+    "dropped-slope": (("slopes", 1), DROP, "certificate.slopes[1].r: recorded -6, expected -7"),
+    "added-slope": (("slopes", 17), lambda data: {**data["slopes"][-1], "r": 10},
+                    "certificate.slopes[17]: recorded an object"),
+    "odd-family-even-p": (("parameters", "p"), 4, "certificate.family: recorded 'odd'"),
+    "even-family-wrong-n": (("parameters", "n"), 2, "certificate.parameters.n: recorded 2"),
+    "edited-assumption": (("assumptions", 0), "anything", "certificate.assumptions[0]: "),
+    "dropped-note": (("notes", 0), DROP, "certificate.notes[0]: recorded nothing"),
+    "bool-schema-version": (("schema_version",), True, "certificate.schema_version: "
+                                                       "recorded True, expected 1"),
+    "float-schema-version": (("schema_version",), 1.0, "recorded 1.0, expected 1"),
+    "int-excluded": (("slopes", 9, "excluded"), 1, "certificate.slopes[9].excluded: "
+                                                   "recorded 1, expected True"),
+    "float-r": (("slopes", 9, "r"), 1.0, "certificate.slopes[9].r: recorded 1.0, expected 1"),
+    "bool-r": (("slopes", 9, "r"), True, "certificate.slopes[9].r: recorded True, expected 1"),
+    "even-family-float-n": (("parameters", "n"), 1.0, "certificate.parameters.n: "
+                                                      "recorded 1.0, expected 1"),
+    "list-rule": (("slopes", 9, "verdicts", 0, "rule"), ["montesinos-knot"],
+                  "certificate.slopes[9].verdicts: unknown rule"),
+    "null-conclusion": (("slopes", 9, "verdicts", 0, "conclusion"), None,
+                        "certificate.slopes[9].verdicts: unknown conclusion None"),
+    "list-evidence": (("slopes", 9, "verdicts", 0, "evidence"), [1], "has no evidence"),
+    "wrong-parity": (("slopes", 9, "parity"), "even", "certificate.slopes[9].parity: "
+                                                      "recorded 'even', expected 'odd'"),
+    "wrong-admitted-by": (("slopes", 9, "admitted_by"), "period-two-lens-factor",
+                          "certificate.slopes[9].admitted_by: "),
+    "list-slope": (("slopes", 9), [1], "certificate.slopes[9]: recorded an array"),
+    "object-verdicts": (("slopes", 9, "verdicts"), {"rule": "montesinos-knot"},
+                        "certificate.slopes[9].verdicts: recorded an object"),
+    "list-parameters": (("parameters",), [3, 3], "got [3, 3]"),
+}
+
+
+def tampered(data, path: tuple, value):
+    """data with the entry at path set to value, as MALFORMED describes."""
+    if callable(value):
+        value = value(data)
+    if not path:
+        return value
+    *parents, last = path
+    target = data
+    for step in parents:
+        target = target[step]
+    if value is DROP:
+        del target[last]
+    elif isinstance(target, list) and last == len(target):
+        target.append(value)
+    else:
+        target[last] = value
+    return data
 
 
 class TestSerialization:
@@ -350,58 +424,22 @@ class TestSerialization:
                 text = certify_no_sfs(p, q).to_json()
                 assert CertificateReport.from_json(text).to_json() == text, (p, q)
 
-    @pytest.mark.parametrize("case", [
-        "not-an-object", "missing-family", "missing-verdicts", "null-slopes",
-        "string-r", "unknown-key", "bogus-family", "missing-parameter", "string-parameter",
-        "bool-parameter", "int-assumption", "int-note", "empty-evidence",
-        "no-slopes", "dropped-slope", "added-slope", "odd-family-even-p",
-        "even-family-wrong-n", "edited-assumption", "dropped-note",
-    ])
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_file_is_rejected(self, case):
+        path, value, message = MALFORMED[case]
         cell = (2, 3) if case.startswith("even-family") else (3, 3)
-        data = json.loads(certify_no_sfs(*cell).to_json())
-        if case == "not-an-object":
-            data = []
-        elif case == "missing-family":
-            del data["family"]
-        elif case == "missing-verdicts":
-            del data["slopes"][0]["verdicts"]
-        elif case == "null-slopes":
-            data["slopes"] = None
-        elif case == "string-r":
-            data["slopes"][0]["r"] = "x"
-        elif case == "bogus-family":
-            data["family"] = "bogus"
-        elif case == "missing-parameter":
-            del data["parameters"]["q"]
-        elif case == "string-parameter":
-            data["parameters"]["p"] = "x"
-        elif case == "bool-parameter":
-            data["parameters"]["q"] = True
-        elif case == "int-assumption":
-            data["assumptions"].append(1)
-        elif case == "int-note":
-            data["notes"] = [1]
-        elif case == "empty-evidence":
-            data["slopes"][-1]["verdicts"][0]["evidence"] = {}
-        elif case == "no-slopes":
-            data["slopes"] = []
-        elif case == "dropped-slope":
-            del data["slopes"][1]
-        elif case == "added-slope":
-            data["slopes"].append({**data["slopes"][-1], "r": 10})
-        elif case == "odd-family-even-p":
-            data["parameters"]["p"] = 4
-        elif case == "even-family-wrong-n":
-            data["parameters"]["n"] = 2
-        elif case == "edited-assumption":
-            data["assumptions"] = ["anything"]
-        elif case == "dropped-note":
-            data["notes"] = []
-        else:
-            data["bogus"] = 1
-        with pytest.raises(ValueError):
+        data = tampered(json.loads(certify_no_sfs(*cell).to_json()), path, value)
+        with pytest.raises(ValueError, match=re.escape(message)):
             CertificateReport.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("field", ["excluded", "parity"])
+    @pytest.mark.parametrize("i", [0, 9, 16])
+    def test_error_names_the_differing_path(self, i, field):
+        data = json.loads(certify_no_sfs(3, 5).to_json())
+        slope = data["slopes"][i]
+        slope[field] = {True: False, False: True, "odd": "even", "even": "odd"}[slope[field]]
+        with pytest.raises(ValueError, match=re.escape(f"certificate.slopes[{i}].{field}: ")):
+            CertificateReport.from_dict(data)
 
     def test_schema_version_is_stamped(self):
         data = json.loads(certify_no_sfs(2, 3).to_json())
@@ -411,6 +449,12 @@ class TestSerialization:
     def test_verdict_round_trip(self):
         v = exclude_montesinos_knot(10, -4)
         assert ExclusionVerdict.from_dict(v.to_dict()) == v
+
+    @pytest.mark.parametrize("rule", [["montesinos-knot"], {"a": 1}, None, 1])
+    def test_verdict_with_a_non_string_rule_is_rejected(self, rule):
+        d = {**exclude_montesinos_knot(10, -4).to_dict(), "rule": rule}
+        with pytest.raises(ValueError, match="unknown rule"):
+            ExclusionVerdict.from_dict(d)
 
     def test_json_is_plain_data(self):
         data = json.loads(certify_no_sfs(2, 3).to_json())
