@@ -24,15 +24,13 @@ from .braid import (
 from .certify import (
     CertificateReport,
     ExclusionVerdict,
-    SlopeCandidate,
     SlopeReport,
     certify_no_sfs,
     exclude_montesinos_knot,
     exclude_montesinos_link_two_components,
     exclude_seifert_link_two_components,
     exclude_torus_knot,
-    quotient_braid_even,
-    quotient_braid_odd,
+    pretzel_quotient_braid,
     torus_knot_genus_conflict,
 )
 from .diagram import (
@@ -56,8 +54,7 @@ from .homfly import LaurentPoly2, det_from_homfly, homfly, mfw_bound
 from .invariants import (
     det_from_alexander,
     positive_genus,
-    quotient_knot_genus_even,
-    quotient_knot_genus_odd,
+    quotient_knot_genus,
     torus_alexander,
     torus_det_4x,
     torus_genus,
@@ -75,7 +72,6 @@ __all__ = [
     "LinkDiagram",
     "PermutationBraid",
     "SlopeReport",
-    "SlopeCandidate",
     "braid_closure",
     "braids_equal",
     "certify_no_sfs",
@@ -103,11 +99,9 @@ __all__ = [
     "permutation_of",
     "positive_genus",
     "pretzel_diagram",
+    "pretzel_quotient_braid",
     "quotient_braid",
-    "quotient_braid_even",
-    "quotient_braid_odd",
-    "quotient_knot_genus_even",
-    "quotient_knot_genus_odd",
+    "quotient_knot_genus",
     "seifert_circle_count",
     "signature_and_determinant",
     "to_pd_text",

@@ -33,23 +33,21 @@ import functools
 import itertools
 import json
 import reprlib
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .braid import _TWIST_HEAD, MAX_INPUT_LETTERS, BraidWord, contains_full_twist, quotient_braid
 from .diagram import closure_signature_and_determinant
-from .invariants import quotient_knot_genus_even, quotient_knot_genus_odd, torus_genus
+from .invariants import quotient_knot_genus, torus_genus
 
 __all__ = [
     "SCHEMA_VERSION",
     "EXCLUDED",
     "INCONCLUSIVE",
     "CERTIFIED",
-    "SlopeCandidate",
     "ExclusionVerdict",
     "SlopeReport",
     "CertificateReport",
-    "quotient_braid_odd",
-    "quotient_braid_even",
+    "pretzel_quotient_braid",
     "exclude_montesinos_knot",
     "exclude_montesinos_link_two_components",
     "exclude_seifert_link_two_components",
@@ -82,18 +80,6 @@ _ABSENT = object()  # a key or entry one side lacks; _shown prints it as "nothin
 
 
 @dataclasses.dataclass(frozen=True)
-class SlopeCandidate:
-    """A surgery slope admitted by one of the slope-restriction results."""
-
-    r: int
-    source_rule: str
-
-    @property
-    def parity(self) -> str:
-        return "odd" if self.r % 2 else "even"
-
-
-@dataclasses.dataclass(frozen=True)
 class ExclusionVerdict:
     """Outcome of one exclusion rule with the numbers it was decided on."""
 
@@ -121,8 +107,16 @@ class ExclusionVerdict:
 
 @dataclasses.dataclass(frozen=True)
 class SlopeReport:
-    candidate: SlopeCandidate
+    """A candidate slope r, the slope-restriction result that admits it,
+    and the verdicts on it."""
+
+    r: int
+    admitted_by: str
     verdicts: tuple[ExclusionVerdict, ...]
+
+    @property
+    def parity(self) -> str:
+        return "odd" if self.r % 2 else "even"
 
     @property
     def excluded(self) -> bool:
@@ -130,8 +124,7 @@ class SlopeReport:
                                       for branch in _RULE_BRANCHES[v.rule]}
 
     def to_dict(self) -> dict:
-        cand = self.candidate
-        return {"r": cand.r, "parity": cand.parity, "admitted_by": cand.source_rule,
+        return {"r": self.r, "parity": self.parity, "admitted_by": self.admitted_by,
                 "verdicts": [v.to_dict() for v in self.verdicts], "excluded": self.excluded}
 
 
@@ -182,8 +175,8 @@ class CertificateReport:
         p, q = (params.get("p"), params.get("q")) if isinstance(params, dict) else (params, None)
         family = _pretzel_family(p, q)
         report = CertificateReport(family.parameters, tuple(
-            SlopeReport(cand, _recorded_verdicts(d.get("slopes"), i))
-            for i, cand in enumerate(family.slopes)))
+            SlopeReport(r, family.admitted_by, _recorded_verdicts(d.get("slopes"), i))
+            for i, r in enumerate(family.slopes)))
         difference = _first_difference(report.to_dict(), d)
         if difference:
             raise ValueError(f"certificate{difference[0]}: {difference[1]}")
@@ -194,7 +187,11 @@ class CertificateReport:
 
     @staticmethod
     def from_json(text: str) -> "CertificateReport":
-        return CertificateReport.from_dict(json.loads(text))
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("certificate JSON nests too deeply to parse") from None
+        return CertificateReport.from_dict(data)
 
 
 def _recorded_verdicts(slopes, i: int) -> tuple[ExclusionVerdict, ...]:
@@ -334,9 +331,9 @@ def torus_knot_genus_conflict(determinant_value: int, genus_value: int) -> tuple
     return genus_value != candidate_genus, evidence
 
 
-def exclude_torus_knot(family: str, params: tuple[int, int], r: int) -> ExclusionVerdict:
-    """Torus-knot test for the odd-slope quotient knot of the family
-    "odd" with params (p, q) or "even" with params (n, q).
+def exclude_torus_knot(first: int, q: int, r: int) -> ExclusionVerdict:
+    """Torus-knot test for the odd-slope quotient knot of r-surgery on
+    P(first,q,q).
 
     Three certified steps: the quotient braid is positive and contains a
     full twist, so the closure has braid index exactly four and the only
@@ -348,22 +345,22 @@ def exclude_torus_knot(family: str, params: tuple[int, int], r: int) -> Exclusio
     once per process; a word without that head is inconclusive.
     """
     rule = "torus-knot-det-genus"
-    fam = _family(family, params)
+    family = _pretzel_family(first, q)
     if r % 2 == 0:
         return ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "knot-closure",
             "reason": f"slope {r} is even, so the quotient is a two-component link",
         })
     # The closed-form genus the test needs is known at every odd slope of
-    # the odd family but only at 4q-1 and 4q+1 in the even one.
+    # an odd first parameter but only at 4q-1 and 4q+1 of an even one.
     try:
-        fam.genus(r)
+        quotient_knot_genus(first, q, r)
     except ValueError as exc:
         return ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "admissible-slope",
             "reason": str(exc),
         })
-    return _knot_slope_verdicts(fam, r)[1]
+    return _knot_slope_verdicts(family, r)[1]
 
 
 def _knot_slope_verdicts(family: _Family, r: int
@@ -379,11 +376,11 @@ def _knot_slope_verdicts(family: _Family, r: int
     it with; a word starting with that head is the full twist times a
     positive braid.
     """
-    q, middle, tail = family.powers(r)
-    word = quotient_braid(q, middle, tail)
+    q, first, tail = family.powers(r)
+    word = quotient_braid(q, first, tail)
     sigma, det = closure_signature_and_determinant(word)
     genus_direct = _positive_word_genus(word)
-    partner = quotient_braid(q - 2, middle, tail)
+    partner = quotient_braid(q - 2, first, tail)
     sigma_partner = closure_signature_and_determinant(partner)[0]
     montesinos = _montesinos_knot_verdict(
         q - 2, 2 * genus_direct, sigma, 2 * _positive_word_genus(partner), sigma_partner)
@@ -402,7 +399,7 @@ def _knot_slope_verdicts(family: _Family, r: int
             "determinant": det,
             "homology_order": det_homology,
         })
-    genus_closed_form = family.genus(r)
+    genus_closed_form = quotient_knot_genus(first, q, r)
     if genus_direct != genus_closed_form:
         return montesinos, ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "genus-cross-check",
@@ -417,11 +414,10 @@ def _knot_slope_verdicts(family: _Family, r: int
         "homology_order": det_homology,
         **comparison,
     }
-    if family.name == "even":
-        # The mismatch in closed form: T(4,4q+1) needs 6n-3q = 1 and
-        # T(4,4q-1) needs 6n-3q = -1, both impossible mod 3.
-        n = family.parameters["n"]
-        evidence["six_n_minus_three_q"] = 6 * n - 3 * q
+    if first % 2 == 0:
+        # The mismatch in closed form, n = first/2: T(4,4q+1) needs
+        # 6n-3q = 1 and T(4,4q-1) needs 6n-3q = -1, both impossible mod 3.
+        evidence["six_n_minus_three_q"] = 3 * first - 3 * q
         evidence["torus_match_requires"] = 1 if r == 4 * q + 1 else -1
     return montesinos, ExclusionVerdict(rule, EXCLUDED if conflict else INCONCLUSIVE, evidence)
 
@@ -463,7 +459,7 @@ def _montesinos_knot_verdict(partner_block_power: int, s_direct: int, sigma_dire
                              s_partner: int, sigma_partner: int) -> ExclusionVerdict:
     """Montesinos exclusion for a quotient knot, computed two ways.
 
-    The knot is the closure of (s2 s3 s1 s2)^q (s2 s3^2 s2)^middle s1^tail,
+    The knot is the closure of (s2 s3 s1 s2)^q (s2 s3^2 s2)^first s1^tail,
     and its partner has block power q - 2.  Direct: s and sigma of the
     knot.  Chain: the tangle move removing one (s2 s3 s1 s2)^2 block drops
     s by exactly 8 and raises sigma by 2 to 6, so the partner's invariants
@@ -553,36 +549,32 @@ _EVEN_ASSUMPTIONS = _COMMON_ASSUMPTIONS + (
 _RECOMPUTE_NOTE = (
     "verdict evidence recomputes from the braid, diagram, and invariant "
     "engines; the assumptions above are geometric inputs, not computed")
-_ODD_SLOPES = tuple(SlopeCandidate(r, "exceptional-slope-bound") for r in range(-8, 9))
 
 
 class _Family(NamedTuple):
-    """What one pretzel family fixes: its recorded parameters, its
-    candidate slopes (each naming the result that admits it), the
-    quotient-word powers and closed-form genus at slope r, and the
-    report header."""
+    """What P(first,q,q) fixes: its family name and recorded parameters,
+    its candidate slopes and the result that admits them, the quotient-word
+    powers at slope r, and the report header."""
 
     name: str
     parameters: dict
-    middle_power: int
     tail_at_zero: int
-    slopes: tuple[SlopeCandidate, ...]
-    genus: Callable[[int], int]
+    slopes: tuple[int, ...]
+    admitted_by: str
     assumptions: tuple[str, ...]
     notes: tuple[str, ...]
 
     def powers(self, r: int) -> tuple[int, int, int]:
         """Block, middle and tail powers of the quotient word of r-surgery,
-        (s2 s3 s1 s2)^q (s2 s3^2 s2)^middle s1^tail."""
-        return self.parameters["q"], self.middle_power, self.tail_at_zero + r
+        (s2 s3 s1 s2)^q (s2 s3^2 s2)^first s1^tail."""
+        return self.parameters["q"], self.parameters["p"], self.tail_at_zero + r
 
 
-def _family(name: str, params: tuple[int, int]) -> _Family:
-    """The family "odd" with params (p, q), p >= 3 odd, or "even" with
-    params (n, q), first pretzel parameter 2n >= 2; q >= 3 odd in both.
-    Raises ValueError for invalid parameters or an unknown family."""
-    first, q = params
-    for value in params:
+def _pretzel_family(first: int, q: int) -> _Family:
+    """The family of P(first,q,q): odd for an odd first >= 3, even (n =
+    first/2) for an even first >= 2; q >= 3 odd in both.  Raises ValueError
+    for invalid parameters or a cell over the input limit."""
+    for value in (first, q):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"pretzel parameters must be integers, got {value!r}")
     if q % 2 == 0:
@@ -590,63 +582,36 @@ def _family(name: str, params: tuple[int, int]) -> _Family:
                          f"q must be odd")
     if q < 3:
         raise ValueError(f"q must be >= 3, got {q}")
-    if name == "odd":
-        p = first
-        if p < 3 or p % 2 == 0:
-            raise ValueError(f"the odd family needs p >= 3 odd, got p={p}")
+    if first < 2:
+        raise ValueError(f"the first pretzel parameter must be >= 2, got {first}")
+    check_input_size(first, q)
+    if first % 2:
         # Non-integral slopes never give Seifert fibered spaces because the
         # knot is alternating; integral ones are bounded by 8 because the
         # genus-one knot has toroidal 0-surgery, so every Seifert fibered
         # slope is exceptional.
-        return _Family("odd", {"p": p, "q": q}, p, 2 * p + 2 * q,
-                       _ODD_SLOPES,
-                       functools.partial(quotient_knot_genus_odd, p, q),
+        return _Family("odd", {"p": first, "q": q}, 2 * first + 2 * q,
+                       tuple(range(-8, 9)), "exceptional-slope-bound",
                        _ODD_ASSUMPTIONS, (_RECOMPUTE_NOTE,))
-    if name == "even":
-        n = first
-        if n < 1:
-            raise ValueError(f"the even family P(2n,q,q) needs n >= 1, got n={n}")
-        # The knot has cyclic period two with factor knot T(2,q); a Seifert
-        # fibered surgery would descend to a lens space surgery on the
-        # factor, which pins the slope to 4q +/- 1.
-        return _Family("even", {"p": 2 * n, "n": n, "q": q}, 2 * n, 2 * (2 * n - q),
-                       (SlopeCandidate(4 * q - 1, "period-two-lens-factor"),
-                        SlopeCandidate(4 * q + 1, "period-two-lens-factor")),
-                       functools.partial(quotient_knot_genus_even, n, q),
-                       _EVEN_ASSUMPTIONS,
-                       ("every admissible slope 4q-1, 4q+1 is odd, so the even family "
-                        "has no two-component quotient case", _RECOMPUTE_NOTE))
-    raise ValueError(f"family must be 'odd' or 'even', got {name!r}")
+    # The knot has cyclic period two with factor knot T(2,q); a Seifert
+    # fibered surgery would descend to a lens space surgery on the factor,
+    # which pins the slope to 4q +/- 1.
+    return _Family("even", {"p": first, "n": first // 2, "q": q}, 2 * (first - q),
+                   (4 * q - 1, 4 * q + 1), "period-two-lens-factor",
+                   _EVEN_ASSUMPTIONS,
+                   ("every admissible slope 4q-1, 4q+1 is odd, so the even family "
+                    "has no two-component quotient case", _RECOMPUTE_NOTE))
 
 
-def _pretzel_family(first: int, q: int) -> _Family:
-    """The family of P(first,q,q): even (n = first/2) for an even integer
-    first, otherwise odd, whose checks reject a non-integer."""
-    if type(first) is int and first % 2 == 0:
-        return _family("even", (first // 2, q))
-    return _family("odd", (first, q))
+def pretzel_quotient_braid(first: int, q: int, r: int) -> BraidWord:
+    """Four-strand braid (s2 s3 s1 s2)^q (s2 s3^2 s2)^first s1^tail whose
+    closure is the quotient knot or link of r-surgery on P(first,q,q).
 
-
-def quotient_braid_odd(p: int, q: int, r: int) -> BraidWord:
-    """Four-strand braid whose closure is the quotient knot or link for the
-    odd parameter family, with surgery coefficient r.
-
-    Requires p, q >= 3 odd and a nonnegative final twist exponent.  The
-    word has length 6p + 6q + r and carries an explicit positive full
-    twist whenever 2p + 2q + r >= 4.
+    The tail is 2(first + q) + r for an odd first and 2(first - q) + r
+    for an even one; it must be nonnegative.  The word carries an explicit
+    positive full twist whenever the tail is at least 4.
     """
-    return quotient_braid(*_family("odd", (p, q)).powers(r))
-
-
-def quotient_braid_even(n: int, q: int, r: int) -> BraidWord:
-    """Four-strand braid whose closure is the quotient knot for the even
-    parameter family (first pretzel parameter 2n), with surgery coefficient r.
-
-    The middle block exponent is 2n, matching the crossing count of the
-    quotient diagram.  As in the odd family, the word carries an explicit
-    full twist whenever the final exponent 2(2n - q) + r is at least 4.
-    """
-    return quotient_braid(*_family("even", (n, q)).powers(r))
+    return quotient_braid(*_pretzel_family(first, q).powers(r))
 
 
 def check_input_size(first: int, q: int):
@@ -671,10 +636,8 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
     branches of the quotient-link dichotomy.
     """
     family = _pretzel_family(first, q)
-    check_input_size(first, q)
     slopes: list[SlopeReport] = []
-    for cand in family.slopes:
-        r = cand.r
+    for r in family.slopes:
         if r == 0:
             verdicts = (_toroidal_slope_verdict(),)
         elif r % 2 == 0:
@@ -684,5 +647,5 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
             )
         else:
             verdicts = _knot_slope_verdicts(family, r)
-        slopes.append(SlopeReport(cand, verdicts))
+        slopes.append(SlopeReport(r, family.admitted_by, verdicts))
     return CertificateReport(family.parameters, tuple(slopes))

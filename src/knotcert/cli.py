@@ -190,7 +190,7 @@ def _summarize(report: CertificateReport) -> str:
     for slope in report.slopes:
         rules = ", ".join(f"{v.rule}:{v.conclusion}" for v in slope.verdicts)
         mark = "excluded" if slope.excluded else "OPEN"
-        lines.append(f"  r={slope.candidate.r:>3}  {mark:<9} [{rules}]")
+        lines.append(f"  r={slope.r:>3}  {mark:<9} [{rules}]")
     lines.append(f"conclusion: {report.conclusion}")
     return "\n".join(lines)
 

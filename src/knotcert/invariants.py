@@ -1,8 +1,8 @@
 """Closed-form knot invariants.
 
 Torus knot Alexander polynomials, determinants and genera, the genus of
-positive knot diagrams, and the closed-form genus of the quotient knots of
-the two pretzel families.
+positive knot diagrams, and the closed-form genus of the pretzel quotient
+knots.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ __all__ = [
     "det_from_alexander",
     "torus_det_4x",
     "positive_genus",
-    "quotient_knot_genus_odd",
-    "quotient_knot_genus_even",
+    "quotient_knot_genus",
     "torus_genus",
 ]
 
@@ -119,27 +118,23 @@ def positive_genus(d: LinkDiagram) -> int:
     return (c - circles + 1) // 2
 
 
-def quotient_knot_genus_odd(p: int, q: int, r: int) -> int:
-    """Genus of the odd-family quotient knot: 3(p + q) + (r - 3)/2."""
-    if p < 3 or p % 2 == 0 or q < 3 or q % 2 == 0:
-        raise ValueError(f"odd family needs p, q >= 3 odd, got ({p}, {q})")
-    if r % 2 == 0:
-        raise ValueError(f"the quotient closes to a knot only for odd r, got {r}")
-    return 3 * (p + q) + (r - 3) // 2
-
-
-def quotient_knot_genus_even(n: int, q: int, r: int) -> int:
-    """Genus of the even-family quotient knot at the two admissible slopes:
-    6n + 3q - 1 for r = 4q + 1 and 6n + 3q - 2 for r = 4q - 1."""
-    if n < 1:
-        raise ValueError(f"even family needs n >= 1, got {n}")
-    if q < 3 or q % 2 == 0:
-        raise ValueError(f"even family needs q >= 3 odd, got {q}")
+def quotient_knot_genus(first: int, q: int, r: int) -> int:
+    """Genus of the quotient knot of r-surgery on P(first,q,q), first >= 2
+    and q >= 3 odd: 3(first + q) + (r - 3)/2 at every odd r when first is
+    odd; when first is even, 3(first + q) - 1 at r = 4q + 1 and
+    3(first + q) - 2 at r = 4q - 1, the only slopes the even cells admit."""
+    if first < 2 or q < 3 or q % 2 == 0:
+        raise ValueError(f"P(first,q,q) needs first >= 2 and q >= 3 odd, got ({first}, {q})")
+    if first % 2:
+        if r % 2 == 0:
+            raise ValueError(f"the quotient closes to a knot only for odd r, got {r}")
+        return 3 * (first + q) + (r - 3) // 2
     if r == 4 * q + 1:
-        return 6 * n + 3 * q - 1
+        return 3 * (first + q) - 1
     if r == 4 * q - 1:
-        return 6 * n + 3 * q - 2
-    raise ValueError(f"even family slope must be 4q-1 or 4q+1, got r={r} with q={q}")
+        return 3 * (first + q) - 2
+    raise ValueError(f"an even first parameter admits only the slopes 4q-1 and 4q+1, "
+                     f"got r={r} with q={q}")
 
 
 def torus_genus(a: int, b: int) -> int:

@@ -80,10 +80,10 @@ def grid_knot_slope_words():
     for p in range(2, 10):
         for q in range(3, 10, 2):
             family = _pretzel_family(p, q)
-            for cand in family.slopes:
-                if cand.r % 2:
-                    block, middle, tail = family.powers(cand.r)
-                    yield (p, q, cand.r, quotient_braid(block, middle, tail),
+            for r in family.slopes:
+                if r % 2:
+                    block, middle, tail = family.powers(r)
+                    yield (p, q, r, quotient_braid(block, middle, tail),
                            quotient_braid(block - 2, middle, tail))
 
 

@@ -20,9 +20,8 @@ from knotcert import (
     mirror,
     normal_form,
     positive_genus,
-    quotient_braid_even,
-    quotient_braid_odd,
-    quotient_knot_genus_even,
+    pretzel_quotient_braid,
+    quotient_knot_genus,
     signature_and_determinant,
     torus_alexander,
     torus_braid,
@@ -67,7 +66,7 @@ def test_criterion_02():
 
 def test_criterion_03():
     """Genus 13 and 9 for the two benchmark positive closures."""
-    family = braid_closure(quotient_braid_odd(3, 3, -7))
+    family = braid_closure(pretzel_quotient_braid(3, 3, -7))
     assert positive_genus(family) == 13
     torus = braid_closure(torus_braid(4, 7))
     assert positive_genus(torus) == 9
@@ -79,12 +78,12 @@ def test_criterion_04():
     for p in (3, 5):
         for q in (3, 5):
             for r in range(-7, 8, 2):
-                assert braids_equal(quotient_braid_odd(p, q, r),
+                assert braids_equal(pretzel_quotient_braid(p, q, r),
                                     delta_form_odd(p, q, r))
     for n in (1, 2):
         for q in (3, 5):
             for r in (4 * q - 1, 4 * q + 1):
-                assert braids_equal(quotient_braid_even(n, q, r),
+                assert braids_equal(pretzel_quotient_braid(2 * n, q, r),
                                     delta_form_even(n, q, r))
 
 
@@ -92,7 +91,7 @@ def test_criterion_05():
     """s + sigma stays at or above 4 across the odd grid, and the
     tangle-move partner sits exactly 8 below in s."""
     for p, q, r in ODD_GRID:
-        knot = braid_closure(quotient_braid_odd(p, q, r))
+        knot = braid_closure(pretzel_quotient_braid(p, q, r))
         partner = braid_closure(raw_odd_word(p, q, r, q - 2))
         s = 2 * positive_genus(knot)
         assert s + signature_and_determinant(knot)[0] >= 4
@@ -103,7 +102,7 @@ def test_criterion_06():
     """Closure determinant equals |r| across the odd grid, by Goeritz
     reduction and HOMFLY specialization."""
     for p, q, r in ODD_GRID:
-        w = quotient_braid_odd(p, q, r)
+        w = pretzel_quotient_braid(p, q, r)
         assert determinant(braid_closure(w)) == abs(r)
         assert det_from_homfly(homfly(w)) == abs(r)
 
@@ -111,9 +110,9 @@ def test_criterion_06():
 def test_criterion_07():
     """The braid-index lower bound is sharp at 4 on both families."""
     for r in range(-7, 8, 2):
-        assert mfw_bound(homfly(quotient_braid_odd(3, 3, r))) == 4
+        assert mfw_bound(homfly(pretzel_quotient_braid(3, 3, r))) == 4
     for r in (11, 13):
-        assert mfw_bound(homfly(quotient_braid_even(1, 3, r))) == 4
+        assert mfw_bound(homfly(pretzel_quotient_braid(2, 3, r))) == 4
 
 
 def test_criterion_08():
@@ -122,10 +121,10 @@ def test_criterion_08():
     for n in range(1, 6):
         for q in (3, 5, 7):
             for r in (4 * q - 1, 4 * q + 1):
-                d = braid_closure(quotient_braid_even(n, q, r))
-                assert quotient_knot_genus_even(n, q, r) == positive_genus(d)
+                d = braid_closure(pretzel_quotient_braid(2 * n, q, r))
+                assert quotient_knot_genus(2 * n, q, r) == positive_genus(d)
                 assert 6 * n - 3 * q not in (1, -1)
-                verdict = exclude_torus_knot("even", (n, q), r)
+                verdict = exclude_torus_knot(2 * n, q, r)
                 assert verdict.conclusion == "excluded"
 
 
@@ -147,7 +146,7 @@ def test_criterion_10(rng, random_knot_word):
     """Property sweep: relation rewrites preserve normal form and HOMFLY;
     mirroring negates signature and writhe; s + sigma vanishes for
     (2, q) torus knots of either handedness."""
-    start = quotient_braid_odd(3, 3, -7)
+    start = pretzel_quotient_braid(3, 3, -7)
     nf0 = normal_form(start)
     poly0 = homfly(start)
     letters = list(start.letters)

@@ -19,9 +19,8 @@ from knotcert import (
     normal_form,
     parse_braid,
     permutation_of,
+    pretzel_quotient_braid,
     quotient_braid,
-    quotient_braid_even,
-    quotient_braid_odd,
     torus_braid,
 )
 from knotcert.braid import MAX_INPUT_LETTERS, MAX_INPUT_STRANDS, PermutationBraid
@@ -287,30 +286,31 @@ def delta_form_even(n: int, q: int, r: int) -> BraidWord:
 
 class TestFamilyWords:
     def test_odd_word_shape(self):
-        w = quotient_braid_odd(3, 3, -7)
+        w = pretzel_quotient_braid(3, 3, -7)
         assert w.strands == 4
         assert len(w) == 29
         assert w.is_positive
 
     def test_odd_length_formula(self):
         for (p, q, r) in [(3, 3, 1), (3, 5, -7), (5, 3, 4), (7, 7, 0)]:
-            assert len(quotient_braid_odd(p, q, r)) == 6 * p + 6 * q + r
+            assert len(pretzel_quotient_braid(p, q, r)) == 6 * p + 6 * q + r
 
     def test_odd_closure_is_knot_for_odd_r(self):
         for r in (-7, -3, 1, 5):
-            assert cycle_count(quotient_braid_odd(3, 3, r)) == 1
+            assert cycle_count(pretzel_quotient_braid(3, 3, r)) == 1
 
     def test_odd_validation(self):
+        for first in (1, True):
+            with pytest.raises(ValueError):
+                pretzel_quotient_braid(first, 3, 0)
         with pytest.raises(ValueError):
-            quotient_braid_odd(2, 3, 0)
+            pretzel_quotient_braid(3, 1, 0)
         with pytest.raises(ValueError):
-            quotient_braid_odd(3, 1, 0)
-        with pytest.raises(ValueError):
-            quotient_braid_odd(3, 3, -13)
+            pretzel_quotient_braid(3, 3, -13)
 
     def test_odd_word_is_the_quotient_word(self):
         for (p, q, r) in [(3, 3, -7), (3, 5, 3), (5, 3, -2), (7, 7, 0)]:
-            assert quotient_braid_odd(p, q, r) == quotient_braid(q, p, 2 * p + 2 * q + r)
+            assert pretzel_quotient_braid(p, q, r) == quotient_braid(q, p, 2 * p + 2 * q + r)
 
     def test_quotient_word_validation(self):
         for args in [(0, 3, 5), (3, 0, 5), (3, 3, -1)]:
@@ -318,7 +318,7 @@ class TestFamilyWords:
                 quotient_braid(*args)
 
     def test_even_word_shape(self):
-        w = quotient_braid_even(1, 3, 13)
+        w = pretzel_quotient_braid(2, 3, 13)
         assert w.strands == 4
         assert len(w) == 31
         assert w.is_positive
@@ -326,33 +326,33 @@ class TestFamilyWords:
     def test_even_closure_is_knot_for_odd_r(self):
         for (n, q) in [(1, 3), (2, 3), (1, 5)]:
             for r in (4 * q - 1, 4 * q + 1):
-                assert cycle_count(quotient_braid_even(n, q, r)) == 1
+                assert cycle_count(pretzel_quotient_braid(2 * n, q, r)) == 1
 
     def test_even_validation(self):
         with pytest.raises(ValueError):
-            quotient_braid_even(0, 3, 13)
+            pretzel_quotient_braid(0, 3, 13)
         with pytest.raises(ValueError):
-            quotient_braid_even(1, 4, 13)
+            pretzel_quotient_braid(2, 4, 13)
         with pytest.raises(ValueError):
-            quotient_braid_even(1, 5, 1)
+            pretzel_quotient_braid(2, 5, 1)
 
     def test_odd_equals_full_twist_form(self):
         # sampled here; the full acceptance grid runs in test_acceptance
         for (p, q, r) in [(3, 3, -7), (3, 5, 3), (5, 3, -2), (5, 5, 7)]:
-            assert braids_equal(quotient_braid_odd(p, q, r), delta_form_odd(p, q, r))
+            assert braids_equal(pretzel_quotient_braid(p, q, r), delta_form_odd(p, q, r))
 
     def test_even_equals_full_twist_form(self):
         for (n, q, r) in [(1, 3, 11), (1, 3, 13), (2, 5, 19)]:
-            assert braids_equal(quotient_braid_even(n, q, r), delta_form_even(n, q, r))
+            assert braids_equal(pretzel_quotient_braid(2 * n, q, r), delta_form_even(n, q, r))
 
     def test_family_words_contain_full_twist(self):
-        assert contains_full_twist(quotient_braid_odd(3, 3, -7))
-        assert contains_full_twist(quotient_braid_even(1, 3, 13))
+        assert contains_full_twist(pretzel_quotient_braid(3, 3, -7))
+        assert contains_full_twist(pretzel_quotient_braid(2, 3, 13))
 
     def test_plain_spelling_hides_the_twist(self):
         # conjugate, not equal: the raw concatenation has infimum < 2
         raw = BraidWord(4, (2, 3, 1, 2) * 3 + (2, 3, 3, 2) * 3 + (1,) * 5)
-        family = quotient_braid_odd(3, 3, -7)
+        family = pretzel_quotient_braid(3, 3, -7)
         assert not contains_full_twist(raw)
         assert not braids_equal(raw, family)
         assert len(raw) == len(family)

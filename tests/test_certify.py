@@ -27,14 +27,13 @@ from knotcert import (
     full_twist,
     normal_form,
     positive_genus,
-    quotient_braid_odd,
+    pretzel_quotient_braid,
     torus_braid,
     torus_knot_genus_conflict,
 )
 from knotcert.certify import (
     _TWIST_HEAD,
     SCHEMA_VERSION,
-    SlopeCandidate,
     _montesinos_knot_verdict,
 )
 
@@ -119,7 +118,7 @@ class TestTorusKnotRule:
     def test_fires_on_odd_family_grid(self):
         for (p, q) in [(3, 3), (3, 5), (5, 3)]:
             for r in (-7, -1, 1, 7):
-                v = exclude_torus_knot("odd", (p, q), r)
+                v = exclude_torus_knot(p, q, r)
                 assert v.conclusion == "excluded", (p, q, r)
                 assert v.evidence["determinant"] == abs(r)
                 assert v.evidence["full_twist"] is True
@@ -128,26 +127,26 @@ class TestTorusKnotRule:
     def test_fires_on_even_family(self):
         for (n, q) in [(1, 3), (2, 3), (1, 5)]:
             for r in (4 * q - 1, 4 * q + 1):
-                v = exclude_torus_knot("even", (n, q), r)
+                v = exclude_torus_knot(2 * n, q, r)
                 assert v.conclusion == "excluded", (n, q, r)
                 assert v.evidence["six_n_minus_three_q"] == 6 * n - 3 * q
                 assert v.evidence["torus_match_requires"] == (1 if r == 4 * q + 1 else -1)
                 assert v.evidence["six_n_minus_three_q"] % 3 == 0
 
     def test_even_slope_is_not_a_knot(self):
-        v = exclude_torus_knot("odd", (3, 3), 2)
+        v = exclude_torus_knot(3, 3, 2)
         assert v.conclusion == "inconclusive"
         assert v.evidence["failed_step"] == "knot-closure"
 
     def test_even_family_rejects_other_slopes(self):
-        v = exclude_torus_knot("even", (1, 3), 7)
+        v = exclude_torus_knot(2, 3, 7)
         assert v.conclusion == "inconclusive"
         assert v.evidence["failed_step"] == "admissible-slope"
 
     def test_word_without_visible_twist_is_inconclusive(self):
         # tail 2p+2q+r = 3 stays below the four letters a full twist needs
-        assert quotient_braid_odd(3, 3, -9).letters[:len(_TWIST_HEAD)] != _TWIST_HEAD
-        v = exclude_torus_knot("odd", (3, 3), -9)
+        assert pretzel_quotient_braid(3, 3, -9).letters[:len(_TWIST_HEAD)] != _TWIST_HEAD
+        v = exclude_torus_knot(3, 3, -9)
         assert v.conclusion == "inconclusive"
         assert v.evidence["failed_step"] == "full-twist"
 
@@ -167,9 +166,15 @@ class TestTorusKnotRule:
                 heads.add(has_head)
         assert heads == {True, False}
 
-    def test_rejects_unknown_family(self):
-        with pytest.raises(ValueError):
-            exclude_torus_knot("both", (3, 3), 1)
+    def test_cell_over_the_input_limit_builds_no_word(self, monkeypatch):
+        import knotcert.certify
+        calls = []
+        monkeypatch.setattr(knotcert.certify, "quotient_braid",
+                            logged(calls, knotcert.certify.quotient_braid))
+        for entry in (exclude_torus_knot, pretzel_quotient_braid):
+            with pytest.raises(ValueError, match="input limit"):
+                entry(20001, 3, 1)
+        assert calls == []
 
     def test_no_over_fire_on_genuine_torus_knot(self):
         d = braid_closure(torus_braid(4, 7))
@@ -191,16 +196,16 @@ class TestCertifyNoSfs:
         assert report.conclusion == "no-seifert-fibered-surgery"
         assert report.family == "odd"
         assert report.parameters == {"p": 3, "q": 3}
-        assert [s.candidate.r for s in report.slopes] == list(range(-8, 9))
+        assert [s.r for s in report.slopes] == list(range(-8, 9))
         assert all(s.excluded for s in report.slopes)
 
     def test_odd_family_rule_dispatch(self):
         report = certify_no_sfs(3, 3)
         for slope in report.slopes:
             rules = [v.rule for v in slope.verdicts]
-            if slope.candidate.r == 0:
+            if slope.r == 0:
                 assert rules == ["toroidal-slope"]
-            elif slope.candidate.r % 2 == 0:
+            elif slope.r % 2 == 0:
                 assert rules == ["montesinos-link-bridge", "seifert-link-taxonomy"]
             else:
                 assert rules == ["montesinos-knot", "torus-knot-det-genus"]
@@ -234,12 +239,12 @@ class TestCertifyNoSfs:
         assert report.certified
         assert report.family == "even"
         assert report.parameters == {"p": 2, "n": 1, "q": 3}
-        assert [s.candidate.r for s in report.slopes] == [11, 13]
+        assert [s.r for s in report.slopes] == [11, 13]
 
     def test_larger_even_parameter(self):
         report = certify_no_sfs(4, 5)
         assert report.certified
-        assert [s.candidate.r for s in report.slopes] == [19, 21]
+        assert [s.r for s in report.slopes] == [19, 21]
 
     def test_knot_slopes_read_the_word(self, monkeypatch):
         """Each odd slope reads sigma and det from its quotient word and
@@ -269,12 +274,10 @@ class TestCertifyNoSfs:
     @pytest.mark.parametrize("first, q", [(3, 3), (5, 3), (2, 3), (4, 5)])
     def test_torus_verdicts_match_the_direct_entry_point(self, first, q):
         report = certify_no_sfs(first, q)
-        params = (first, q) if report.family == "odd" else (report.parameters["n"], q)
         for slope in report.slopes:
-            r = slope.candidate.r
-            if r % 2:
+            if slope.r % 2:
                 torus = next(v for v in slope.verdicts if v.rule == "torus-knot-det-genus")
-                assert torus == exclude_torus_knot(report.family, params, r), r
+                assert torus == exclude_torus_knot(first, q, slope.r), slope.r
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -294,21 +297,20 @@ class TestCertifyNoSfs:
 
 class TestBranchCoverage:
     def test_single_branch_does_not_settle_a_slope(self):
-        cand = SlopeCandidate(1, "exceptional-slope-bound")
-        montesinos_only = SlopeReport(cand, (exclude_montesinos_knot(10, -4),))
+        montesinos_only = SlopeReport(1, "exceptional-slope-bound",
+                                      (exclude_montesinos_knot(10, -4),))
         assert not montesinos_only.excluded
 
     def test_inconclusive_verdict_does_not_settle_its_branch(self):
-        cand = SlopeCandidate(1, "exceptional-slope-bound")
-        report = SlopeReport(cand, (
+        report = SlopeReport(1, "exceptional-slope-bound", (
             exclude_montesinos_knot(2, 0),
-            exclude_torus_knot("odd", (3, 3), 1),
+            exclude_torus_knot(3, 3, 1),
         ))
         assert not report.excluded
 
     def test_toroidal_rule_settles_both_branches(self):
         report = certify_no_sfs(3, 3)
-        zero = next(s for s in report.slopes if s.candidate.r == 0)
+        zero = next(s for s in report.slopes if s.r == 0)
         assert zero.excluded
 
 
@@ -363,6 +365,7 @@ MALFORMED = {
     "object-verdicts": (("slopes", 9, "verdicts"), {"rule": "montesinos-knot"},
                         "certificate.slopes[9].verdicts: recorded an object"),
     "list-parameters": (("parameters",), [3, 3], "got [3, 3]"),
+    "p-over-input-limit": (("parameters", "p"), 401, "over the input limit 2000"),
 }
 
 
@@ -431,6 +434,12 @@ class TestSerialization:
         data = tampered(json.loads(certify_no_sfs(*cell).to_json()), path, value)
         with pytest.raises(ValueError, match=re.escape(message)):
             CertificateReport.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize("prefix, suffix", [("", ""), ('{"schema_version": 1, "parameters": ', "}")])
+    def test_deeply_nested_json_is_rejected(self, prefix, suffix):
+        text = prefix + "[" * 100000 + "]" * 100000 + suffix
+        with pytest.raises(ValueError, match="nests too deeply"):
+            CertificateReport.from_json(text)
 
     @pytest.mark.parametrize("field", ["excluded", "parity"])
     @pytest.mark.parametrize("i", [0, 9, 16])

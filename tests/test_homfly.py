@@ -17,8 +17,7 @@ from knotcert import (
     determinant,
     homfly,
     mfw_bound,
-    quotient_braid_even,
-    quotient_braid_odd,
+    pretzel_quotient_braid,
     torus_alexander,
     torus_braid,
 )
@@ -227,8 +226,8 @@ class TestBraidIndexBound:
             assert mfw_bound(homfly(torus_braid(2, q))) == 2
 
     def test_family_words_are_sharp_at_four(self):
-        assert mfw_bound(homfly(quotient_braid_odd(3, 3, -7))) == 4
-        assert mfw_bound(homfly(quotient_braid_even(1, 3, 13))) == 4
+        assert mfw_bound(homfly(pretzel_quotient_braid(3, 3, -7))) == 4
+        assert mfw_bound(homfly(pretzel_quotient_braid(2, 3, 13))) == 4
 
     def test_unknot_bound_is_one(self):
         assert mfw_bound(homfly(BraidWord(2, (1,)))) == 1

@@ -8,10 +8,8 @@ from knotcert import (
     determinant,
     mirror,
     positive_genus,
-    quotient_braid_even,
-    quotient_braid_odd,
-    quotient_knot_genus_even,
-    quotient_knot_genus_odd,
+    pretzel_quotient_braid,
+    quotient_knot_genus,
     signature_and_determinant,
     torus_alexander,
     torus_braid,
@@ -97,24 +95,24 @@ class TestFamilyGenus:
     def test_odd_formula_matches_diagram(self):
         for (p, q) in [(3, 3), (3, 5), (5, 3)]:
             for r in (-7, -1, 3, 7):
-                w = quotient_braid_odd(p, q, r)
-                expected = quotient_knot_genus_odd(p, q, r)
+                w = pretzel_quotient_braid(p, q, r)
+                expected = quotient_knot_genus(p, q, r)
                 assert positive_genus(braid_closure(w)) == expected
 
     def test_odd_known_value(self):
-        assert quotient_knot_genus_odd(3, 3, -7) == 13
+        assert quotient_knot_genus(3, 3, -7) == 13
 
     def test_odd_rejects_even_r(self):
         with pytest.raises(ValueError):
-            quotient_knot_genus_odd(3, 3, 2)
+            quotient_knot_genus(3, 3, 2)
 
     def test_even_formula_matches_diagram(self):
         for (n, q) in [(1, 3), (2, 3), (1, 5)]:
             for r in (4 * q - 1, 4 * q + 1):
-                w = quotient_braid_even(n, q, r)
-                expected = quotient_knot_genus_even(n, q, r)
+                w = pretzel_quotient_braid(2 * n, q, r)
+                expected = quotient_knot_genus(2 * n, q, r)
                 assert positive_genus(braid_closure(w)) == expected
 
     def test_even_rejects_other_slopes(self):
         with pytest.raises(ValueError):
-            quotient_knot_genus_even(1, 3, 7)
+            quotient_knot_genus(2, 3, 7)
