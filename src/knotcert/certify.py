@@ -89,9 +89,9 @@ class ExclusionVerdict:
 
     def __post_init__(self):
         if not isinstance(self.rule, str) or self.rule not in _RULE_BRANCHES:
-            raise ValueError(f"unknown rule {self.rule!r}")
+            raise ValueError(f"unknown rule {reprlib.repr(self.rule)}")
         if self.conclusion not in (EXCLUDED, INCONCLUSIVE):
-            raise ValueError(f"unknown conclusion {self.conclusion!r}")
+            raise ValueError(f"unknown conclusion {reprlib.repr(self.conclusion)}")
 
     def to_dict(self) -> dict:
         return {"rule": self.rule, "conclusion": self.conclusion, "evidence": self.evidence}
@@ -101,7 +101,7 @@ class ExclusionVerdict:
         if not isinstance(d, dict) or d.keys() != {"rule", "conclusion", "evidence"}:
             raise ValueError("a verdict needs exactly the keys rule, conclusion and evidence")
         if not isinstance(d["evidence"], dict) or not d["evidence"]:
-            raise ValueError(f"verdict {d['rule']!r} has no evidence")
+            raise ValueError(f"verdict {reprlib.repr(d['rule'])} has no evidence")
         return ExclusionVerdict(d["rule"], d["conclusion"], d["evidence"])
 
 
@@ -170,7 +170,8 @@ class CertificateReport:
         if type(d) is not dict:
             raise ValueError(f"a certificate must be an object, got {reprlib.repr(d)}")
         if d.get("schema_version") != SCHEMA_VERSION:
-            raise ValueError(f"unsupported certificate schema version {d.get('schema_version')!r}")
+            raise ValueError("unsupported certificate schema version "
+                             f"{reprlib.repr(d.get('schema_version'))}")
         params = d.get("parameters")
         p, q = (params.get("p"), params.get("q")) if isinstance(params, dict) else (params, None)
         family = _pretzel_family(p, q)
@@ -573,10 +574,11 @@ class _Family(NamedTuple):
 def _pretzel_family(first: int, q: int) -> _Family:
     """The family of P(first,q,q): odd for an odd first >= 3, even (n =
     first/2) for an even first >= 2; q >= 3 odd in both.  Raises ValueError
-    for invalid parameters or a cell over the input limit."""
+    for invalid parameters, or for a cell whose longest quotient word, at
+    its largest slope, has more than braid.MAX_INPUT_LETTERS letters."""
     for value in (first, q):
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"pretzel parameters must be integers, got {value!r}")
+            raise ValueError(f"pretzel parameters must be integers, got {reprlib.repr(value)}")
     if q % 2 == 0:
         raise ValueError(f"P(p,q,q) with even q = {q} has more than one component; "
                          f"q must be odd")
@@ -584,23 +586,30 @@ def _pretzel_family(first: int, q: int) -> _Family:
         raise ValueError(f"q must be >= 3, got {q}")
     if first < 2:
         raise ValueError(f"the first pretzel parameter must be >= 2, got {first}")
-    check_input_size(first, q)
     if first % 2:
         # Non-integral slopes never give Seifert fibered spaces because the
         # knot is alternating; integral ones are bounded by 8 because the
         # genus-one knot has toroidal 0-surgery, so every Seifert fibered
         # slope is exceptional.
-        return _Family("odd", {"p": first, "q": q}, 2 * first + 2 * q,
-                       tuple(range(-8, 9)), "exceptional-slope-bound",
-                       _ODD_ASSUMPTIONS, (_RECOMPUTE_NOTE,))
-    # The knot has cyclic period two with factor knot T(2,q); a Seifert
-    # fibered surgery would descend to a lens space surgery on the factor,
-    # which pins the slope to 4q +/- 1.
-    return _Family("even", {"p": first, "n": first // 2, "q": q}, 2 * (first - q),
-                   (4 * q - 1, 4 * q + 1), "period-two-lens-factor",
-                   _EVEN_ASSUMPTIONS,
-                   ("every admissible slope 4q-1, 4q+1 is odd, so the even family "
-                    "has no two-component quotient case", _RECOMPUTE_NOTE))
+        family = _Family("odd", {"p": first, "q": q}, 2 * first + 2 * q,
+                         tuple(range(-8, 9)), "exceptional-slope-bound",
+                         _ODD_ASSUMPTIONS, (_RECOMPUTE_NOTE,))
+    else:
+        # The knot has cyclic period two with factor knot T(2,q); a Seifert
+        # fibered surgery would descend to a lens space surgery on the
+        # factor, which pins the slope to 4q +/- 1.
+        family = _Family("even", {"p": first, "n": first // 2, "q": q}, 2 * (first - q),
+                         (4 * q - 1, 4 * q + 1), "period-two-lens-factor",
+                         _EVEN_ASSUMPTIONS,
+                         ("every admissible slope 4q-1, 4q+1 is odd, so the even family "
+                          "has no two-component quotient case", _RECOMPUTE_NOTE))
+    # Four letters per block and per middle factor, one per tail letter.
+    blocks, middle, tail = family.powers(max(family.slopes))
+    longest = 4 * blocks + 4 * middle + tail
+    if longest > MAX_INPUT_LETTERS:
+        raise ValueError(f"P({first},{q},{q}) needs quotient braid words of up to {longest} "
+                         f"letters, over the input limit {MAX_INPUT_LETTERS}")
+    return family
 
 
 def pretzel_quotient_braid(first: int, q: int, r: int) -> BraidWord:
@@ -615,16 +624,10 @@ def pretzel_quotient_braid(first: int, q: int, r: int) -> BraidWord:
 
 
 def check_input_size(first: int, q: int):
-    """Reject P(first,q,q) when its quotient braid words would exceed
-    braid.MAX_INPUT_LETTERS letters.
-
-    The longest is the odd family's at r = 8, 6(first+q)+8 letters; the even
-    family's longest is 6(first+q)+1.
-    """
-    longest = 6 * (first + q) + 8
-    if longest > MAX_INPUT_LETTERS:
-        raise ValueError(f"P({first},{q},{q}) needs quotient braid words of up to {longest} "
-                         f"letters, over the input limit {MAX_INPUT_LETTERS}")
+    """Reject P(first,q,q) with ValueError unless it is a valid cell whose
+    quotient braid words have at most braid.MAX_INPUT_LETTERS letters:
+    6(first+q)+8 for an odd first, 6(first+q)+1 for an even one."""
+    _pretzel_family(first, q)
 
 
 def certify_no_sfs(first: int, q: int) -> CertificateReport:

@@ -70,9 +70,22 @@ def _diagram_from_args(args: argparse.Namespace) -> LinkDiagram:
     return pretzel_diagram(twists)
 
 
-def _emit(text: str, out: str | None):
+def _write(path: str | pathlib.Path, text: str):
+    pathlib.Path(path).write_text(text + "\n", encoding="utf-8")
+
+
+def _fields(pairs: list[tuple[str, object]]) -> list[str]:
+    """``label: value`` lines, each value two columns past the longest label."""
+    width = max(len(label) for label, _ in pairs) + 2
+    return [f"{label + ':':<{width}}{value}" for label, value in pairs]
+
+
+def _emit(args: argparse.Namespace, record: dict, lines: list[str], out: str | None):
+    """Print a result, or write it to the file ``out``: ``record`` as indented,
+    key-sorted JSON with --json, else the text ``lines``."""
+    text = json.dumps(record, indent=2, sort_keys=True) if args.json else "\n".join(lines)
     if out:
-        pathlib.Path(out).write_text(text + "\n", encoding="utf-8")
+        _write(out, text)
     else:
         print(text)
 
@@ -114,79 +127,43 @@ def invariant_record(d: LinkDiagram) -> dict:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     record = invariant_record(_diagram_from_args(args))
-    if args.json:
-        _emit(json.dumps(record, indent=2, sort_keys=True), args.out)
-        return EXIT_OK
-    lines = [
-        f"crossings:       {record['crossings']}",
-        f"components:      {record['components']}",
-        f"seifert circles: {record['seifert_circles']}",
-        f"writhe:          {record['writhe']}",
-        f"positive:        {'yes' if record['positive'] else 'no'}",
-        f"determinant:     {record['determinant']}",
-    ]
-    for label, key in (("signature", "signature"), ("s", "rasmussen"),
-                       ("genus", "genus"), ("slice genus", "slice_genus")):
-        if record[key] is not None:
-            lines.append(f"{label + ':':<17}{record[key]}")
-    for note in record["notes"]:
-        lines.append(f"unavailable: {note}")
-    _emit("\n".join(lines), args.out)
+    # One field per known invariant, in the record's order; notes follow.
+    shown = {**record, "positive": "yes" if record["positive"] else "no", "notes": None}
+    lines = _fields([("s" if key == "rasmussen" else key.replace("_", " "), value)
+                     for key, value in shown.items() if value is not None])
+    lines += [f"unavailable: {note}" for note in record["notes"]]
+    _emit(args, record, lines, args.out)
     return EXIT_OK
 
 
 def _cmd_nf(args: argparse.Namespace) -> int:
-    word = _parse_word(args)
-    nf = normal_form(word)
+    nf = normal_form(_parse_word(args))
     if args.equal is not None:
-        other = parse_braid(args.equal, args.strands)
-        same = nf == normal_form(other)
-        if args.json:
-            _emit(json.dumps({"equal": same}), args.out)
-        else:
-            _emit("equal" if same else "not equal", args.out)
+        same = nf == normal_form(parse_braid(args.equal, args.strands))
+        _emit(args, {"equal": same}, ["equal" if same else "not equal"], args.out)
         return EXIT_OK
     factors = [" ".join(str(i + 1) for i in f.reduced_word()) for f in nf.factors]
-    if args.json:
-        payload = {
-            "strands": nf.strands,
-            "infimum": nf.infimum,
-            "supremum": nf.supremum,
-            "canonical_length": nf.canonical_length,
-            "factors": factors,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-        return EXIT_OK
-    lines = [
-        f"strands:          {nf.strands}",
-        f"infimum:          {nf.infimum}",
-        f"canonical length: {nf.canonical_length}",
-    ]
-    for k, f in enumerate(factors, 1):
-        lines.append(f"factor {k}: {f}")
-    _emit("\n".join(lines), args.out)
+    record = {"strands": nf.strands, "infimum": nf.infimum, "supremum": nf.supremum,
+              "canonical_length": nf.canonical_length, "factors": factors}
+    lines = _fields([(key.replace("_", " "), record[key])
+                     for key in ("strands", "infimum", "canonical_length")])
+    lines += [f"factor {k}: {f}" for k, f in enumerate(factors, 1)]
+    _emit(args, record, lines, args.out)
     return EXIT_OK
 
 
 def _cmd_homfly(args: argparse.Namespace) -> int:
     poly = homfly(_parse_word(args))
     bound = mfw_bound(poly)
-    if args.json:
-        payload = {
-            "polynomial": str(poly),
-            "terms": [[i, j, c] for i, j, c in poly.terms()],
-            "mfw_bound": bound,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-        return EXIT_OK
-    _emit(f"polynomial: {poly}\nmfw bound:  {bound}", args.out)
+    record = {"polynomial": str(poly), "terms": [[i, j, c] for i, j, c in poly.terms()],
+              "mfw_bound": bound}
+    _emit(args, record, _fields([("polynomial", poly), ("mfw bound", bound)]), args.out)
     return EXIT_OK
 
 
 def _summarize(report: CertificateReport) -> str:
     par = report.parameters
-    head = f"P({par['p']},{par['q']},{par['q']})  family={report.family}"
-    lines = [head]
+    lines = [f"P({par['p']},{par['q']},{par['q']})  family={report.family}"]
     for slope in report.slopes:
         rules = ", ".join(f"{v.rule}:{v.conclusion}" for v in slope.verdicts)
         mark = "excluded" if slope.excluded else "OPEN"
@@ -216,12 +193,13 @@ def _cmd_certify_grid(args: argparse.Namespace) -> int:
     last_odd_q = q_range[-1] if q_range[-1] % 2 else q_range[-1] - 1
     if last_odd_q < q_range.start:
         raise ValueError("grid contains no odd-q cells to certify")
-    check_input_size(p_range[-1], last_odd_q)
-    out_dir = pathlib.Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    # The longest quotient word is at the last odd q, in the last row or,
+    # when that row is even-family, in the odd row just above it.
+    for first in p_range[-2:]:
+        check_input_size(first, last_odd_q)
+    if args.out:
+        pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)
     cells = []
-    all_certified = True
     for p in p_range:
         for q in q_range:
             if q % 2 == 0:
@@ -229,22 +207,16 @@ def _cmd_certify_grid(args: argparse.Namespace) -> int:
                               "reason": "q even: P(p,q,q) is not a knot"})
                 continue
             report = certify_no_sfs(p, q)
-            all_certified = all_certified and report.certified
             cells.append({"p": p, "q": q,
                           "status": "certified" if report.certified else "inconclusive",
                           "slopes": len(report.slopes)})
-            if out_dir:
-                path = out_dir / f"certificate-p{p}-q{q}.json"
-                path.write_text(report.to_json() + "\n", encoding="utf-8")
-    if args.json:
-        print(json.dumps({"grid": cells}, indent=2, sort_keys=True))
-    else:
-        for cell in cells:
-            status = cell["status"]
-            extra = (f"({cell['slopes']} slopes)" if "slopes" in cell
-                     else f"({cell['reason']})")
-            print(f"p={cell['p']} q={cell['q']}: {status} {extra}")
-    return EXIT_OK if all_certified else EXIT_INCONCLUSIVE
+            if args.out:
+                _write(pathlib.Path(args.out, f"certificate-p{p}-q{q}.json"), report.to_json())
+    lines = [f"p={cell['p']} q={cell['q']}: {cell['status']} "
+             + (f"({cell['slopes']} slopes)" if "slopes" in cell else f"({cell['reason']})")
+             for cell in cells]
+    _emit(args, {"grid": cells}, lines, None)
+    return EXIT_INCONCLUSIVE if any(c["status"] == "inconclusive" for c in cells) else EXIT_OK
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
@@ -256,9 +228,11 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         raise ValueError("certify needs two parameters: FIRST Q (or --grid)")
     first, q = args.params
     report = certify_no_sfs(first, q)
+    certificate = report.to_json()
     if args.out:
-        pathlib.Path(args.out).write_text(report.to_json() + "\n", encoding="utf-8")
-    print(report.to_json() if args.json else _summarize(report))
+        _write(args.out, certificate)
+    # Printed as encoded by CertificateReport.to_json, the bytes a file gets.
+    print(certificate if args.json else _summarize(report))
     return EXIT_OK if report.certified else EXIT_INCONCLUSIVE
 
 
@@ -284,18 +258,18 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("-n", "--strands", type=int, help="strand count for --braid")
     inv.set_defaults(func=_cmd_invariants)
 
-    nf = sub.add_parser("nf", parents=[common],
+    braid_word = argparse.ArgumentParser(add_help=False)
+    braid_word.add_argument("--braid", metavar="WORD", required=True)
+    braid_word.add_argument("-n", "--strands", type=int, required=True)
+
+    nf = sub.add_parser("nf", parents=[common, braid_word],
                         help="Garside normal form, or word equality with --equal")
-    nf.add_argument("--braid", metavar="WORD", required=True)
-    nf.add_argument("-n", "--strands", type=int, required=True)
     nf.add_argument("--equal", metavar="WORD2",
                     help="second word; prints whether both represent the same braid")
     nf.set_defaults(func=_cmd_nf)
 
-    hom = sub.add_parser("homfly", parents=[common],
+    hom = sub.add_parser("homfly", parents=[common, braid_word],
                          help="two-variable polynomial of a braid closure")
-    hom.add_argument("--braid", metavar="WORD", required=True)
-    hom.add_argument("-n", "--strands", type=int, required=True)
     hom.set_defaults(func=_cmd_homfly)
 
     cert = sub.add_parser("certify", parents=[common],
@@ -310,8 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

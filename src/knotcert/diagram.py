@@ -144,7 +144,6 @@ def braid_closure(w: BraidWord) -> LinkDiagram:
 
 
 _CCW = ("TL", "BL", "BR", "TR")
-_IN_DIR = {"TL": (1, -1), "TR": (-1, -1), "BL": (1, 1), "BR": (-1, 1)}
 _PASS = {"TL": "BR", "BR": "TL", "TR": "BL", "BL": "TR"}
 
 
@@ -209,10 +208,10 @@ def pretzel_diagram(twists: list[int] | tuple[int, ...]) -> LinkDiagram:
             under_pair = ("TR", "BL") if a > 0 else ("TL", "BR")
             under_in = next(c for c in under_pair if incoming[(node, c)])
             over_in = next(c for c in over_pair if incoming[(node, c)])
-            u, o = _IN_DIR[under_in], _IN_DIR[over_in]
-            sign = 1 if u[0] * o[1] - u[1] * o[0] > 0 else -1
             rot = _CCW.index(under_in)
             order = tuple(_CCW[(rot + t) % 4] for t in range(4))
+            # Slot 1 is the incoming over-arc exactly at a positive crossing.
+            sign = 1 if order[1] == over_in else -1
             crossings.append(Crossing(tuple(wire_of[(node, c)] for c in order), sign))
     return LinkDiagram(tuple(crossings))
 

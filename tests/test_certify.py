@@ -33,6 +33,7 @@ from knotcert import (
 )
 from knotcert.certify import (
     _TWIST_HEAD,
+    EXCLUDED,
     SCHEMA_VERSION,
     _montesinos_knot_verdict,
 )
@@ -449,6 +450,22 @@ class TestSerialization:
         slope[field] = {True: False, False: True, "odd": "even", "even": "odd"}[slope[field]]
         with pytest.raises(ValueError, match=re.escape(f"certificate.slopes[{i}].{field}: ")):
             CertificateReport.from_dict(data)
+
+    LONG = "x" * 10**6
+
+    @pytest.mark.parametrize("path, value", [
+        (("parameters", "p"), LONG),
+        (("schema_version",), LONG),
+        (("slopes", 9, "verdicts", 0, "rule"), LONG),
+        (("slopes", 9, "verdicts", 0, "conclusion"), LONG),
+        (("slopes", 9, "verdicts", 0), {"rule": LONG, "conclusion": EXCLUDED, "evidence": {}}),
+    ], ids=["p", "schema_version", "rule", "conclusion", "rule-without-evidence"])
+    def test_error_text_is_bounded(self, path, value):
+        """A megabyte string in the file does not make a megabyte message."""
+        data = tampered(json.loads(certify_no_sfs(3, 3).to_json()), path, value)
+        with pytest.raises(ValueError) as exc:
+            CertificateReport.from_dict(data)
+        assert len(str(exc.value)) < 200
 
     def test_schema_version_is_stamped(self):
         data = json.loads(certify_no_sfs(2, 3).to_json())

@@ -172,9 +172,21 @@ class TestCertify:
         assert "--seed" in capsys.readouterr().err
 
     def test_over_input_limit_is_usage_error(self, capsys):
-        # 6*(330+3)+8 = 2006 letters, one cell past MAX_INPUT_LETTERS = 2000
-        assert main(["certify", "330", "3"]) == EXIT_USAGE
-        assert "input limit" in capsys.readouterr().err
+        # The odd family's longest word, at r = 8: 6*(331+3)+8 = 2012 letters.
+        assert main(["certify", "331", "3"]) == EXIT_USAGE
+        assert "up to 2012 letters, over the input limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first, q, longest", [(332, 3, 2011), (2, 333, 2011)])
+    def test_refusal_names_the_longest_word(self, first, q, longest, capsys):
+        # An even cell's longest word, at r = 4q+1, has 6*(first+q)+1 letters.
+        assert main(["certify", str(first), str(q)]) == EXIT_USAGE
+        assert f"words of up to {longest} letters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("first, q", [(330, 3), (329, 3), (2, 331)])
+    def test_cells_at_the_input_limit_certify(self, first, q, capsys):
+        # Their longest words have 1,999, 2,000 and 1,999 letters; the limit is 2,000.
+        assert main(["certify", str(first), str(q)]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("conclusion: no-seifert-fibered-surgery\n")
 
     def test_wrong_arity_is_usage_error(self, capsys):
         assert main(["certify", "3"]) == EXIT_USAGE
@@ -244,9 +256,9 @@ class TestCertifyGrid:
         assert cells == [{"p": 3, "q": 3, "status": "certified", "slopes": 17}]
 
     def test_grid_over_input_limit_writes_nothing(self, tmp_path, capsys):
-        assert main(["certify", "--grid", "3..330", "3..3",
+        assert main(["certify", "--grid", "3..331", "3..3",
                      "--out", str(tmp_path)]) == EXIT_USAGE
-        assert "input limit" in capsys.readouterr().err
+        assert "2012 letters, over the input limit" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
@@ -271,6 +283,142 @@ class TestCertifyGrid:
     def test_malformed_range_is_usage_error(self, capsys):
         assert main(["certify", "--grid", "3..x", "3..3"]) == EXIT_USAGE
         assert "range" in capsys.readouterr().err
+
+
+GOLDEN = [
+    (["invariants", "--braid", "1 1 1", "-n", "2"], """\
+crossings:       3
+components:      1
+seifert circles: 2
+writhe:          3
+positive:        yes
+determinant:     3
+signature:       -2
+s:               2
+genus:           1
+slice genus:     1
+"""),
+    (["invariants", "--braid", "1 1 1", "-n", "2", "--json"], """\
+{
+  "components": 1,
+  "crossings": 3,
+  "determinant": 3,
+  "genus": 1,
+  "notes": [],
+  "positive": true,
+  "rasmussen": 2,
+  "seifert_circles": 2,
+  "signature": -2,
+  "slice_genus": 1,
+  "writhe": 3
+}
+"""),
+    (["invariants", "--pretzel=-2,3,7"], """\
+crossings:       12
+components:      1
+seifert circles: 3
+writhe:          12
+positive:        yes
+determinant:     1
+signature:       -8
+s:               10
+genus:           5
+slice genus:     5
+"""),
+    (["invariants", "--pretzel=-2,3,7", "--json"], """\
+{
+  "components": 1,
+  "crossings": 12,
+  "determinant": 1,
+  "genus": 5,
+  "notes": [],
+  "positive": true,
+  "rasmussen": 10,
+  "seifert_circles": 3,
+  "signature": -8,
+  "slice_genus": 5,
+  "writhe": 12
+}
+"""),
+    (["nf", "--braid", "1 2 1", "-n", "3"], """\
+strands:          3
+infimum:          1
+canonical length: 0
+"""),
+    (["nf", "--braid", "1 2 1", "-n", "3", "--json"], """\
+{
+  "canonical_length": 0,
+  "factors": [],
+  "infimum": 1,
+  "strands": 3,
+  "supremum": 1
+}
+"""),
+    (["nf", "--braid", "1 2 1", "-n", "3", "--equal", "2 1 2"], """\
+equal
+"""),
+    (["nf", "--braid", "1 2 1", "-n", "3", "--equal", "2 1 2", "--json"], """\
+{
+  "equal": true
+}
+"""),
+    (["homfly", "--braid", "1 1 1", "-n", "2"], """\
+polynomial: 2*a^2*z^0 + 1*a^2*z^2 + -1*a^4*z^0
+mfw bound:  2
+"""),
+    (["homfly", "--braid", "1 1 1", "-n", "2", "--json"], """\
+{
+  "mfw_bound": 2,
+  "polynomial": "2*a^2*z^0 + 1*a^2*z^2 + -1*a^4*z^0",
+  "terms": [
+    [
+      2,
+      0,
+      2
+    ],
+    [
+      2,
+      2,
+      1
+    ],
+    [
+      4,
+      0,
+      -1
+    ]
+  ]
+}
+"""),
+    (["certify", "3", "3"], """\
+P(3,3,3)  family=odd
+  r= -8  excluded  [montesinos-link-bridge:excluded, seifert-link-taxonomy:excluded]
+  r= -7  excluded  [montesinos-knot:excluded, torus-knot-det-genus:excluded]
+  r= -6  excluded  [montesinos-link-bridge:excluded, seifert-link-taxonomy:excluded]
+  r= -5  excluded  [montesinos-knot:excluded, torus-knot-det-genus:excluded]
+  r= -4  excluded  [montesinos-link-bridge:excluded, seifert-link-taxonomy:excluded]
+  r= -3  excluded  [montesinos-knot:excluded, torus-knot-det-genus:excluded]
+  r= -2  excluded  [montesinos-link-bridge:excluded, seifert-link-taxonomy:excluded]
+  r= -1  excluded  [montesinos-knot:excluded, torus-knot-det-genus:excluded]
+  r=  0  excluded  [toroidal-slope:excluded]
+  r=  1  excluded  [montesinos-knot:excluded, torus-knot-det-genus:excluded]
+  r=  2  excluded  [montesinos-link-bridge:excluded, seifert-link-taxonomy:excluded]
+  r=  3  excluded  [montesinos-knot:excluded, torus-knot-det-genus:excluded]
+  r=  4  excluded  [montesinos-link-bridge:excluded, seifert-link-taxonomy:excluded]
+  r=  5  excluded  [montesinos-knot:excluded, torus-knot-det-genus:excluded]
+  r=  6  excluded  [montesinos-link-bridge:excluded, seifert-link-taxonomy:excluded]
+  r=  7  excluded  [montesinos-knot:excluded, torus-knot-det-genus:excluded]
+  r=  8  excluded  [montesinos-link-bridge:excluded, seifert-link-taxonomy:excluded]
+conclusion: no-seifert-fibered-surgery
+"""),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_output_is_pinned(argv, expected, capsys):
+    """Exact standard output of the README examples: labels, padding,
+    JSON indentation and key order are all part of the interface."""
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == expected
 
 
 @pytest.mark.parametrize("module", ["knotcert"] + [
