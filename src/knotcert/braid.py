@@ -20,6 +20,7 @@ the mapping ``tuple(b[x] for x in a)``.
 from __future__ import annotations
 
 import dataclasses
+import reprlib
 from collections.abc import Iterator
 
 __all__ = [
@@ -166,7 +167,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
         try:
             e = int(tok)
         except ValueError:
-            raise ValueError(f"bad braid letter {tok!r}: not an integer") from None
+            raise ValueError(f"bad braid letter {reprlib.repr(tok)}: not an integer") from None
         if e == 0:
             raise ValueError("bad braid letter '0': generator indices start at 1")
         letters.append(e)

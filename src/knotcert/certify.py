@@ -36,7 +36,7 @@ import reprlib
 from typing import NamedTuple
 
 from .braid import _TWIST_HEAD, MAX_INPUT_LETTERS, BraidWord, contains_full_twist, quotient_braid
-from .diagram import closure_signature_and_determinant
+from .diagram import _closure_tail_invariants, closure_signature_and_determinant
 from .invariants import quotient_knot_genus, torus_genus
 
 __all__ = [
@@ -361,48 +361,62 @@ def exclude_torus_knot(first: int, q: int, r: int) -> ExclusionVerdict:
             "failed_step": "admissible-slope",
             "reason": str(exc),
         })
-    return _knot_slope_verdicts(family, r)[1]
+    word = quotient_braid(*family.powers(r))
+    return _torus_knot_verdict(first, q, r, word, closure_signature_and_determinant(word)[1])
 
 
-def _knot_slope_verdicts(family: _Family, r: int
-                         ) -> tuple[ExclusionVerdict, ExclusionVerdict]:
-    """The Montesinos and torus-knot verdicts of an odd slope r.
+def _knot_slope_verdicts(family: _Family) -> dict[int, tuple[ExclusionVerdict, ...]]:
+    """The Montesinos and torus-knot verdicts of each odd slope, by slope.
 
     Both read the quotient word, with no diagram built: its Goeritz
     matrix gives sigma and the determinant, and its genus gives s = 2 *
     genus (the Rasmussen invariant of a positive knot) for the Montesinos
     test and the genus for the torus test.  The only other word is the
-    tangle-move partner's, for the Montesinos chain.  The full twist is
-    proved once per process, on the head that ``quotient_braid`` spells
-    it with; a word starting with that head is the full twist times a
-    positive braid.
+    tangle-move partner's, for the Montesinos chain.  The slopes' words
+    differ only in their s1 tails, so the Goeritz rows of the word and of
+    the partner are built once each, at the shortest tail, and each slope
+    is one elimination of each.
     """
-    q, first, tail = family.powers(r)
-    word = quotient_braid(q, first, tail)
-    sigma, det = closure_signature_and_determinant(word)
-    genus_direct = _positive_word_genus(word)
-    partner = quotient_braid(q - 2, first, tail)
-    sigma_partner = closure_signature_and_determinant(partner)[0]
-    montesinos = _montesinos_knot_verdict(
-        q - 2, 2 * genus_direct, sigma, 2 * _positive_word_genus(partner), sigma_partner)
+    odd = [r for r in family.slopes if r % 2]  # ascending, and the tail is base + r - odd[0]
+    q, first, base = family.powers(odd[0])
+    extra = [r - odd[0] for r in odd]
+    knots = _closure_tail_invariants(quotient_braid(q, first, base), extra)
+    partners = _closure_tail_invariants(quotient_braid(q - 2, first, base), extra)
+    verdicts = {}
+    for r, k, (sigma, det), (sigma_partner, _) in zip(odd, extra, knots, partners):
+        tail = base + k
+        word = quotient_braid(q, first, tail)
+        montesinos = _montesinos_knot_verdict(
+            q - 2, 2 * _positive_word_genus(word), sigma,
+            2 * _positive_word_genus(quotient_braid(q - 2, first, tail)), sigma_partner)
+        verdicts[r] = montesinos, _torus_knot_verdict(first, q, r, word, det)
+    return verdicts
 
+
+def _torus_knot_verdict(first: int, q: int, r: int, word: BraidWord,
+                        det: int) -> ExclusionVerdict:
+    """The torus-knot verdict of odd slope r, from its quotient word and
+    the determinant of its closure.  The full twist is proved once per
+    process, on the head that ``quotient_braid`` spells it with; a word
+    starting with that head is the full twist times a positive braid."""
     rule = "torus-knot-det-genus"
     if word.letters[:len(_TWIST_HEAD)] != _TWIST_HEAD or not _twist_head_contains_full_twist():
-        return montesinos, ExclusionVerdict(rule, INCONCLUSIVE, {
+        return ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "full-twist",
             "reason": "the quotient braid does not visibly contain a full twist",
         })
     # |H_1| of r-surgery on a knot is |r|; r is odd here, so never 0.
     det_homology = abs(r)
     if det != det_homology:
-        return montesinos, ExclusionVerdict(rule, INCONCLUSIVE, {
+        return ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "determinant-homology",
             "determinant": det,
             "homology_order": det_homology,
         })
+    genus_direct = _positive_word_genus(word)
     genus_closed_form = quotient_knot_genus(first, q, r)
     if genus_direct != genus_closed_form:
-        return montesinos, ExclusionVerdict(rule, INCONCLUSIVE, {
+        return ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "genus-cross-check",
             "genus_direct": genus_direct,
             "genus_closed_form": genus_closed_form,
@@ -420,7 +434,7 @@ def _knot_slope_verdicts(family: _Family, r: int
         # 6n-3q = 1 and T(4,4q-1) needs 6n-3q = -1, both impossible mod 3.
         evidence["six_n_minus_three_q"] = 3 * first - 3 * q
         evidence["torus_match_requires"] = 1 if r == 4 * q + 1 else -1
-    return montesinos, ExclusionVerdict(rule, EXCLUDED if conflict else INCONCLUSIVE, evidence)
+    return ExclusionVerdict(rule, EXCLUDED if conflict else INCONCLUSIVE, evidence)
 
 
 def _positive_word_genus(word: BraidWord) -> int:
@@ -580,12 +594,12 @@ def _pretzel_family(first: int, q: int) -> _Family:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"pretzel parameters must be integers, got {reprlib.repr(value)}")
     if q % 2 == 0:
-        raise ValueError(f"P(p,q,q) with even q = {q} has more than one component; "
-                         f"q must be odd")
+        raise ValueError(f"P(p,q,q) with even q = {reprlib.repr(q)} has more than one "
+                         f"component; q must be odd")
     if q < 3:
-        raise ValueError(f"q must be >= 3, got {q}")
+        raise ValueError(f"q must be >= 3, got {reprlib.repr(q)}")
     if first < 2:
-        raise ValueError(f"the first pretzel parameter must be >= 2, got {first}")
+        raise ValueError(f"the first pretzel parameter must be >= 2, got {reprlib.repr(first)}")
     if first % 2:
         # Non-integral slopes never give Seifert fibered spaces because the
         # knot is alternating; integral ones are bounded by 8 because the
@@ -607,8 +621,9 @@ def _pretzel_family(first: int, q: int) -> _Family:
     blocks, middle, tail = family.powers(max(family.slopes))
     longest = 4 * blocks + 4 * middle + tail
     if longest > MAX_INPUT_LETTERS:
-        raise ValueError(f"P({first},{q},{q}) needs quotient braid words of up to {longest} "
-                         f"letters, over the input limit {MAX_INPUT_LETTERS}")
+        raise ValueError(f"P({reprlib.repr(first)},{reprlib.repr(q)},{reprlib.repr(q)}) needs "
+                         f"quotient braid words of up to {reprlib.repr(longest)} letters, "
+                         f"over the input limit {MAX_INPUT_LETTERS}")
     return family
 
 
@@ -639,6 +654,7 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
     branches of the quotient-link dichotomy.
     """
     family = _pretzel_family(first, q)
+    knot_verdicts = _knot_slope_verdicts(family)
     slopes: list[SlopeReport] = []
     for r in family.slopes:
         if r == 0:
@@ -649,6 +665,6 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
                 exclude_seifert_link_two_components(first, q),
             )
         else:
-            verdicts = _knot_slope_verdicts(family, r)
+            verdicts = knot_verdicts[r]
         slopes.append(SlopeReport(r, family.admitted_by, verdicts))
     return CertificateReport(family.parameters, tuple(slopes))

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import pathlib
+import reprlib
 import sys
 
 from .braid import BraidWord, normal_form, parse_braid
@@ -62,7 +63,8 @@ def _diagram_from_args(args: argparse.Namespace) -> LinkDiagram:
         try:
             twists.append(int(tok))
         except ValueError:
-            raise ValueError(f"bad pretzel twist count {tok!r}: not an integer") from None
+            raise ValueError(
+                f"bad pretzel twist count {reprlib.repr(tok)}: not an integer") from None
     total = sum(abs(t) for t in twists)
     if total > MAX_PRETZEL_CROSSINGS:
         raise ValueError(
@@ -179,9 +181,9 @@ def _parse_range(text: str, name: str) -> range:
     try:
         a, b = int(lo), int(hi)
     except ValueError:
-        raise ValueError(f"bad {name} range {text!r}: expected MIN..MAX") from None
+        raise ValueError(f"bad {name} range {reprlib.repr(text)}: expected MIN..MAX") from None
     if a > b:
-        raise ValueError(f"bad {name} range {text!r}: empty")
+        raise ValueError(f"bad {name} range {reprlib.repr(text)}: empty")
     return range(a, b + 1)
 
 

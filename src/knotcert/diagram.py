@@ -399,6 +399,18 @@ def closure_signature_and_determinant(w: BraidWord) -> tuple[int, int]:
     follow ``goeritz``.  ValueError when w misses a generator (a split
     closure) or its closure has more than one component.
     """
+    return _closure_tail_invariants(w, (0,))[0]
+
+
+def _closure_tail_invariants(w: BraidWord, tails: list[int] | tuple[int, ...]
+                             ) -> list[tuple[int, int]]:
+    """Signature and determinant of the knot closing w s1^k for each k >= 0
+    in tails, from one build of w's Goeritz rows.  When white is the even
+    class, a tail letter s1 joins the deleted region of column 0 to the
+    last region t of column 2: it adds 1 to the entry [t][t] and 1 to the
+    correction, so each k is one elimination.  ValueError as in
+    ``closure_signature_and_determinant`` for each w s1^k (the split check
+    is on w), and for a k > 0 when white is the odd class."""
     n = w.strands
     regions = [1] + [0] * (n - 1) + [1]
     for e in w.letters:
@@ -433,14 +445,25 @@ def closure_signature_and_determinant(w: BraidWord) -> tuple[int, int]:
         at[j - 1], at[j] = at[j], at[j - 1]
         if f1 != f2:
             _add_crossing(rows, f1, f2, eta)
-    # The closure is a knot when the strand permutation is one n-cycle.
-    length, pos = 1, at[0]
-    while pos != 0:
-        length, pos = length + 1, at[pos]
-    if length != n:
-        raise ValueError("signature is only computed for braids closing to a knot")
-    sig, det = symmetric_inertia(rows)
-    return sig - correction, abs(det)
+    t = first[2] + regions[2] - 1 if white == 0 and n > 1 else None
+    if t is None and any(tails):
+        raise ValueError("s1 tails need white to be the even column class")
+    diagonal = 0 if t is None else rows[t].get(t, 0)
+    out = []
+    for k in tails:
+        # The closure is a knot when the strand permutation is one n-cycle;
+        # each tail letter swaps the strands ending at positions 0 and 1.
+        perm = [at[1], at[0], *at[2:]] if k % 2 else at
+        length, pos = 1, perm[0]
+        while pos != 0:
+            length, pos = length + 1, perm[pos]
+        if length != n:
+            raise ValueError("signature is only computed for braids closing to a knot")
+        if t is not None:
+            rows[t][t] = diagonal + k  # symmetric_inertia drops a zero entry
+        sig, det = symmetric_inertia(rows)
+        out.append((sig - correction - k, abs(det)))
+    return out
 
 
 def determinant(d: LinkDiagram) -> int:

@@ -248,9 +248,10 @@ class TestCertifyNoSfs:
         assert [s.r for s in report.slopes] == [19, 21]
 
     def test_knot_slopes_read_the_word(self, monkeypatch):
-        """Each odd slope reads sigma and det from its quotient word and
-        its partner's, builds no diagram, and proves no full twist once
-        the head's proof is cached.  (3,3) has eight odd slopes."""
+        """The odd slopes read sigma and det from one build of the quotient
+        word's Goeritz rows and one of its partner's, build no diagram, and
+        prove no full twist once the head's proof is cached.  (3,3) has
+        eight odd slopes and (2,3) two."""
         import knotcert.braid
         import knotcert.certify
         import knotcert.diagram
@@ -258,13 +259,17 @@ class TestCertifyNoSfs:
         calls = []
         monkeypatch.setattr(knotcert.certify, "closure_signature_and_determinant",
                             logged(calls, knotcert.certify.closure_signature_and_determinant))
+        monkeypatch.setattr(knotcert.certify, "_closure_tail_invariants",
+                            logged(calls, knotcert.certify._closure_tail_invariants))
         for name in ("braid_closure", "faces", "goeritz"):
             monkeypatch.setattr(knotcert.diagram, name,
                                 logged(calls, getattr(knotcert.diagram, name)))
         monkeypatch.setattr(knotcert.braid, "normal_form",
                             logged(calls, knotcert.braid.normal_form))
-        certify_no_sfs(3, 3)
-        assert calls == ["closure_signature_and_determinant"] * 16
+        for first in (3, 2):
+            calls.clear()
+            certify_no_sfs(first, 3)
+            assert calls == ["_closure_tail_invariants"] * 2, first
 
     def test_genus_needs_a_positive_word(self):
         from knotcert.certify import _positive_word_genus
@@ -427,6 +432,18 @@ class TestSerialization:
             for q in range(3, 10, 2):
                 text = certify_no_sfs(p, q).to_json()
                 assert CertificateReport.from_json(text).to_json() == text, (p, q)
+
+    @pytest.mark.parametrize("key, value", [
+        ("q", -10 ** 4299), ("q", 2 * 10 ** 4298), ("p", -10 ** 4299), ("p", 10 ** 4299),
+        ("p", "x" * 10 ** 5),
+    ], ids=["negative-q", "even-q", "negative-p", "over-limit-p", "string-p"])
+    def test_huge_parameter_error_is_short(self, key, value):
+        """A parameter of thousands of digits is named in a short message."""
+        data = json.loads(certify_no_sfs(3, 3).to_json())
+        data["parameters"][key] = value
+        with pytest.raises(ValueError) as exc:
+            CertificateReport.from_json(json.dumps(data))
+        assert len(str(exc.value)) < 200, str(exc.value)[:300]
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_file_is_rejected(self, case):

@@ -238,6 +238,22 @@ class TestCertify:
         assert proc.returncode == EXIT_BROKEN_PIPE
 
 
+class TestErrorText:
+    TOKEN = "x" * 100_000
+
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--pretzel", f"3,{TOKEN},3"],
+        ["nf", "--braid", f"1 {TOKEN}", "-n", "3"],
+        ["certify", "--grid", f"3..{TOKEN}", "3..3"],
+        ["certify", "--grid", "3..3", f"{TOKEN}..3"],
+    ], ids=["pretzel", "braid", "grid-first", "grid-q"])
+    def test_bad_token_is_shown_short(self, argv, capsys):
+        """A 100,000-character bad token gives a short error line."""
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err) < 200, err[:300]
+
+
 class TestCertifyGrid:
     def test_grid_writes_one_file_per_odd_q_cell(self, tmp_path, capsys):
         assert main(["certify", "--grid", "2..3", "3..4",

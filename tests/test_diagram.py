@@ -28,9 +28,9 @@ from knotcert import (
     torus_braid,
     writhe,
 )
-from knotcert.braid import exponent_sum
-from knotcert.certify import _positive_word_genus
-from knotcert.diagram import _piece_count, is_positive
+from knotcert.braid import exponent_sum, quotient_braid
+from knotcert.certify import _positive_word_genus, _pretzel_family
+from knotcert.diagram import _closure_tail_invariants, _piece_count, is_positive
 
 from conftest import cycle_count, grid_knot_slope_words
 from oracles import _symmetric_sig_det, braid_seifert_sigma, goeritz_det, torus_sigma
@@ -374,6 +374,44 @@ class TestClosureSignatureAndDeterminant:
             assert cycle_count(w) > 1
             with pytest.raises(ValueError, match="knot"):
                 closure_signature_and_determinant(w)
+
+
+class TestClosureTailInvariants:
+    """Each s1 tail read from one build of a word's Goeritz rows against a
+    fresh build of the longer word and against the diagram path."""
+
+    def test_certificate_tails(self):
+        """Every knot slope of every cell of certify --grid 2..15 3..15, from
+        the quotient word and the partner at the cell's shortest tail (also
+        checked on the diagram) and, through an odd number of tail letters,
+        from the link one letter shorter; the even slope between is a link
+        tail."""
+        for p in range(2, 16):
+            for q in range(3, 16, 2):
+                family = _pretzel_family(p, q)
+                odd = [r for r in family.slopes if r % 2]
+                tails = [family.powers(r)[2] for r in odd]
+                block, middle, base = family.powers(odd[0])
+                for power in (block, block - 2):
+                    for start in (base, base - 1):
+                        w = quotient_braid(power, middle, start)
+                        got = _closure_tail_invariants(w, [t - start for t in tails])
+                        for t, value in zip(tails, got):
+                            longer = BraidWord(4, w.letters + (1,) * (t - start))
+                            assert value == closure_signature_and_determinant(longer), (p, q, t)
+                            if start == base:
+                                assert value == signature_and_determinant(braid_closure(longer))
+                        with pytest.raises(ValueError, match="knot"):
+                            _closure_tail_invariants(w, [base + 1 - start])
+
+    def test_rejects_odd_white(self):
+        """Tail 1 makes the odd columns the smaller class: the word itself
+        is read, but no tail is."""
+        for w in (quotient_braid(3, 3, 1), BraidWord(2, (1,))):
+            expected = signature_and_determinant(braid_closure(w))
+            assert _closure_tail_invariants(w, [0]) == [expected]
+            with pytest.raises(ValueError, match="even column class"):
+                _closure_tail_invariants(w, [0, 2])
 
 
 def union_find_classes(pairs) -> int:
