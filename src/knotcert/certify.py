@@ -374,8 +374,8 @@ def _knot_slope_verdicts(family: _Family) -> dict[int, tuple[ExclusionVerdict, .
     test and the genus for the torus test.  The only other word is the
     tangle-move partner's, for the Montesinos chain.  The slopes' words
     differ only in their s1 tails, so the Goeritz rows of the word and of
-    the partner are built once each, at the shortest tail, and each slope
-    is one elimination of each.
+    the partner are built once each, at the shortest tail, and two
+    eliminations of each give every slope.
     """
     odd = [r for r in family.slopes if r % 2]  # ascending, and the tail is base + r - odd[0]
     q, first, base = family.powers(odd[0])

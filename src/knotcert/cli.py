@@ -48,6 +48,13 @@ EXIT_BROKEN_PIPE = 141
 MAX_PRETZEL_CROSSINGS = 2000
 
 
+def _int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {reprlib.repr(token)}") from None
+
+
 def _parse_word(args: argparse.Namespace) -> BraidWord:
     if args.strands is None:
         raise ValueError("braid input needs a strand count (-n)")
@@ -257,12 +264,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="whitespace-separated signed generator indices, e.g. '1 1 1'")
     src.add_argument("--pretzel", metavar="T1,T2,...",
                      help="comma-separated signed twist counts, e.g. '3,3,3'")
-    inv.add_argument("-n", "--strands", type=int, help="strand count for --braid")
+    inv.add_argument("-n", "--strands", type=_int, help="strand count for --braid")
     inv.set_defaults(func=_cmd_invariants)
 
     braid_word = argparse.ArgumentParser(add_help=False)
     braid_word.add_argument("--braid", metavar="WORD", required=True)
-    braid_word.add_argument("-n", "--strands", type=int, required=True)
+    braid_word.add_argument("-n", "--strands", type=_int, required=True)
 
     nf = sub.add_parser("nf", parents=[common, braid_word],
                         help="Garside normal form, or word equality with --equal")
@@ -277,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     cert = sub.add_parser("certify", parents=[common],
                           help="certify that P(first,q,q) admits no Seifert "
                                "fibered surgery")
-    cert.add_argument("params", nargs="*", type=int, metavar="PARAM",
+    cert.add_argument("params", nargs="*", type=_int, metavar="PARAM",
                       help="the pretzel parameters: FIRST Q")
     cert.add_argument("--grid", nargs=2, metavar=("PMIN..PMAX", "QMIN..QMAX"),
                       help="certify a whole parameter rectangle")

@@ -399,18 +399,19 @@ def closure_signature_and_determinant(w: BraidWord) -> tuple[int, int]:
     follow ``goeritz``.  ValueError when w misses a generator (a split
     closure) or its closure has more than one component.
     """
-    return _closure_tail_invariants(w, (0,))[0]
+    return _closure_tail_invariants(w, [0])[0]
 
 
-def _closure_tail_invariants(w: BraidWord, tails: list[int] | tuple[int, ...]
-                             ) -> list[tuple[int, int]]:
+def _closure_tail_invariants(w: BraidWord, tails: list[int]) -> list[tuple[int, int]]:
     """Signature and determinant of the knot closing w s1^k for each k >= 0
-    in tails, from one build of w's Goeritz rows.  When white is the even
-    class, a tail letter s1 joins the deleted region of column 0 to the
-    last region t of column 2: it adds 1 to the entry [t][t] and 1 to the
-    correction, so each k is one elimination.  ValueError as in
+    in tails, from w's Goeritz rows M.  With white the even class, a tail
+    letter s1 joins the deleted region of column 0 to the last region t of
+    column 2: it adds 1 to M[t][t] and to the correction.  So det M is
+    linear in k, and sigma(M) = sigma(M') + sign(det M det M') for M' = M
+    less row and column t (Sylvester): M is eliminated at the first tail k0
+    and M' once for all other tails.  ValueError as in
     ``closure_signature_and_determinant`` for each w s1^k (the split check
-    is on w), and for a k > 0 when white is the odd class."""
+    is on w), for k > 0 with white odd, and for det M' = 0."""
     n = w.strands
     regions = [1] + [0] * (n - 1) + [1]
     for e in w.letters:
@@ -448,8 +449,6 @@ def _closure_tail_invariants(w: BraidWord, tails: list[int] | tuple[int, ...]
     t = first[2] + regions[2] - 1 if white == 0 and n > 1 else None
     if t is None and any(tails):
         raise ValueError("s1 tails need white to be the even column class")
-    diagonal = 0 if t is None else rows[t].get(t, 0)
-    out = []
     for k in tails:
         # The closure is a knot when the strand permutation is one n-cycle;
         # each tail letter swaps the strands ending at positions 0 and 1.
@@ -459,11 +458,21 @@ def _closure_tail_invariants(w: BraidWord, tails: list[int] | tuple[int, ...]
             length, pos = length + 1, perm[pos]
         if length != n:
             raise ValueError("signature is only computed for braids closing to a knot")
-        if t is not None:
-            rows[t][t] = diagonal + k  # symmetric_inertia drops a zero entry
-        sig, det = symmetric_inertia(rows)
-        out.append((sig - correction - k, abs(det)))
-    return out
+    k0 = tails[0]
+    if t is not None:
+        rows[t][t] = rows[t].get(t, 0) + k0  # symmetric_inertia drops a zero entry
+    sig0, det0 = symmetric_inertia(rows)
+    if all(k == k0 for k in tails):
+        return [(sig0 - correction - k0, abs(det0))] * len(tails)
+    sig1, det1 = symmetric_inertia({i: {j: v for j, v in row.items() if j != t}
+                                    for i, row in rows.items() if i != t})
+    if det1 == 0:
+        raise ValueError("s1 tails need a nonsingular matrix without the tail region")
+    dets = [det0 + (k - k0) * det1 for k in tails]
+    sigs = [sig1 + (d * det1 > 0) - (d * det1 < 0) for d in dets]
+    if sigs[0] != sig0:
+        raise AssertionError("the tail pencil disagrees with the elimination at the first tail")
+    return [(s - correction - k, abs(d)) for s, d, k in zip(sigs, dets, tails)]
 
 
 def determinant(d: LinkDiagram) -> int:

@@ -45,6 +45,14 @@ def make_random_word(rng: random.Random, strands: int, length: int,
     return BraidWord(strands, tuple(letters))
 
 
+def logged(calls: list, fn):
+    """fn, appending its name to calls on every call."""
+    def wrapper(*args):
+        calls.append(fn.__name__)
+        return fn(*args)
+    return wrapper
+
+
 def cycle_count(w: BraidWord) -> int:
     """Cycles of the braid's permutation, one per component of its closure."""
     mapping = permutation_of(w).mapping

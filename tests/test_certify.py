@@ -38,15 +38,7 @@ from knotcert.certify import (
     _montesinos_knot_verdict,
 )
 
-from conftest import grid_knot_slope_words
-
-
-def logged(calls: list, fn):
-    """fn, appending its name to calls on every call."""
-    def wrapper(*args):
-        calls.append(fn.__name__)
-        return fn(*args)
-    return wrapper
+from conftest import grid_knot_slope_words, logged
 
 
 class TestMontesinosKnotRule:
@@ -250,12 +242,17 @@ class TestCertifyNoSfs:
     def test_knot_slopes_read_the_word(self, monkeypatch):
         """The odd slopes read sigma and det from one build of the quotient
         word's Goeritz rows and one of its partner's, build no diagram, and
-        prove no full twist once the head's proof is cached.  (3,3) has
-        eight odd slopes and (2,3) two."""
+        prove no full twist once the head's proof is cached.  Each build is
+        eliminated at most twice, at the first tail and without the tail
+        region: (3,3) has eight odd slopes and (2,3) two, and both cost four
+        eliminations."""
         import knotcert.braid
         import knotcert.certify
         import knotcert.diagram
         knotcert.certify._twist_head_contains_full_twist()
+        eliminations = []
+        monkeypatch.setattr(knotcert.diagram, "symmetric_inertia",
+                            logged(eliminations, knotcert.diagram.symmetric_inertia))
         calls = []
         monkeypatch.setattr(knotcert.certify, "closure_signature_and_determinant",
                             logged(calls, knotcert.certify.closure_signature_and_determinant))
@@ -268,8 +265,10 @@ class TestCertifyNoSfs:
                             logged(calls, knotcert.braid.normal_form))
         for first in (3, 2):
             calls.clear()
+            eliminations.clear()
             certify_no_sfs(first, 3)
             assert calls == ["_closure_tail_invariants"] * 2, first
+            assert len(eliminations) == 4, first
 
     def test_genus_needs_a_positive_word(self):
         from knotcert.certify import _positive_word_genus

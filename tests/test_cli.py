@@ -253,6 +253,21 @@ class TestErrorText:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err) < 200, err[:300]
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "3", TOKEN],
+        ["nf", "--braid", "1", "-n", TOKEN],
+        ["homfly", "--braid", "1", "-n", TOKEN],
+        ["invariants", "--braid", "1", "-n", TOKEN],
+    ], ids=["certify-param", "nf-strands", "homfly-strands", "invariants-strands"])
+    def test_bad_int_argument_is_shown_short(self, argv, capsys):
+        """argparse's usage error names a bad integer argument bounded."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "invalid int value: 'xxx" in err
+        assert all(len(line) < 200 for line in err.splitlines()), err[:300]
+
 
 class TestCertifyGrid:
     def test_grid_writes_one_file_per_odd_q_cell(self, tmp_path, capsys):

@@ -32,7 +32,7 @@ from knotcert.braid import exponent_sum, quotient_braid
 from knotcert.certify import _positive_word_genus, _pretzel_family
 from knotcert.diagram import _closure_tail_invariants, _piece_count, is_positive
 
-from conftest import cycle_count, grid_knot_slope_words
+from conftest import cycle_count, grid_knot_slope_words, logged
 from oracles import _symmetric_sig_det, braid_seifert_sigma, goeritz_det, torus_sigma
 
 RIGHT_TREFOIL = braid_closure(torus_braid(2, 3))
@@ -403,6 +403,73 @@ class TestClosureTailInvariants:
                                 assert value == signature_and_determinant(braid_closure(longer))
                         with pytest.raises(ValueError, match="knot"):
                             _closure_tail_invariants(w, [base + 1 - start])
+
+    @staticmethod
+    def _longer(w, tails):
+        return [closure_signature_and_determinant(BraidWord(w.strands, w.letters + (1,) * k))
+                for k in tails]
+
+    @staticmethod
+    def _counted_eliminations(monkeypatch) -> list:
+        import knotcert.diagram
+        calls = []
+        monkeypatch.setattr(knotcert.diagram, "symmetric_inertia",
+                            logged(calls, knotcert.diagram.symmetric_inertia))
+        return calls
+
+    @pytest.mark.parametrize("tails", [
+        [6], [0], [4, 0, 10], [2, 8], [10, 2, 6, 2, 10, 0], [4, 4, 4],
+    ], ids=["single", "zero", "k0-inside", "k0-first", "unsorted-repeated", "repeated"])
+    def test_tails_away_from_the_certificate(self, tails, monkeypatch):
+        """Tail lists no certificate asks for, shifted to the parity that
+        closes to a knot, against a fresh build of each longer word: one
+        distinct tail costs one elimination, more cost two."""
+        calls = self._counted_eliminations(monkeypatch)
+        words = (quotient_braid(3, 5, 4), quotient_braid(1, 1, 4), quotient_braid(5, 2, 6),
+                 BraidWord(4, (1, -2, 3, -1, -2, 3, 1, 3, -1)))
+        for w in words:
+            shifted = [k + (cycle_count(w) != 1) for k in tails]
+            expected = self._longer(w, shifted)
+            calls.clear()
+            assert _closure_tail_invariants(w, shifted) == expected, (w, shifted)
+            assert len(calls) == (1 if len(set(shifted)) == 1 else 2), (w, shifted)
+
+    def test_odd_white_with_zero_tails(self, monkeypatch):
+        """White in the odd class allows only tail 0, however often it is
+        asked for; that is one elimination."""
+        w = quotient_braid(3, 3, 1)
+        expected = self._longer(w, [0])
+        calls = self._counted_eliminations(monkeypatch)
+        assert _closure_tail_invariants(w, [0, 0, 0]) == expected * 3
+        assert len(calls) == 1
+
+    def test_links_at_every_tail(self):
+        """An even block power with an even middle power closes to a link at
+        every tail, where det M' = 0: a link ValueError, never an
+        AssertionError."""
+        for block, middle in ((2, 2), (4, 2), (2, 4)):
+            w = quotient_braid(block, middle, 4)
+            for tails in ([0], [1], [0, 2], [1, 5, 3], [2, 0, 2]):
+                with pytest.raises(ValueError, match="knot"):
+                    _closure_tail_invariants(w, tails)
+
+    @pytest.mark.parametrize("fake, error", [((0, 0), ValueError), ((99, 1), AssertionError)],
+                             ids=["singular", "disagreeing"])
+    def test_guards_of_the_second_elimination(self, fake, error, monkeypatch):
+        """A singular M' is a ValueError, and an M' whose inertia disagrees
+        with the elimination at the first tail an AssertionError.  No knot
+        tail reaches either, so M' is faked here."""
+        import knotcert.diagram
+        inertia = knotcert.diagram.symmetric_inertia
+        results = []
+
+        def second_is_fake(rows):
+            results.append(inertia(rows))
+            return fake if len(results) == 2 else results[-1]
+        monkeypatch.setattr(knotcert.diagram, "symmetric_inertia", second_is_fake)
+        with pytest.raises(error):
+            _closure_tail_invariants(quotient_braid(3, 3, 4), [1, 3])
+        assert len(results) == 2
 
     def test_rejects_odd_white(self):
         """Tail 1 makes the odd columns the smaller class: the word itself
