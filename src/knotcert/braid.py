@@ -302,6 +302,14 @@ def contains_full_twist(w: BraidWord) -> bool:
     return normal_form(w).infimum >= 2
 
 
+def _check_integers(what: str, *values) -> None:
+    """ValueError, with a bounded repr, unless every value is an int and
+    none is a bool."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{what} must be integers, got {reprlib.repr(value)}")
+
+
 # The head s3^2 (s2 s3 s1 s2) s3^2 (s2 s3 s1 s2) that quotient_braid
 # starts its word with whenever the word contains a full twist.
 _TWIST_HEAD = (3, 3, 2, 3, 1, 2) * 2
@@ -320,11 +328,18 @@ def quotient_braid(block_power: int, middle_power: int, tail: int) -> BraidWord:
     on the nose.  Same length, same closure, but the twist is now visible
     to the greedy normal form.  Spending four tail letters needs tail >= 4
     and block_power >= 2; below that no full twist exists and the plain
-    word is returned.
+    word is returned.  Words over MAX_INPUT_LETTERS letters are refused
+    before any letter is built.
     """
+    _check_integers("quotient word powers", block_power, middle_power, tail)
     if block_power < 1 or middle_power < 1 or tail < 0:
         raise ValueError(f"quotient word needs block and middle powers >= 1 and tail >= 0, "
-                         f"got ({block_power}, {middle_power}, {tail})")
+                         f"got ({reprlib.repr(block_power)}, {reprlib.repr(middle_power)}, "
+                         f"{reprlib.repr(tail)})")
+    letters = 4 * block_power + 4 * middle_power + tail
+    if letters > MAX_INPUT_LETTERS:
+        raise ValueError(f"quotient word of {reprlib.repr(letters)} letters exceeds the input "
+                         f"limit {MAX_INPUT_LETTERS}")
     block = (2, 3, 1, 2)
     middle = (2, 3, 3, 2) * middle_power
     if tail >= 4 and block_power >= 2:

@@ -35,7 +35,8 @@ import json
 import reprlib
 from typing import NamedTuple
 
-from .braid import _TWIST_HEAD, MAX_INPUT_LETTERS, BraidWord, contains_full_twist, quotient_braid
+from .braid import (_TWIST_HEAD, MAX_INPUT_LETTERS, BraidWord, _check_integers,
+                    contains_full_twist, quotient_braid)
 from .diagram import _closure_tail_invariants, closure_signature_and_determinant
 from .invariants import quotient_knot_genus, torus_genus
 
@@ -347,6 +348,7 @@ def exclude_torus_knot(first: int, q: int, r: int) -> ExclusionVerdict:
     """
     rule = "torus-knot-det-genus"
     family = _pretzel_family(first, q)
+    _check_integers("surgery slopes", r)
     if r % 2 == 0:
         return ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "knot-closure",
@@ -362,7 +364,8 @@ def exclude_torus_knot(first: int, q: int, r: int) -> ExclusionVerdict:
             "reason": str(exc),
         })
     word = quotient_braid(*family.powers(r))
-    return _torus_knot_verdict(first, q, r, word, closure_signature_and_determinant(word)[1])
+    return _torus_knot_verdict(first, q, r, word, _positive_word_genus(word),
+                               closure_signature_and_determinant(word)[1])
 
 
 def _knot_slope_verdicts(family: _Family) -> dict[int, tuple[ExclusionVerdict, ...]]:
@@ -373,32 +376,35 @@ def _knot_slope_verdicts(family: _Family) -> dict[int, tuple[ExclusionVerdict, .
     genus (the Rasmussen invariant of a positive knot) for the Montesinos
     test and the genus for the torus test.  The only other word is the
     tangle-move partner's, for the Montesinos chain.  The slopes' words
-    differ only in their s1 tails, so the Goeritz rows of the word and of
-    the partner are built once each, at the shortest tail, and two
-    eliminations of each give every slope.
+    differ only in their s1 tails, so the word and the partner are built
+    once each, at the shortest tail, and one elimination of each gives
+    every slope.  The tails differ by even k, and the k more letters s1
+    are positive, so the genus grows by k/2.  Every tail is at least 5,
+    so every slope's word and the shortest one share the head that shows
+    the full twist.
     """
     odd = [r for r in family.slopes if r % 2]  # ascending, and the tail is base + r - odd[0]
     q, first, base = family.powers(odd[0])
     extra = [r - odd[0] for r in odd]
-    knots = _closure_tail_invariants(quotient_braid(q, first, base), extra)
-    partners = _closure_tail_invariants(quotient_braid(q - 2, first, base), extra)
+    word, partner = quotient_braid(q, first, base), quotient_braid(q - 2, first, base)
+    genus, partner_genus = _positive_word_genus(word), _positive_word_genus(partner)
+    knots = _closure_tail_invariants(word, extra)
+    partners = _closure_tail_invariants(partner, extra)
     verdicts = {}
     for r, k, (sigma, det), (sigma_partner, _) in zip(odd, extra, knots, partners):
-        tail = base + k
-        word = quotient_braid(q, first, tail)
         montesinos = _montesinos_knot_verdict(
-            q - 2, 2 * _positive_word_genus(word), sigma,
-            2 * _positive_word_genus(quotient_braid(q - 2, first, tail)), sigma_partner)
-        verdicts[r] = montesinos, _torus_knot_verdict(first, q, r, word, det)
+            q - 2, 2 * (genus + k // 2), sigma, 2 * (partner_genus + k // 2), sigma_partner)
+        verdicts[r] = montesinos, _torus_knot_verdict(first, q, r, word, genus + k // 2, det)
     return verdicts
 
 
-def _torus_knot_verdict(first: int, q: int, r: int, word: BraidWord,
+def _torus_knot_verdict(first: int, q: int, r: int, word: BraidWord, genus_direct: int,
                         det: int) -> ExclusionVerdict:
-    """The torus-knot verdict of odd slope r, from its quotient word and
-    the determinant of its closure.  The full twist is proved once per
-    process, on the head that ``quotient_braid`` spells it with; a word
-    starting with that head is the full twist times a positive braid."""
+    """The torus-knot verdict of odd slope r, from the genus and the
+    determinant of its quotient knot and a word whose head is the head of
+    its quotient word.  The full twist is proved once per process, on the
+    head that ``quotient_braid`` spells it with; a word starting with that
+    head is the full twist times a positive braid."""
     rule = "torus-knot-det-genus"
     if word.letters[:len(_TWIST_HEAD)] != _TWIST_HEAD or not _twist_head_contains_full_twist():
         return ExclusionVerdict(rule, INCONCLUSIVE, {
@@ -413,7 +419,6 @@ def _torus_knot_verdict(first: int, q: int, r: int, word: BraidWord,
             "determinant": det,
             "homology_order": det_homology,
         })
-    genus_direct = _positive_word_genus(word)
     genus_closed_form = quotient_knot_genus(first, q, r)
     if genus_direct != genus_closed_form:
         return ExclusionVerdict(rule, INCONCLUSIVE, {
@@ -590,9 +595,7 @@ def _pretzel_family(first: int, q: int) -> _Family:
     first/2) for an even first >= 2; q >= 3 odd in both.  Raises ValueError
     for invalid parameters, or for a cell whose longest quotient word, at
     its largest slope, has more than braid.MAX_INPUT_LETTERS letters."""
-    for value in (first, q):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"pretzel parameters must be integers, got {reprlib.repr(value)}")
+    _check_integers("pretzel parameters", first, q)
     if q % 2 == 0:
         raise ValueError(f"P(p,q,q) with even q = {reprlib.repr(q)} has more than one "
                          f"component; q must be odd")
@@ -635,7 +638,9 @@ def pretzel_quotient_braid(first: int, q: int, r: int) -> BraidWord:
     for an even one; it must be nonnegative.  The word carries an explicit
     positive full twist whenever the tail is at least 4.
     """
-    return quotient_braid(*_pretzel_family(first, q).powers(r))
+    family = _pretzel_family(first, q)
+    _check_integers("surgery slopes", r)
+    return quotient_braid(*family.powers(r))
 
 
 def check_input_size(first: int, q: int):

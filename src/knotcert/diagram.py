@@ -407,11 +407,14 @@ def _closure_tail_invariants(w: BraidWord, tails: list[int]) -> list[tuple[int, 
     in tails, from w's Goeritz rows M.  With white the even class, a tail
     letter s1 joins the deleted region of column 0 to the last region t of
     column 2: it adds 1 to M[t][t] and to the correction.  So det M is
-    linear in k, and sigma(M) = sigma(M') + sign(det M det M') for M' = M
-    less row and column t (Sylvester): M is eliminated at the first tail k0
-    and M' once for all other tails.  ValueError as in
-    ``closure_signature_and_determinant`` for each w s1^k (the split check
-    is on w), for k > 0 with white odd, and for det M' = 0."""
+    linear in k, det M_k = det M_k0 + (k - k0) det M', and sigma(M_k) =
+    sigma(M') + sign(det M_k det M') for M' = M less row and column t
+    (Sylvester).  One elimination of M at the first tail k0, with t
+    pivoted last, gives det M_k0 and sigma(M') and det M' together.  A
+    knot's determinant is odd, so an even one is an AssertionError.
+    ValueError as in ``closure_signature_and_determinant`` for each w s1^k
+    (the split check is on w), for k > 0 with white odd, and for det M' = 0
+    when the tails differ."""
     n = w.strands
     regions = [1] + [0] * (n - 1) + [1]
     for e in w.letters:
@@ -461,18 +464,17 @@ def _closure_tail_invariants(w: BraidWord, tails: list[int]) -> list[tuple[int, 
     k0 = tails[0]
     if t is not None:
         rows[t][t] = rows[t].get(t, 0) + k0  # symmetric_inertia drops a zero entry
-    sig0, det0 = symmetric_inertia(rows)
     if all(k == k0 for k in tails):
-        return [(sig0 - correction - k0, abs(det0))] * len(tails)
-    sig1, det1 = symmetric_inertia({i: {j: v for j, v in row.items() if j != t}
-                                    for i, row in rows.items() if i != t})
-    if det1 == 0:
-        raise ValueError("s1 tails need a nonsingular matrix without the tail region")
-    dets = [det0 + (k - k0) * det1 for k in tails]
-    sigs = [sig1 + (d * det1 > 0) - (d * det1 < 0) for d in dets]
-    if sigs[0] != sig0:
-        raise AssertionError("the tail pencil disagrees with the elimination at the first tail")
-    return [(s - correction - k, abs(d)) for s, d, k in zip(sigs, dets, tails)]
+        inertias = [symmetric_inertia(rows)] * len(tails)
+    else:
+        (_, det0), (sig1, det1) = symmetric_inertia(rows, t)
+        if det1 == 0:
+            raise ValueError("s1 tails need a nonsingular matrix without the tail region")
+        dets = [det0 + (k - k0) * det1 for k in tails]
+        inertias = [(sig1 + (d * det1 > 0) - (d * det1 < 0), d) for d in dets]
+    if any(d % 2 == 0 for _, d in inertias):
+        raise AssertionError("a knot closure has an even determinant")
+    return [(s - correction - k, abs(d)) for (s, d), k in zip(inertias, tails)]
 
 
 def determinant(d: LinkDiagram) -> int:

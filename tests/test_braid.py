@@ -316,6 +316,19 @@ class TestFamilyWords:
         for args in [(0, 3, 5), (3, 0, 5), (3, 3, -1)]:
             with pytest.raises(ValueError):
                 quotient_braid(*args)
+        for args in [(3, 3, 1.5), (3, 3, "1"), (True, 3, 5), (3, 3.0, 5), (3, 3, "x" * 10**6)]:
+            with pytest.raises(ValueError, match="must be integers") as exc:
+                quotient_braid(*args)
+            assert len(str(exc.value)) < 200
+
+    def test_quotient_word_input_limit(self):
+        """Four letters per block and middle factor, one per tail letter:
+        exactly MAX_INPUT_LETTERS builds, one more is refused."""
+        for block, middle in ((1, 1), (3, 2), (40, 60)):
+            tail = MAX_INPUT_LETTERS - 4 * (block + middle)
+            assert len(quotient_braid(block, middle, tail)) == MAX_INPUT_LETTERS
+            with pytest.raises(ValueError, match=f"{MAX_INPUT_LETTERS + 1} letters exceeds"):
+                quotient_braid(block, middle, tail + 1)
 
     def test_even_word_shape(self):
         w = pretzel_quotient_braid(2, 3, 13)

@@ -31,6 +31,7 @@ from knotcert import (
     torus_braid,
     torus_knot_genus_conflict,
 )
+from knotcert.braid import MAX_INPUT_LETTERS
 from knotcert.certify import (
     _TWIST_HEAD,
     EXCLUDED,
@@ -169,6 +170,23 @@ class TestTorusKnotRule:
                 entry(20001, 3, 1)
         assert calls == []
 
+    def test_slope_over_the_input_limit_builds_no_word(self, monkeypatch):
+        """P(3,3,3) at slope r needs 36 + r letters: r = 1964 builds, 1965
+        is refused by the word builder before any letter exists."""
+        assert exclude_torus_knot(3, 3, 1963).conclusion == "excluded"
+        assert len(pretzel_quotient_braid(3, 3, 1964)) == MAX_INPUT_LETTERS
+        for entry in (exclude_torus_knot, pretzel_quotient_braid):
+            with pytest.raises(ValueError, match="2001 letters exceeds the input limit"):
+                entry(3, 3, 1965)
+
+    @pytest.mark.parametrize("r", [1.5, "1", True, "x" * 10**6],
+                             ids=["float", "str", "bool", "long-str"])
+    def test_slope_must_be_an_integer(self, r):
+        for entry in (exclude_torus_knot, pretzel_quotient_braid):
+            with pytest.raises(ValueError, match="slopes must be integers") as exc:
+                entry(3, 3, r)
+            assert len(str(exc.value)) < 200
+
     def test_no_over_fire_on_genuine_torus_knot(self):
         d = braid_closure(torus_braid(4, 7))
         conflict, evidence = torus_knot_genus_conflict(determinant(d), positive_genus(d))
@@ -243,9 +261,10 @@ class TestCertifyNoSfs:
         """The odd slopes read sigma and det from one build of the quotient
         word's Goeritz rows and one of its partner's, build no diagram, and
         prove no full twist once the head's proof is cached.  Each build is
-        eliminated at most twice, at the first tail and without the tail
-        region: (3,3) has eight odd slopes and (2,3) two, and both cost four
-        eliminations."""
+        eliminated once, with the tail region pivoted last, and the genus
+        of every slope comes from the word at the shortest tail: (3,3) has
+        eight odd slopes and (2,3) two, and both cost two eliminations and
+        two quotient words."""
         import knotcert.braid
         import knotcert.certify
         import knotcert.diagram
@@ -253,6 +272,9 @@ class TestCertifyNoSfs:
         eliminations = []
         monkeypatch.setattr(knotcert.diagram, "symmetric_inertia",
                             logged(eliminations, knotcert.diagram.symmetric_inertia))
+        words = []
+        monkeypatch.setattr(knotcert.certify, "quotient_braid",
+                            logged(words, knotcert.certify.quotient_braid))
         calls = []
         monkeypatch.setattr(knotcert.certify, "closure_signature_and_determinant",
                             logged(calls, knotcert.certify.closure_signature_and_determinant))
@@ -266,9 +288,11 @@ class TestCertifyNoSfs:
         for first in (3, 2):
             calls.clear()
             eliminations.clear()
+            words.clear()
             certify_no_sfs(first, 3)
             assert calls == ["_closure_tail_invariants"] * 2, first
-            assert len(eliminations) == 4, first
+            assert len(eliminations) == 2, first
+            assert len(words) == 2, first
 
     def test_genus_needs_a_positive_word(self):
         from knotcert.certify import _positive_word_genus

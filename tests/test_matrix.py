@@ -141,3 +141,57 @@ def test_rejects_non_square(rows):
 def test_rejects_asymmetric():
     with pytest.raises(ValueError, match="symmetric"):
         symmetric_inertia(_rows([[1, 2], [3, 1]]))
+
+
+def _without(m: list[list[int]], t: int) -> list[list[int]]:
+    return [[v for j, v in enumerate(row) if j != t] for i, row in enumerate(m) if i != t]
+
+
+def test_last_row_mode_matches_two_eliminations(rng):
+    """The elimination that pivots row t last against plain eliminations
+    of M and of M' = M less row and column t: random matrices with many
+    zero diagonals (M' often needs 2x2 blocks, or is singular), row t's
+    diagonal zero about half the time."""
+    seen = set()
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        m = _random_symmetric(rng, n)
+        t = rng.randrange(n)
+        if rng.random() < 0.5:
+            m[t][t] = 0
+        minor = _without(m, t)
+        expected = symmetric_inertia(_rows(m)), symmetric_inertia(_rows(minor))
+        assert symmetric_inertia(_rows(m), t) == expected, (m, t)
+        if expected[1][1] == 0:
+            seen.add("singular M'")
+        elif n > 1 and all(minor[i][i] == 0 for i in range(n - 1)):
+            seen.add("M' of 2x2 blocks only")
+        if m[t][t] == 0:
+            seen.add("zero diagonal at t")
+    assert len(seen) == 3, seen
+
+
+@pytest.mark.parametrize("m, t, expected", [
+    # M' = [[0, 1], [1, 0]] is one 2x2 block; row 2 is left with the
+    # Schur value -2, so det M = -1 * -2 and sigma(M) = 0 - 1
+    ([[0, 1, 1],
+      [1, 0, 1],
+      [1, 1, 0]], 2, ((-1, 2), (0, -1))),
+    # M' = [[1, 1], [1, 1]] is singular; M itself is not
+    ([[1, 1, 1],
+      [1, 1, 0],
+      [1, 0, 0]], 2, ((1, -1), (1, 0))),
+    # the one row of M' is zero: M' is singular, M a 2x2 block
+    ([[0, 3],
+      [3, 5]], 1, ((0, -9), (0, 0))),
+    # M' is empty: det 1, and M is the Schur value alone
+    ([[-4]], 0, ((-1, -4), (0, 1))),
+])
+def test_last_row_mode_by_hand(m, t, expected):
+    assert symmetric_inertia(_rows(m), t) == expected
+    assert (symmetric_inertia(_rows(m)), symmetric_inertia(_rows(_without(m, t)))) == expected
+
+
+def test_last_row_must_be_a_row():
+    with pytest.raises(ValueError, match="not a row"):
+        symmetric_inertia({0: {0: 1}}, 1)
