@@ -40,9 +40,38 @@ __all__ = [
     "torus_braid",
 ]
 
-# Bounds on braid text input, checked before anything of that size is built.
+# Bounds on input, checked before anything of that size is built.
 MAX_INPUT_STRANDS = 256
 MAX_INPUT_LETTERS = 2000
+
+
+def _shown(value) -> str:
+    """A value given by a caller, or computed from one, as every message shows
+    it, in under 60 characters: a JSON container by its type, ``object()``
+    as "nothing", an int over 128 bits by its bit length, else ``reprlib``."""
+    try:
+        if isinstance(value, int) and value.bit_length() > 128:
+            return f"<{'negative ' * (value < 0)}{value.bit_length()}-bit integer>"
+        text = ({dict: "an object", list: "an array", object: "nothing"}.get(type(value))
+                or reprlib.repr(value))
+    except ValueError:  # an int past CPython's digit limit inside, say, a tuple
+        text = f"a {type(value).__name__}"
+    return text if len(text) < 60 else text[:55] + "..."
+
+
+def _check_integers(what: str, *values) -> None:
+    """ValueError unless every value is an int and none is a bool."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{what} must be integers, got {_shown(value)}")
+
+
+def _check_size(what: str, count: int, unit: str = "letters") -> None:
+    """ValueError when count, the letters or crossings of what (a phrase
+    ending in its preposition), exceeds MAX_INPUT_LETTERS."""
+    if count > MAX_INPUT_LETTERS:
+        raise ValueError(
+            f"{what} {_shown(count)} {unit}, over the input limit {MAX_INPUT_LETTERS}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,11 +87,7 @@ class PermutationBraid:
     def __post_init__(self):
         n = len(self.mapping)
         if sorted(self.mapping) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.mapping}")
-
-    @property
-    def strands(self) -> int:
-        return len(self.mapping)
+            raise ValueError(f"not a permutation of 0..{n - 1}: {_shown(self.mapping)}")
 
     def reduced_word(self) -> list[int]:
         """A word of 0-based generator indices realizing this permutation braid:
@@ -89,20 +114,21 @@ class BraidWord:
 
     def __post_init__(self):
         n = self.strands
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValueError(f"strand count must be an integer >= 1, got {n!r}")
+        _check_integers("strand counts", n)
+        if n < 1:
+            raise ValueError(f"strand count must be >= 1, got {_shown(n)}")
         object.__setattr__(self, "letters", tuple(self.letters))
         for e in self.letters:
             if isinstance(e, bool) or not isinstance(e, int) or e == 0:
-                raise ValueError(f"bad braid letter {e!r}: letters are nonzero integers")
-            if abs(e) > self.strands - 1:
-                raise ValueError(
-                    f"bad braid letter {e}: needs generator index <= {self.strands - 1} "
-                    f"on {self.strands} strands")
+                raise ValueError(f"bad braid letter {_shown(e)}: letters are nonzero integers")
+            if abs(e) > n - 1:
+                raise ValueError(f"bad braid letter {_shown(e)}: needs generator index <= "
+                                 f"{_shown(n - 1)} on {_shown(n)} strands")
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
-            raise ValueError(f"strand counts differ: {self.strands} vs {other.strands}")
+            raise ValueError(
+                f"strand counts differ: {_shown(self.strands)} vs {_shown(other.strands)}")
         return BraidWord(self.strands, self.letters + other.letters)
 
     def inverse(self) -> "BraidWord":
@@ -157,20 +183,16 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     letters are rejected.
     """
     if strands > MAX_INPUT_STRANDS:
-        raise ValueError(f"strand count {strands} exceeds the input limit {MAX_INPUT_STRANDS}")
-    tokens = text.split()
-    if len(tokens) > MAX_INPUT_LETTERS:
         raise ValueError(
-            f"braid word of {len(tokens)} letters exceeds the input limit {MAX_INPUT_LETTERS}")
+            f"strand count {_shown(strands)} exceeds the input limit {MAX_INPUT_STRANDS}")
+    tokens = text.split()
+    _check_size("braid word of", len(tokens))
     letters = []
     for tok in tokens:
         try:
-            e = int(tok)
+            letters.append(int(tok))
         except ValueError:
-            raise ValueError(f"bad braid letter {reprlib.repr(tok)}: not an integer") from None
-        if e == 0:
-            raise ValueError("bad braid letter '0': generator indices start at 1")
-        letters.append(e)
+            raise ValueError(f"bad braid letter {_shown(tok)}: not an integer") from None
     return BraidWord(strands, tuple(letters))
 
 
@@ -277,14 +299,16 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:
     """Whether two words represent the same element of the braid group."""
     if u.strands != v.strands:
-        raise ValueError(f"strand counts differ: {u.strands} vs {v.strands}")
+        raise ValueError(f"strand counts differ: {_shown(u.strands)} vs {_shown(v.strands)}")
     return normal_form(u) == normal_form(v)
 
 
 def full_twist(n: int) -> BraidWord:
     """The square of the half twist; generates the center of the braid group."""
+    _check_integers("strand counts", n)
     if n < 2:
-        raise ValueError(f"full twist needs at least 2 strands, got {n}")
+        raise ValueError(f"full twist needs at least 2 strands, got {_shown(n)}")
+    _check_size("full twist of", n * (n - 1))
     return BraidWord(n, tuple(_half_twist_letters(n) * 2))
 
 
@@ -302,17 +326,20 @@ def contains_full_twist(w: BraidWord) -> bool:
     return normal_form(w).infimum >= 2
 
 
-def _check_integers(what: str, *values) -> None:
-    """ValueError, with a bounded repr, unless every value is an int and
-    none is a bool."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{what} must be integers, got {reprlib.repr(value)}")
-
-
 # The head s3^2 (s2 s3 s1 s2) s3^2 (s2 s3 s1 s2) that quotient_braid
 # starts its word with whenever the word contains a full twist.
 _TWIST_HEAD = (3, 3, 2, 3, 1, 2) * 2
+
+
+def _check_quotient_powers(block: int, middle: int, tail: int, what="quotient word of") -> None:
+    """ValueError unless quotient_braid builds a word of these powers:
+    integers, block and middle powers >= 1, tail >= 0, and four letters per
+    block and middle factor plus one per tail letter within the input limit."""
+    _check_integers("quotient word powers", block, middle, tail)
+    if block < 1 or middle < 1 or tail < 0:
+        raise ValueError(f"quotient word needs block and middle powers >= 1 and tail >= 0, "
+                         f"got ({_shown(block)}, {_shown(middle)}, {_shown(tail)})")
+    _check_size(what, 4 * block + 4 * middle + tail)
 
 
 def quotient_braid(block_power: int, middle_power: int, tail: int) -> BraidWord:
@@ -331,15 +358,7 @@ def quotient_braid(block_power: int, middle_power: int, tail: int) -> BraidWord:
     word is returned.  Words over MAX_INPUT_LETTERS letters are refused
     before any letter is built.
     """
-    _check_integers("quotient word powers", block_power, middle_power, tail)
-    if block_power < 1 or middle_power < 1 or tail < 0:
-        raise ValueError(f"quotient word needs block and middle powers >= 1 and tail >= 0, "
-                         f"got ({reprlib.repr(block_power)}, {reprlib.repr(middle_power)}, "
-                         f"{reprlib.repr(tail)})")
-    letters = 4 * block_power + 4 * middle_power + tail
-    if letters > MAX_INPUT_LETTERS:
-        raise ValueError(f"quotient word of {reprlib.repr(letters)} letters exceeds the input "
-                         f"limit {MAX_INPUT_LETTERS}")
+    _check_quotient_powers(block_power, middle_power, tail)
     block = (2, 3, 1, 2)
     middle = (2, 3, 3, 2) * middle_power
     if tail >= 4 and block_power >= 2:
@@ -350,8 +369,10 @@ def quotient_braid(block_power: int, middle_power: int, tail: int) -> BraidWord:
 
 def torus_braid(a: int, b: int) -> BraidWord:
     """The braid (s_1 ... s_{a-1})^b on a strands, closing to the (a, b) torus link."""
+    _check_integers("torus braid parameters", a, b)
     if a < 2:
-        raise ValueError(f"torus braid needs at least 2 strands, got a={a}")
+        raise ValueError(f"torus braid needs at least 2 strands, got a={_shown(a)}")
     if b < 1:
-        raise ValueError(f"torus braid needs a positive twist count, got b={b}")
+        raise ValueError(f"torus braid needs a positive twist count, got b={_shown(b)}")
+    _check_size("torus braid of", (a - 1) * b)
     return BraidWord(a, tuple(range(1, a)) * b)

@@ -32,10 +32,9 @@ import dataclasses
 import functools
 import itertools
 import json
-import reprlib
 from typing import NamedTuple
 
-from .braid import (_TWIST_HEAD, MAX_INPUT_LETTERS, BraidWord, _check_integers,
+from .braid import (_TWIST_HEAD, BraidWord, _check_integers, _check_quotient_powers, _shown,
                     contains_full_twist, quotient_braid)
 from .diagram import _closure_tail_invariants, closure_signature_and_determinant
 from .invariants import quotient_knot_genus, torus_genus
@@ -90,9 +89,9 @@ class ExclusionVerdict:
 
     def __post_init__(self):
         if not isinstance(self.rule, str) or self.rule not in _RULE_BRANCHES:
-            raise ValueError(f"unknown rule {reprlib.repr(self.rule)}")
+            raise ValueError(f"unknown rule {_shown(self.rule)}")
         if self.conclusion not in (EXCLUDED, INCONCLUSIVE):
-            raise ValueError(f"unknown conclusion {reprlib.repr(self.conclusion)}")
+            raise ValueError(f"unknown conclusion {_shown(self.conclusion)}")
 
     def to_dict(self) -> dict:
         return {"rule": self.rule, "conclusion": self.conclusion, "evidence": self.evidence}
@@ -102,7 +101,7 @@ class ExclusionVerdict:
         if not isinstance(d, dict) or d.keys() != {"rule", "conclusion", "evidence"}:
             raise ValueError("a verdict needs exactly the keys rule, conclusion and evidence")
         if not isinstance(d["evidence"], dict) or not d["evidence"]:
-            raise ValueError(f"verdict {reprlib.repr(d['rule'])} has no evidence")
+            raise ValueError(f"verdict {_shown(d['rule'])} has no evidence")
         return ExclusionVerdict(d["rule"], d["conclusion"], d["evidence"])
 
 
@@ -169,10 +168,10 @@ class CertificateReport:
         recorded verdicts (parsed, not replayed), and compare the file with
         its to_dict() once.  Raises ValueError naming the first difference."""
         if type(d) is not dict:
-            raise ValueError(f"a certificate must be an object, got {reprlib.repr(d)}")
+            raise ValueError(f"a certificate must be an object, got {_shown(d)}")
         if d.get("schema_version") != SCHEMA_VERSION:
             raise ValueError("unsupported certificate schema version "
-                             f"{reprlib.repr(d.get('schema_version'))}")
+                             f"{_shown(d.get('schema_version'))}")
         params = d.get("parameters")
         p, q = (params.get("p"), params.get("q")) if isinstance(params, dict) else (params, None)
         family = _pretzel_family(p, q)
@@ -233,19 +232,13 @@ def _first_difference(built, recorded) -> tuple[str, str] | None:
     return None
 
 
-def _shown(value) -> str:
-    """A value as a difference names it: a container by its JSON type."""
-    return {dict: "an object", list: "an array", object: "nothing"}.get(
-        type(value)) or reprlib.repr(value)
-
-
 def exclude_montesinos_knot(s: int, sigma: int) -> ExclusionVerdict:
     """Montesinos test: |s + sigma| <= 2 for Montesinos knots, so s + sigma
     >= 4 or <= -4 excludes them.  Both invariants are even integers, so any
     other input is rejected."""
-    for name, value in (("s", s), ("sigma", sigma)):
-        if isinstance(value, bool) or not isinstance(value, int) or value % 2:
-            raise ValueError(f"{name} must be an even integer, got {value!r}")
+    _check_integers("s and sigma", s, sigma)
+    if s % 2 or sigma % 2:
+        raise ValueError(f"s and sigma must be even integers, got ({_shown(s)}, {_shown(sigma)})")
     return _montesinos_verdict(s, sigma, sigma)
 
 
@@ -352,7 +345,7 @@ def exclude_torus_knot(first: int, q: int, r: int) -> ExclusionVerdict:
     if r % 2 == 0:
         return ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "knot-closure",
-            "reason": f"slope {r} is even, so the quotient is a two-component link",
+            "reason": f"slope {_shown(r)} is even, so the quotient is a two-component link",
         })
     # The closed-form genus the test needs is known at every odd slope of
     # an odd first parameter but only at 4q-1 and 4q+1 of an even one.
@@ -597,12 +590,12 @@ def _pretzel_family(first: int, q: int) -> _Family:
     its largest slope, has more than braid.MAX_INPUT_LETTERS letters."""
     _check_integers("pretzel parameters", first, q)
     if q % 2 == 0:
-        raise ValueError(f"P(p,q,q) with even q = {reprlib.repr(q)} has more than one "
+        raise ValueError(f"P(p,q,q) with even q = {_shown(q)} has more than one "
                          f"component; q must be odd")
     if q < 3:
-        raise ValueError(f"q must be >= 3, got {reprlib.repr(q)}")
+        raise ValueError(f"q must be >= 3, got {_shown(q)}")
     if first < 2:
-        raise ValueError(f"the first pretzel parameter must be >= 2, got {reprlib.repr(first)}")
+        raise ValueError(f"the first pretzel parameter must be >= 2, got {_shown(first)}")
     if first % 2:
         # Non-integral slopes never give Seifert fibered spaces because the
         # knot is alternating; integral ones are bounded by 8 because the
@@ -620,13 +613,8 @@ def _pretzel_family(first: int, q: int) -> _Family:
                          _EVEN_ASSUMPTIONS,
                          ("every admissible slope 4q-1, 4q+1 is odd, so the even family "
                           "has no two-component quotient case", _RECOMPUTE_NOTE))
-    # Four letters per block and per middle factor, one per tail letter.
-    blocks, middle, tail = family.powers(max(family.slopes))
-    longest = 4 * blocks + 4 * middle + tail
-    if longest > MAX_INPUT_LETTERS:
-        raise ValueError(f"P({reprlib.repr(first)},{reprlib.repr(q)},{reprlib.repr(q)}) needs "
-                         f"quotient braid words of up to {reprlib.repr(longest)} letters, "
-                         f"over the input limit {MAX_INPUT_LETTERS}")
+    what = f"P({_shown(first)},{_shown(q)},{_shown(q)}) needs quotient braid words of up to"
+    _check_quotient_powers(*family.powers(max(family.slopes)), what)
     return family
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 
 from ._matrix import symmetric_inertia
-from .braid import BraidWord
+from .braid import BraidWord, _check_integers, _check_size, _shown
 
 __all__ = [
     "Crossing",
@@ -56,7 +56,7 @@ class Crossing:
 
     def __post_init__(self):
         if self.sign not in (1, -1):
-            raise ValueError(f"crossing sign must be +1 or -1, got {self.sign}")
+            raise ValueError(f"crossing sign must be +1 or -1, got {_shown(self.sign)}")
         if len(self.arcs) != 4:
             raise ValueError("a crossing has exactly four incident arcs")
 
@@ -75,9 +75,9 @@ class LinkDiagram:
         for c in self.crossings:
             for a in c.arcs:
                 counts[a] = counts.get(a, 0) + 1
-        bad = {a: k for a, k in counts.items() if k != 2}
+        bad = tuple(a for a, k in counts.items() if k != 2)
         if bad:
-            raise ValueError(f"every arc must occur exactly twice; offending arcs: {bad}")
+            raise ValueError(f"every arc must occur exactly twice; offending arcs: {_shown(bad)}")
 
 
 # Slot pairs, by crossing sign, that the through strands join and that the
@@ -153,13 +153,13 @@ def pretzel_diagram(twists: list[int] | tuple[int, ...]) -> LinkDiagram:
 
     In a region with positive count the strand running top-left to
     bottom-right passes over at each crossing; negative counts mirror that.
+    More than braid.MAX_INPUT_LETTERS crossings are refused before any is built.
     """
     twists = tuple(twists)
-    if not twists:
-        raise ValueError("a pretzel needs at least one twist region")
-    for a in twists:
-        if not isinstance(a, int) or a == 0:
-            raise ValueError(f"twist counts must be nonzero integers, got {a!r}")
+    _check_integers("twist counts", *twists)
+    if not twists or 0 in twists:
+        raise ValueError("a pretzel needs one or more twist regions, none of count 0")
+    _check_size("pretzel of", sum(map(abs, twists)), "crossings")
     nodes = [(i, k) for i, a in enumerate(twists) for k in range(abs(a))]
     wires: list[frozenset] = []
 
@@ -507,13 +507,13 @@ def from_pd_text(text: str) -> LinkDiagram:
             continue
         parts = line.split()
         if parts[0] != "X" or len(parts) != 6:
-            raise ValueError(f"line {lineno}: expected 'X a b c d s', got {line!r}")
+            raise ValueError(f"line {lineno}: expected 'X a b c d s', got {_shown(line)}")
         try:
             arcs = tuple(int(tok) for tok in parts[1:5])
         except ValueError:
             raise ValueError(f"line {lineno}: arc labels must be integers") from None
         if parts[5] not in ("+", "-"):
-            raise ValueError(f"line {lineno}: sign must be '+' or '-', got {parts[5]!r}")
+            raise ValueError(f"line {lineno}: sign must be '+' or '-', got {_shown(parts[5])}")
         crossings.append(Crossing(arcs, 1 if parts[5] == "+" else -1))
     d = LinkDiagram(tuple(crossings))
     # Each piece drawn on its own sphere has V + 2 faces; fewer means the

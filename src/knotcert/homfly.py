@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from math import comb, factorial
 
-from .braid import BraidWord, exponent_sum
+from .braid import BraidWord, _check_integers, _shown, exponent_sum
 
 __all__ = [
     "MAX_TRACE_STRANDS",
@@ -62,9 +62,7 @@ class LaurentPoly2:
     def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
         clean: dict[tuple[int, int], int] = {}
         for (i, j), c in (coeffs or {}).items():
-            if any(isinstance(x, bool) or not isinstance(x, int) for x in (i, j, c)):
-                raise ValueError(f"bad term {c!r}*a^{i!r}*z^{j!r}: exponents and "
-                                 "coefficients must be int")
+            _check_integers("exponents and coefficients", i, j, c)
             if c != 0:
                 clean[(i, j)] = c
         self.coeffs = clean
@@ -142,15 +140,14 @@ def _packed_image(w: BraidWord) -> tuple[dict[tuple[int, ...], int], int]:
     Their product is the work checked against MAX_TRACE_WORK.
     """
     if w.strands > MAX_TRACE_STRANDS:
-        raise ValueError(
-            f"Hecke computations are guarded to at most {MAX_TRACE_STRANDS} strands, "
-            f"got {w.strands}")
+        raise ValueError(f"Hecke computations are guarded to at most {MAX_TRACE_STRANDS} "
+                         f"strands, got {_shown(w.strands)}")
     bits = len(w.letters) + w.strands ** 2 + 2
     work = factorial(w.strands) * len(w.letters) ** 2 * bits
     if work > MAX_TRACE_WORK:
         raise ValueError(
             f"Hecke computations are guarded to n! * letters^2 * bits <= {MAX_TRACE_WORK}; "
-            f"a {len(w.letters)}-letter word on {w.strands} strands needs {work}")
+            f"a {len(w.letters)}-letter word on {_shown(w.strands)} strands needs {_shown(work)}")
     terms = {tuple(range(w.strands)): 1}
     for e in w.letters:
         terms = _times_generator(terms, abs(e) - 1, bits, inverse=e < 0)
@@ -214,7 +211,7 @@ def mfw_bound(p: LaurentPoly2) -> int:
     exps = [i for (i, _j) in p.coeffs]
     breadth = max(exps) - min(exps)
     if breadth % 2:
-        raise ValueError(f"a-breadth of a link polynomial is even, got {breadth}")
+        raise ValueError(f"a-breadth of a link polynomial is even, got {_shown(breadth)}")
     return breadth // 2 + 1
 
 
@@ -234,6 +231,6 @@ def det_from_homfly(p: LaurentPoly2) -> int:
         if j < 0 or j % 2:
             raise ValueError(
                 "determinant specialization needs a knot polynomial "
-                f"(even nonnegative z-exponents); found z^{j}")
+                f"(even nonnegative z-exponents); found z^{_shown(j)}")
         total += coeff * (-4) ** (j // 2)
     return abs(total)

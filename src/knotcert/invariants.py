@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from .braid import _shown
 from .diagram import LinkDiagram, component_count, is_positive, seifert_circle_count
 
 __all__ = [
@@ -68,9 +69,9 @@ def torus_alexander(a: int, b: int) -> tuple[int, ...]:
     """Alexander polynomial of the (a, b) torus knot,
     (t^(ab) - 1)(t - 1) / ((t^a - 1)(t^b - 1)), as coefficients from t^0 up."""
     if a < 1 or b < 1:
-        raise ValueError(f"torus knot parameters must be positive, got ({a}, {b})")
+        raise ValueError(f"torus knot parameters must be positive, got ({_shown(a)}, {_shown(b)})")
     if math.gcd(a, b) != 1:
-        raise ValueError(f"torus knot parameters must be coprime, got ({a}, {b})")
+        raise ValueError(f"torus knot parameters must be coprime, got ({_shown(a)}, {_shown(b)})")
     return tuple(_divexact(*_torus_quotient(a, b)))
 
 
@@ -88,7 +89,7 @@ def torus_det_4x(x: int) -> int:
     explicit polynomial division.  Both paths must give x.
     """
     if x < 1 or x % 2 == 0:
-        raise ValueError(f"(4, x) torus knots need odd positive x, got {x}")
+        raise ValueError(f"(4, x) torus knots need odd positive x, got {_shown(x)}")
     num, den = _torus_quotient(4, x)
     if _evaluate(num, -1) != 0 or _evaluate(den, -1) != 0:
         raise AssertionError("expected a 0/0 evaluation at t = -1")
@@ -99,8 +100,8 @@ def torus_det_4x(x: int) -> int:
     via_derivative = abs(dn // dd)
     via_division = det_from_alexander(tuple(_divexact(num, den)))
     if via_derivative != via_division:
-        raise AssertionError(
-            f"determinant paths disagree for (4, {x}): {via_derivative} vs {via_division}")
+        raise AssertionError(f"determinant paths disagree for (4, {_shown(x)}): "
+                             f"{_shown(via_derivative)} vs {_shown(via_division)}")
     return via_derivative
 
 
@@ -124,21 +125,23 @@ def quotient_knot_genus(first: int, q: int, r: int) -> int:
     odd; when first is even, 3(first + q) - 1 at r = 4q + 1 and
     3(first + q) - 2 at r = 4q - 1, the only slopes the even cells admit."""
     if first < 2 or q < 3 or q % 2 == 0:
-        raise ValueError(f"P(first,q,q) needs first >= 2 and q >= 3 odd, got ({first}, {q})")
+        raise ValueError(
+            f"P(first,q,q) needs first >= 2 and q >= 3 odd, got ({_shown(first)}, {_shown(q)})")
     if first % 2:
         if r % 2 == 0:
-            raise ValueError(f"the quotient closes to a knot only for odd r, got {r}")
+            raise ValueError(f"the quotient closes to a knot only for odd r, got {_shown(r)}")
         return 3 * (first + q) + (r - 3) // 2
     if r == 4 * q + 1:
         return 3 * (first + q) - 1
     if r == 4 * q - 1:
         return 3 * (first + q) - 2
     raise ValueError(f"an even first parameter admits only the slopes 4q-1 and 4q+1, "
-                     f"got r={r} with q={q}")
+                     f"got r={_shown(r)} with q={_shown(q)}")
 
 
 def torus_genus(a: int, b: int) -> int:
     """Genus of the (a, b) torus knot, (a-1)(b-1)/2."""
     if a < 1 or b < 1 or math.gcd(a, b) != 1:
-        raise ValueError(f"torus knot parameters must be positive and coprime: ({a}, {b})")
+        raise ValueError(
+            f"torus knot parameters must be positive and coprime: ({_shown(a)}, {_shown(b)})")
     return (a - 1) * (b - 1) // 2

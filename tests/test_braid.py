@@ -12,18 +12,22 @@ import pytest
 
 from knotcert import (
     BraidWord,
+    Crossing,
     braids_equal,
     contains_full_twist,
+    exclude_montesinos_knot,
+    exclude_torus_knot,
     exponent_sum,
     full_twist,
     normal_form,
     parse_braid,
     permutation_of,
+    pretzel_diagram,
     pretzel_quotient_braid,
     quotient_braid,
     torus_braid,
 )
-from knotcert.braid import MAX_INPUT_LETTERS, MAX_INPUT_STRANDS, PermutationBraid
+from knotcert.braid import MAX_INPUT_LETTERS, MAX_INPUT_STRANDS, PermutationBraid, _shown
 
 from conftest import cycle_count
 
@@ -149,6 +153,9 @@ class TestNormalForm:
         assert nf.infimum == 2
         assert nf.canonical_length == 0
 
+    def test_to_word_of_a_positive_infimum(self):
+        assert normal_form(full_twist(3)).to_word() == full_twist(3)
+
     def test_to_word_round_trips(self, random_word):
         for _ in range(15):
             w = random_word(strands=4, length=12)
@@ -260,6 +267,15 @@ class TestFullTwist:
         assert contains_full_twist(full_twist(4))
         assert not contains_full_twist(torus_braid(4, 2))
 
+    def test_input_limit(self):
+        """n(n-1) letters: 45 strands build 1,980, 46 would need 2,070."""
+        assert len(full_twist(45)) == 1980
+        with pytest.raises(ValueError, match="2070 letters, over the input limit"):
+            full_twist(46)
+        for n in (2.5, True, "4"):
+            with pytest.raises(ValueError, match="must be integers"):
+                full_twist(n)
+
     def test_rejects_non_positive_words(self):
         with pytest.raises(ValueError):
             contains_full_twist(BraidWord(3, (1, -2)))
@@ -327,7 +343,7 @@ class TestFamilyWords:
         for block, middle in ((1, 1), (3, 2), (40, 60)):
             tail = MAX_INPUT_LETTERS - 4 * (block + middle)
             assert len(quotient_braid(block, middle, tail)) == MAX_INPUT_LETTERS
-            with pytest.raises(ValueError, match=f"{MAX_INPUT_LETTERS + 1} letters exceeds"):
+            with pytest.raises(ValueError, match=f"{MAX_INPUT_LETTERS + 1} letters, over the input limit"):
                 quotient_braid(block, middle, tail + 1)
 
     def test_even_word_shape(self):
@@ -383,6 +399,15 @@ class TestTorusBraid:
         with pytest.raises(ValueError):
             torus_braid(3, 0)
 
+    def test_input_limit(self):
+        """(a-1)b letters: exactly MAX_INPUT_LETTERS builds, one more is refused."""
+        assert len(torus_braid(2, MAX_INPUT_LETTERS)) == MAX_INPUT_LETTERS
+        with pytest.raises(ValueError, match=f"{MAX_INPUT_LETTERS + 1} letters, over the input"):
+            torus_braid(2, MAX_INPUT_LETTERS + 1)
+        for a, b in ((2.5, 3), (3, 2.0), (True, 3)):
+            with pytest.raises(ValueError, match="must be integers"):
+                torus_braid(a, b)
+
     def test_closure_component_count_is_gcd(self):
         import math
         for a in (2, 3, 4):
@@ -413,3 +438,44 @@ class TestPermutationBraid:
         mappings.append(tuple(near_delta))
         for m in mappings:
             assert PermutationBraid(m).reduced_word() == oracles.reduced_word(m)
+
+
+class TestEdgeRule:
+    """Every message names an outside value through braid._shown: short,
+    whatever the value.  The big ints here cost nothing to build."""
+
+    class BadRepr:
+        def __repr__(self):
+            raise RuntimeError("no repr")
+
+    @pytest.mark.parametrize("value, shown", [
+        (3, "3"), (-2 ** 128 + 1, str(-2 ** 128 + 1)), (2 ** 128, "<129-bit integer>"),
+        (-10 ** 5000, "<negative 16610-bit integer>"), ("x" * 10 ** 6, None),
+        ({"p": 3}, "an object"), ([3, 3], "an array"), (object(), "nothing"),
+        ((10 ** 5000, 1), None), (BadRepr(), None), (1.5, "1.5"), (True, "True"),
+    ], ids=["int", "128-bit", "129-bit", "huge-negative", "long-str", "dict", "list",
+            "absent", "tuple-of-huge", "bad-repr", "float", "bool"])
+    def test_shown_is_short_and_never_raises(self, value, shown):
+        text = _shown(value)
+        assert len(text) < 60
+        assert shown is None or text == shown
+
+    @pytest.mark.parametrize("call", [
+        lambda: BraidWord("x" * 10 ** 6),
+        lambda: BraidWord(3, (10 ** 5000,)),
+        lambda: exclude_montesinos_knot("x" * 10 ** 6, 2),
+        lambda: Crossing((0, 1, 2, 3), 10 ** 4000),
+        lambda: exclude_torus_knot(3, 3, 10 ** 5000 + 1),
+        lambda: pretzel_diagram([True, 3, 3]),
+    ], ids=["str-strands", "big-letter", "str-s", "big-sign", "big-odd-slope", "bool-twist"])
+    def test_outside_value_gets_a_short_value_error(self, call):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert len(str(exc.value)) < 200 and "Exceeds the limit" not in str(exc.value)
+
+    @pytest.mark.parametrize("r", [10 ** 4000, 10 ** 5000], ids=["4001-digits", "5001-digits"])
+    def test_even_slope_reason_is_short(self, r):
+        """An even slope is a two-component link at any size; the reason names it short."""
+        verdict = exclude_torus_knot(3, 3, r)
+        assert verdict.conclusion == "inconclusive"
+        assert len(verdict.evidence["reason"]) < 200

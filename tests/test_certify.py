@@ -74,8 +74,10 @@ class TestMontesinosKnotRule:
         assert v.conclusion == "excluded"
 
     def test_rejects_odd_values(self):
-        for s, sigma in ((3, 0), (4, 1.5), (4, 2.0), (False, 4), (4, True)):
-            with pytest.raises(ValueError, match="even integer"):
+        with pytest.raises(ValueError, match="even integers"):
+            exclude_montesinos_knot(3, 0)
+        for s, sigma in ((4, 1.5), (4, 2.0), (False, 4), (4, True)):
+            with pytest.raises(ValueError, match="must be integers"):
                 exclude_montesinos_knot(s, sigma)
 
 
@@ -176,7 +178,7 @@ class TestTorusKnotRule:
         assert exclude_torus_knot(3, 3, 1963).conclusion == "excluded"
         assert len(pretzel_quotient_braid(3, 3, 1964)) == MAX_INPUT_LETTERS
         for entry in (exclude_torus_knot, pretzel_quotient_braid):
-            with pytest.raises(ValueError, match="2001 letters exceeds the input limit"):
+            with pytest.raises(ValueError, match="2001 letters, over the input limit"):
                 entry(3, 3, 1965)
 
     @pytest.mark.parametrize("r", [1.5, "1", True, "x" * 10**6],
@@ -393,7 +395,7 @@ MALFORMED = {
     "list-slope": (("slopes", 9), [1], "certificate.slopes[9]: recorded an array"),
     "object-verdicts": (("slopes", 9, "verdicts"), {"rule": "montesinos-knot"},
                         "certificate.slopes[9].verdicts: recorded an object"),
-    "list-parameters": (("parameters",), [3, 3], "got [3, 3]"),
+    "list-parameters": (("parameters",), [3, 3], "got an array"),
     "p-over-input-limit": (("parameters", "p"), 401, "over the input limit 2000"),
 }
 

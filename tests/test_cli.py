@@ -18,7 +18,6 @@ from knotcert.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
-    MAX_PRETZEL_CROSSINGS,
     main,
 )
 from knotcert.braid import MAX_INPUT_LETTERS, MAX_INPUT_STRANDS
@@ -93,7 +92,7 @@ class TestInvariants:
         assert "'x'" in capsys.readouterr().err
 
     def test_pretzel_over_crossing_limit_is_usage_error(self, capsys):
-        twists = f"3,{MAX_PRETZEL_CROSSINGS - 5},-3"
+        twists = f"3,{MAX_INPUT_LETTERS - 5},-3"
         assert main(["invariants", "--pretzel", twists]) == EXIT_USAGE
         assert "input limit" in capsys.readouterr().err
 
@@ -253,6 +252,22 @@ class TestErrorText:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err) < 200, err[:300]
 
+    BIG = "9" * 4000  # an int token under CPython's 4,300-digit parsing limit
+
+    @pytest.mark.parametrize("argv", [
+        ["nf", "--braid", f"1 {BIG}", "-n", "3"],
+        ["nf", "--braid", "1", "-n", BIG],
+        ["invariants", "--braid", "1", "-n", BIG],
+        ["homfly", "--braid", "1", "-n", BIG],
+        ["invariants", "--pretzel", f"3,{BIG},3"],
+    ], ids=["nf-letter", "nf-strands", "invariants-strands", "homfly-strands", "pretzel"])
+    def test_big_integer_is_shown_short(self, argv, capsys):
+        """A 4,000-digit integer that parses is named by its size, not its digits."""
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err[:300]
+        assert len(err) < 200 and "-bit integer>" in err, err[:300]
+
     @pytest.mark.parametrize("argv", [
         ["certify", "3", TOKEN],
         ["nf", "--braid", "1", "-n", TOKEN],
@@ -280,6 +295,17 @@ class TestCertifyGrid:
         for name in names:
             report = json.loads((tmp_path / name).read_text())
             assert report["conclusion"] == "no-seifert-fibered-surgery"
+
+    def test_grid_range_of_one_value(self, capsys):
+        assert main(["certify", "--grid", "3", "3..5"]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "p=3 q=3: certified (17 slopes)",
+            "p=3 q=4: skipped (q even: P(p,q,q) is not a knot)",
+            "p=3 q=5: certified (17 slopes)"]
+
+    def test_grid_below_two_is_usage_error(self, capsys):
+        assert main(["certify", "--grid", "1..3", "3..3"]) == EXIT_USAGE
+        assert "start at 2" in capsys.readouterr().err
 
     def test_grid_json_mode(self, capsys):
         assert main(["certify", "--grid", "3..3", "3..3", "--json"]) == EXIT_OK

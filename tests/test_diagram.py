@@ -28,7 +28,7 @@ from knotcert import (
     torus_braid,
     writhe,
 )
-from knotcert.braid import exponent_sum, quotient_braid
+from knotcert.braid import MAX_INPUT_LETTERS, exponent_sum, quotient_braid
 from knotcert.certify import _positive_word_genus, _pretzel_family
 from knotcert.diagram import _closure_tail_invariants, _piece_count, is_positive
 
@@ -208,6 +208,18 @@ class TestPretzel:
         with pytest.raises(ValueError):
             pretzel_diagram((3, 0, 3))
 
+    def test_rejects_bool_and_float_counts(self):
+        for twists in ([True, 3, 3], [3, 3.0, 3]):
+            with pytest.raises(ValueError, match="twist counts must be integers"):
+                pretzel_diagram(twists)
+
+    def test_input_limit(self):
+        """At most MAX_INPUT_LETTERS crossings, counted before any is built."""
+        d = pretzel_diagram([3, -(MAX_INPUT_LETTERS - 5), 2])
+        assert len(d.crossings) == MAX_INPUT_LETTERS
+        with pytest.raises(ValueError, match="2001 crossings, over the input limit"):
+            pretzel_diagram([3, -(MAX_INPUT_LETTERS - 4), 2])
+
 
 class TestGoeritzOracle:
     def test_pretzels(self):
@@ -363,6 +375,7 @@ class TestClosureSignatureAndDeterminant:
 
     def test_unknot(self):
         assert closure_signature_and_determinant(BraidWord(1, ())) == (0, 1)
+        assert signature_and_determinant(braid_closure(BraidWord(1, ()))) == (0, 1)
         assert closure_signature_and_determinant(BraidWord(2, (1,))) == (0, 1)
 
     def test_rejects_word_missing_a_generator(self):
