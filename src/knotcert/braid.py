@@ -182,6 +182,7 @@ def parse_braid(text: str, strands: int) -> BraidWord:
     Inputs with more than MAX_INPUT_STRANDS strands or MAX_INPUT_LETTERS
     letters are rejected.
     """
+    _check_integers("strand counts", strands)
     if strands > MAX_INPUT_STRANDS:
         raise ValueError(
             f"strand count {_shown(strands)} exceeds the input limit {MAX_INPUT_STRANDS}")

@@ -32,6 +32,7 @@ import dataclasses
 import functools
 import itertools
 import json
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
 from .braid import (_TWIST_HEAD, BraidWord, _check_integers, _check_quotient_powers, _shown,
@@ -184,7 +185,7 @@ class CertificateReport:
         return report
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return _json_text(self.to_dict())
 
     @staticmethod
     def from_json(text: str) -> "CertificateReport":
@@ -193,6 +194,37 @@ class CertificateReport:
         except RecursionError:
             raise ValueError("certificate JSON nests too deeply to parse") from None
         return CertificateReport.from_dict(data)
+
+
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """value as the ``json`` module writes it with ``indent=2`` and
+    ``sort_keys=True``, byte for byte, for str, int, bool, None, list and
+    dict with str keys; TypeError on anything else.  Written directly,
+    since CPython skips its C encoder whenever an indent is set.  indent
+    is the line break and indentation before the value's closing bracket."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{" + inner + ("," + inner).join(
+            [f"{_json_string(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())]
+        ) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + indent + "]"
+    if value is None or kind is bool:
+        return _JSON_CONSTANTS[value]
+    raise TypeError(f"cannot write a {kind.__name__} as JSON")
 
 
 def _recorded_verdicts(slopes, i: int) -> tuple[ExclusionVerdict, ...]:
@@ -265,6 +297,7 @@ def exclude_montesinos_link_two_components(p: int, q: int) -> ExclusionVerdict:
     A Montesinos link matching a fibration with three exceptional fibers
     has three tangles, hence bridge number at most 3.  Two nontrivial
     components force bridge number at least 2 + 2 = 4."""
+    _check_integers("pretzel parameters", p, q)
     rule = "montesinos-link-bridge"
     components = [[2, q], [2, 2 * p + q]]
     if abs(q) <= 1 or abs(2 * p + q) <= 1:
@@ -286,6 +319,7 @@ def exclude_seifert_link_two_components(p: int, q: int) -> ExclusionVerdict:
     components are parallel) or a torus knot with a core circle of its
     torus (one component is unknotted).  T(2,q) and T(2,2p+q) with p > 0
     and q >= 3 are neither parallel nor unknotted."""
+    _check_integers("pretzel parameters", p, q)
     rule = "seifert-link-taxonomy"
     components = [[2, q], [2, 2 * p + q]]
     if p == 0:
@@ -303,7 +337,7 @@ def exclude_seifert_link_two_components(p: int, q: int) -> ExclusionVerdict:
     return ExclusionVerdict(rule, EXCLUDED, {
         "components": components,
         "torus_knot_case": "quotient link has two components",
-        "torus_link_case": f"components differ: {q} != {2 * p + q}",
+        "torus_link_case": f"components differ: {_shown(q)} != {_shown(2 * p + q)}",
         "knot_with_core_case": "both components are knotted",
     })
 

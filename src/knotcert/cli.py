@@ -14,13 +14,12 @@ certification, 2 usage or parameter error, 3 internal consistency failure,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
 import sys
 
 from .braid import BraidWord, _shown, normal_form, parse_braid
-from .certify import CertificateReport, certify_no_sfs, check_input_size
+from .certify import CertificateReport, _json_text, certify_no_sfs, check_input_size
 from .diagram import (
     LinkDiagram,
     braid_closure,
@@ -82,7 +81,7 @@ def _fields(pairs: list[tuple[str, object]]) -> list[str]:
 def _emit(args: argparse.Namespace, record: dict, lines: list[str], out: str | None):
     """Print a result, or write it to the file ``out``: ``record`` as indented,
     key-sorted JSON with --json, else the text ``lines``."""
-    text = json.dumps(record, indent=2, sort_keys=True) if args.json else "\n".join(lines)
+    text = _json_text(record) if args.json else "\n".join(lines)
     if out:
         _write(out, text)
     else:

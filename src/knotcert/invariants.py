@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .braid import _shown
+from .braid import _check_integers, _check_size, _shown
 from .diagram import LinkDiagram, component_count, is_positive, seifert_circle_count
 
 __all__ = [
@@ -67,11 +67,15 @@ def _torus_quotient(a: int, b: int) -> tuple[list[int], list[int]]:
 
 def torus_alexander(a: int, b: int) -> tuple[int, ...]:
     """Alexander polynomial of the (a, b) torus knot,
-    (t^(ab) - 1)(t - 1) / ((t^a - 1)(t^b - 1)), as coefficients from t^0 up."""
+    (t^(ab) - 1)(t - 1) / ((t^a - 1)(t^b - 1)), as coefficients from t^0 up.
+    The division is quadratic in a*b, so a torus braid of more than
+    MAX_INPUT_LETTERS crossings, (a - 1) * b, is refused first."""
+    _check_integers("torus knot parameters", a, b)
     if a < 1 or b < 1:
         raise ValueError(f"torus knot parameters must be positive, got ({_shown(a)}, {_shown(b)})")
     if math.gcd(a, b) != 1:
         raise ValueError(f"torus knot parameters must be coprime, got ({_shown(a)}, {_shown(b)})")
+    _check_size("torus braid of", (a - 1) * b, "crossings")
     return tuple(_divexact(*_torus_quotient(a, b)))
 
 
@@ -86,10 +90,14 @@ def torus_det_4x(x: int) -> int:
     The defining quotient (t^(4x)-1)(t-1) / ((t^4-1)(t^x-1)) has numerator
     and denominator both vanishing at t = -1, so the evaluation uses the
     derivative quotient there; the result is cross-checked against the
-    explicit polynomial division.  Both paths must give x.
+    explicit polynomial division.  Both paths must give x.  As in
+    torus_alexander, a torus braid of more than MAX_INPUT_LETTERS
+    crossings, 3x, is refused first.
     """
+    _check_integers("torus knot parameters", x)
     if x < 1 or x % 2 == 0:
         raise ValueError(f"(4, x) torus knots need odd positive x, got {_shown(x)}")
+    _check_size("torus braid of", 3 * x, "crossings")
     num, den = _torus_quotient(4, x)
     if _evaluate(num, -1) != 0 or _evaluate(den, -1) != 0:
         raise AssertionError("expected a 0/0 evaluation at t = -1")
@@ -124,6 +132,7 @@ def quotient_knot_genus(first: int, q: int, r: int) -> int:
     and q >= 3 odd: 3(first + q) + (r - 3)/2 at every odd r when first is
     odd; when first is even, 3(first + q) - 1 at r = 4q + 1 and
     3(first + q) - 2 at r = 4q - 1, the only slopes the even cells admit."""
+    _check_integers("pretzel parameters and slopes", first, q, r)
     if first < 2 or q < 3 or q % 2 == 0:
         raise ValueError(
             f"P(first,q,q) needs first >= 2 and q >= 3 odd, got ({_shown(first)}, {_shown(q)})")
@@ -141,6 +150,7 @@ def quotient_knot_genus(first: int, q: int, r: int) -> int:
 
 def torus_genus(a: int, b: int) -> int:
     """Genus of the (a, b) torus knot, (a-1)(b-1)/2."""
+    _check_integers("torus knot parameters", a, b)
     if a < 1 or b < 1 or math.gcd(a, b) != 1:
         raise ValueError(
             f"torus knot parameters must be positive and coprime: ({_shown(a)}, {_shown(b)})")

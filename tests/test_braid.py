@@ -16,6 +16,8 @@ from knotcert import (
     braids_equal,
     contains_full_twist,
     exclude_montesinos_knot,
+    exclude_montesinos_link_two_components,
+    exclude_seifert_link_two_components,
     exclude_torus_knot,
     exponent_sum,
     full_twist,
@@ -25,7 +27,11 @@ from knotcert import (
     pretzel_diagram,
     pretzel_quotient_braid,
     quotient_braid,
+    quotient_knot_genus,
+    torus_alexander,
     torus_braid,
+    torus_det_4x,
+    torus_genus,
 )
 from knotcert.braid import MAX_INPUT_LETTERS, MAX_INPUT_STRANDS, PermutationBraid, _shown
 
@@ -467,7 +473,16 @@ class TestEdgeRule:
         lambda: Crossing((0, 1, 2, 3), 10 ** 4000),
         lambda: exclude_torus_knot(3, 3, 10 ** 5000 + 1),
         lambda: pretzel_diagram([True, 3, 3]),
-    ], ids=["str-strands", "big-letter", "str-s", "big-sign", "big-odd-slope", "bool-twist"])
+        lambda: torus_genus(2.5, 3),
+        lambda: quotient_knot_genus("3", 3, 1),
+        lambda: torus_alexander(2, 2001),
+        lambda: torus_det_4x(667),
+        lambda: exclude_montesinos_link_two_components(1.5, "x"),
+        lambda: exclude_seifert_link_two_components(3, None),
+        lambda: parse_braid("1", "3"),
+    ], ids=["str-strands", "big-letter", "str-s", "big-sign", "big-odd-slope", "bool-twist",
+            "float-torus-genus", "str-quotient-genus", "torus-alexander-size", "torus-det-size",
+            "link-bridge-types", "link-taxonomy-types", "parse-str-strands"])
     def test_outside_value_gets_a_short_value_error(self, call):
         with pytest.raises(ValueError) as exc:
             call()
@@ -479,3 +494,15 @@ class TestEdgeRule:
         verdict = exclude_torus_knot(3, 3, r)
         assert verdict.conclusion == "inconclusive"
         assert len(verdict.evidence["reason"]) < 200
+
+    def test_torus_polynomials_at_the_size_limit(self):
+        """The largest torus braids the bound admits still compute."""
+        assert len(torus_alexander(2, MAX_INPUT_LETTERS - 1)) == MAX_INPUT_LETTERS - 1
+        assert torus_det_4x(MAX_INPUT_LETTERS // 3 - 1) == MAX_INPUT_LETTERS // 3 - 1
+
+    @pytest.mark.parametrize("p, q", [(1, 10 ** 5000), (10 ** 5000, 3)], ids=["huge-q", "huge-p"])
+    def test_huge_link_parameter_evidence_is_short(self, p, q):
+        """The taxonomy rule's evidence text names a huge component short."""
+        verdict = exclude_seifert_link_two_components(p, q)
+        assert verdict.conclusion == "excluded"
+        assert len(verdict.evidence["torus_link_case"]) < 200

@@ -36,6 +36,7 @@ from knotcert.certify import (
     _TWIST_HEAD,
     EXCLUDED,
     SCHEMA_VERSION,
+    _json_text,
     _montesinos_knot_verdict,
 )
 
@@ -530,3 +531,49 @@ class TestSerialization:
                              "assumptions", "slopes", "conclusion"}
         assert isinstance(data["slopes"], list)
         assert all(isinstance(s["verdicts"], list) for s in data["slopes"])
+
+
+def random_json_value(rng, depth: int = 0):
+    """A nested value of the types _json_text writes, with escapes to make:
+    control, non-ASCII, astral and lone-surrogate characters, ints past 64
+    bits, None, booleans, and empty and nested containers."""
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 40, 64, 65, 200)))
+    if kind in (3, 4):
+        return random_json_string(rng)
+    if kind == 5:
+        return [random_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {random_json_string(rng): random_json_value(rng, depth + 1)
+            for _ in range(rng.randrange(4))}
+
+
+def random_json_string(rng) -> str:
+    ranges = ((0, 0x20), (0x20, 0x7f), (0x7f, 0x800), (0xd800, 0xe000), (0x10000, 0x10400))
+    return "".join(chr(rng.randrange(*rng.choice(ranges))) for _ in range(rng.randrange(6)))
+
+
+class TestJsonText:
+    """_json_text writes what the json module writes with indent=2 and sorted keys."""
+
+    def test_every_grid_certificate_matches_json_dumps(self):
+        for p in range(2, 16):
+            for q in range(3, 16, 2):
+                data = certify_no_sfs(p, q).to_dict()
+                assert _json_text(data) == json.dumps(data, indent=2, sort_keys=True), (p, q)
+
+    def test_random_values_match_json_dumps(self, rng):
+        for _ in range(10000):
+            value = random_json_value(rng)
+            assert _json_text(value) == json.dumps(value, indent=2, sort_keys=True), value
+
+    @pytest.mark.parametrize("value", [
+        1.5, (1, 2), {1, 2}, [1, [2.0]], {"a": (1,)}, {1: "a"},
+    ], ids=["float", "tuple", "set", "nested-float", "nested-tuple", "int-key"])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)
