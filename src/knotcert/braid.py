@@ -351,18 +351,20 @@ def quotient_braid(block_power: int, middle_power: int, tail: int) -> BraidWord:
     twist, never equal to one: conjugation by braids with trivial
     permutation preserves pairwise linking numbers, and the plain word's
     head links the wrong strand pairs.  Conjugating by s3^2 s1^4 fixes the
-    closure and yields the spelling returned here, which satisfies, with
-    k = block_power, s3^2 (2312) s3^2 (2312)^{k-1} = Delta^2 (2312)^{k-2}
-    on the nose.  Same length, same closure, but the twist is now visible
-    to the greedy normal form.  Spending four tail letters needs tail >= 4
-    and block_power >= 2; below that no full twist exists and the plain
+    closure for an odd block power and yields the spelling returned here,
+    which satisfies, with k = block_power, s3^2 (2312) s3^2 (2312)^{k-1} =
+    Delta^2 (2312)^{k-2} on the nose.  Same length, same closure, but the
+    twist is now visible to the greedy normal form.  The spelling needs
+    tail >= 4 and an odd block_power >= 3.  For an even block power it
+    closes to a different link, since s1^2 (2312) = (2312) s3^2 carries the
+    four tail letters through the blocks back to s1^4.  Otherwise the plain
     word is returned.  Words over MAX_INPUT_LETTERS letters are refused
     before any letter is built.
     """
     _check_quotient_powers(block_power, middle_power, tail)
     block = (2, 3, 1, 2)
     middle = (2, 3, 3, 2) * middle_power
-    if tail >= 4 and block_power >= 2:
+    if tail >= 4 and block_power >= 3 and block_power % 2:
         head = _TWIST_HEAD + block * (block_power - 2)
         return BraidWord(4, head + middle + (1,) * (tail - 4))
     return BraidWord(4, block * block_power + middle + (1,) * tail)

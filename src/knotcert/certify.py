@@ -35,8 +35,8 @@ import json
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import NamedTuple
 
-from .braid import (_TWIST_HEAD, BraidWord, _check_integers, _check_quotient_powers, _shown,
-                    contains_full_twist, quotient_braid)
+from .braid import (_TWIST_HEAD, BraidWord, _check_integers, _check_quotient_powers,
+                    _check_size, _shown, contains_full_twist, quotient_braid)
 from .diagram import _closure_tail_invariants, closure_signature_and_determinant
 from .invariants import quotient_knot_genus, torus_genus
 
@@ -296,8 +296,10 @@ def exclude_montesinos_link_two_components(p: int, q: int) -> ExclusionVerdict:
 
     A Montesinos link matching a fibration with three exceptional fibers
     has three tangles, hence bridge number at most 3.  Two nontrivial
-    components force bridge number at least 2 + 2 = 4."""
+    components force bridge number at least 2 + 2 = 4.  ValueError when
+    the two components have more than braid.MAX_INPUT_LETTERS crossings."""
     _check_integers("pretzel parameters", p, q)
+    _check_size("quotient link components of", abs(q) + abs(2 * p + q), "crossings")
     rule = "montesinos-link-bridge"
     components = [[2, q], [2, 2 * p + q]]
     if abs(q) <= 1 or abs(2 * p + q) <= 1:
@@ -318,8 +320,10 @@ def exclude_seifert_link_two_components(p: int, q: int) -> ExclusionVerdict:
     """Taxonomy test: a two-component Seifert link is a torus link (its
     components are parallel) or a torus knot with a core circle of its
     torus (one component is unknotted).  T(2,q) and T(2,2p+q) with p > 0
-    and q >= 3 are neither parallel nor unknotted."""
+    and q >= 3 are neither parallel nor unknotted.  ValueError as in
+    ``exclude_montesinos_link_two_components``."""
     _check_integers("pretzel parameters", p, q)
+    _check_size("quotient link components of", abs(q) + abs(2 * p + q), "crossings")
     rule = "seifert-link-taxonomy"
     components = [[2, q], [2, 2 * p + q]]
     if p == 0:
@@ -657,8 +661,9 @@ def pretzel_quotient_braid(first: int, q: int, r: int) -> BraidWord:
     closure is the quotient knot or link of r-surgery on P(first,q,q).
 
     The tail is 2(first + q) + r for an odd first and 2(first - q) + r
-    for an even one; it must be nonnegative.  The word carries an explicit
-    positive full twist whenever the tail is at least 4.
+    for an even one; it must be nonnegative.  The block power q is odd
+    and at least 3, so the word spells the positive full twist explicitly
+    whenever the tail is at least 4.
     """
     family = _pretzel_family(first, q)
     _check_integers("surgery slopes", r)

@@ -22,6 +22,7 @@ Goeritz matrix from the word, with no diagram and no face trace.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 from ._matrix import symmetric_inertia
 from .braid import BraidWord, _check_integers, _check_size, _shown
@@ -80,35 +81,37 @@ class LinkDiagram:
             raise ValueError(f"every arc must occur exactly twice; offending arcs: {_shown(bad)}")
 
 
-# Slot pairs, by crossing sign, that the through strands join and that the
-# oriented smoothing joins.
-_STRAND_SLOTS = {1: ((0, 2), (1, 3)), -1: ((0, 2), (1, 3))}
-_SMOOTHING_SLOTS = {1: ((0, 3), (1, 2)), -1: ((0, 1), (2, 3))}
-
-
-def _cycle_count(d: LinkDiagram, slots: dict[int, tuple]) -> int:
-    """Classes of arcs joined at each crossing by its two slot pairs.
-
-    The pairs are taken unordered.  Every arc of a LinkDiagram occurs
-    twice and each crossing's two pairs split its four slots, so every arc
-    has exactly two neighbours: the classes are cycles, and one walk
-    around each counts them.  Free loops are not counted.
-    """
-    neighbors: dict[int, list[int]] = {}
+def _across(d: LinkDiagram) -> list[int]:
+    """The stub table: stub 4c + k, slot k of crossing c, to the stub at
+    the other end of its arc."""
+    across = [0] * (4 * len(d.crossings))
+    first: dict[int, int] = {}  # arc to its first stub
+    s = 0
     for c in d.crossings:
-        arcs = c.arcs
-        for i, j in slots[c.sign]:
-            a, b = arcs[i], arcs[j]
-            neighbors.setdefault(a, []).append(b)
-            neighbors.setdefault(b, []).append(a)
+        for a in c.arcs:
+            t = first.setdefault(a, s)
+            if t != s:
+                across[s], across[t] = t, s
+            s += 1
+    return across
+
+
+def _cycle_count(d: LinkDiagram, masks: list[int]) -> int:
+    """Cycles of stubs that join stub s to s ^ masks[c] inside its crossing
+    c and then run along the arc: mask 2 joins the through strands, 3 and
+    1 the oriented smoothing of a positive and a negative crossing.  Free
+    loops are not counted."""
+    across = _across(d)
+    seen = [False] * len(across)
     cycles = 0
-    while neighbors:
-        cycles += 1
-        start, (arc, _) = neighbors.popitem()
-        came_from = start
-        while arc != start:
-            x, y = neighbors.pop(arc)
-            came_from, arc = arc, (y if x == came_from else x)
+    for start in range(len(across)):
+        if not seen[start]:
+            cycles += 1
+            s = start
+            while not seen[s]:
+                t = s ^ masks[s >> 2]
+                seen[s] = seen[t] = True
+                s = across[t]
     return cycles
 
 
@@ -143,10 +146,6 @@ def braid_closure(w: BraidWord) -> LinkDiagram:
     return LinkDiagram(crossings, free_loops)
 
 
-_CCW = ("TL", "BL", "BR", "TR")
-_PASS = {"TL": "BR", "BR": "TL", "TR": "BL", "BL": "TR"}
-
-
 def pretzel_diagram(twists: list[int] | tuple[int, ...]) -> LinkDiagram:
     """Pretzel diagram: vertical twist regions of the given signed sizes,
     joined side by side and closed into a circle.
@@ -160,59 +159,38 @@ def pretzel_diagram(twists: list[int] | tuple[int, ...]) -> LinkDiagram:
     if not twists or 0 in twists:
         raise ValueError("a pretzel needs one or more twist regions, none of count 0")
     _check_size("pretzel of", sum(map(abs, twists)), "crossings")
-    nodes = [(i, k) for i, a in enumerate(twists) for k in range(abs(a))]
-    wires: list[frozenset] = []
-
-    def port(i: int, which: str):
-        last = abs(twists[i]) - 1
-        return {"TL": ((i, 0), "TL"), "TR": ((i, 0), "TR"),
-                "BL": ((i, last), "BL"), "BR": ((i, last), "BR")}[which]
-
-    for i, a in enumerate(twists):
-        for k in range(abs(a) - 1):
-            wires.append(frozenset({((i, k), "BL"), ((i, k + 1), "TL")}))
-            wires.append(frozenset({((i, k), "BR"), ((i, k + 1), "TR")}))
-    l = len(twists)
-    for i in range(l - 1):
-        wires.append(frozenset({port(i, "TR"), port(i + 1, "TL")}))
-        wires.append(frozenset({port(i, "BR"), port(i + 1, "BL")}))
-    wires.append(frozenset({port(0, "TL"), port(l - 1, "TR")}))
-    wires.append(frozenset({port(0, "BL"), port(l - 1, "BR")}))
-
-    wire_of: dict[tuple, int] = {}
-    other_end: dict[tuple, tuple] = {}
-    for idx, wire in enumerate(wires):
-        u, v = tuple(wire)
-        wire_of[u] = wire_of[v] = idx
-        other_end[u], other_end[v] = v, u
-
-    incoming: dict[tuple, bool] = {}
-    while len(incoming) < 4 * len(nodes):
-        start = next(stub for node in nodes for corner in _CCW
-                     if (stub := (node, corner)) not in incoming)
-        stub = start
-        while True:
-            incoming[stub] = True
-            node, corner = stub
-            out = (node, _PASS[corner])
-            incoming[out] = False
-            stub = other_end[out]
-            if stub == start:
-                break
-
+    # Crossings are numbered region by region, top to bottom; stub 4c + k
+    # is corner k of crossing c, counterclockwise 0 TL, 1 BL, 2 BR, 3 TR,
+    # and a strand passes straight through from corner k to k ^ 2.
+    starts = list(itertools.accumulate(map(abs, twists), initial=0))
+    tops = [4 * c for c in starts[:-1]]
+    bottoms = [4 * c - 4 for c in starts[1:]]
+    wires = []  # stub pairs, one per arc, in the order of the arc labels
+    for i in range(len(twists)):
+        for c in range(starts[i], starts[i + 1] - 1):
+            wires += [(4 * c + 1, 4 * c + 4), (4 * c + 2, 4 * c + 7)]
+    for i in range(len(twists)):
+        j = (i + 1) % len(twists)
+        wires += [(tops[i] + 3, tops[j]), (bottoms[i] + 2, bottoms[j] + 1)]
+    label = [0] * (4 * starts[-1])
+    across = [0] * (4 * starts[-1])
+    for idx, (s, t) in enumerate(wires):
+        label[s] = label[t] = idx
+        across[s], across[t] = t, s
+    incoming: list[bool | None] = [None] * len(across)
+    for start in range(len(across)):
+        s = start
+        while incoming[s] is None:
+            incoming[s], incoming[s ^ 2] = True, False
+            s = across[s ^ 2]
     crossings = []
     for i, a in enumerate(twists):
-        for k in range(abs(a)):
-            node = (i, k)
-            over_pair = ("TL", "BR") if a > 0 else ("TR", "BL")
-            under_pair = ("TR", "BL") if a > 0 else ("TL", "BR")
-            under_in = next(c for c in under_pair if incoming[(node, c)])
-            over_in = next(c for c in over_pair if incoming[(node, c)])
-            rot = _CCW.index(under_in)
-            order = tuple(_CCW[(rot + t) % 4] for t in range(4))
+        under = 1 if a > 0 else 0  # the under-strand's corners are under and under ^ 2
+        for c in range(starts[i], starts[i + 1]):
+            u = under if incoming[4 * c + under] else under ^ 2
             # Slot 1 is the incoming over-arc exactly at a positive crossing.
-            sign = 1 if order[1] == over_in else -1
-            crossings.append(Crossing(tuple(wire_of[(node, c)] for c in order), sign))
+            sign = 1 if incoming[4 * c + (u + 1) % 4] else -1
+            crossings.append(Crossing(tuple(label[4 * c + (u + k) % 4] for k in range(4)), sign))
     return LinkDiagram(tuple(crossings))
 
 
@@ -226,12 +204,12 @@ def is_positive(d: LinkDiagram) -> bool:
 
 def component_count(d: LinkDiagram) -> int:
     """Number of link components (through-strand tracing)."""
-    return _cycle_count(d, _STRAND_SLOTS) + d.free_loops
+    return _cycle_count(d, [2] * len(d.crossings)) + d.free_loops
 
 
 def seifert_circle_count(d: LinkDiagram) -> int:
     """Circles left by the orientation-respecting smoothing of every crossing."""
-    return _cycle_count(d, _SMOOTHING_SLOTS) + d.free_loops
+    return _cycle_count(d, [3 if c.sign == 1 else 1 for c in d.crossings]) + d.free_loops
 
 
 def mirror(d: LinkDiagram) -> LinkDiagram:
@@ -248,18 +226,19 @@ def mirror(d: LinkDiagram) -> LinkDiagram:
 
 def _piece_count(d: LinkDiagram) -> int:
     """Connected pieces of the crossing graph, free loops not counted: the
-    classes of arcs that meet at a crossing."""
-    crossings_on: dict[int, list[tuple[int, ...]]] = {}
-    for c in d.crossings:
-        for a in c.arcs:
-            crossings_on.setdefault(a, []).append(c.arcs)
+    classes of crossings joined by an arc."""
+    across = _across(d)
+    seen = [False] * len(d.crossings)
     pieces = 0
-    while crossings_on:
-        pieces += 1
-        stack = [next(iter(crossings_on))]
-        while stack:
-            for arcs in crossings_on.pop(stack.pop(), ()):
-                stack.extend(arcs)
+    for start in range(len(seen)):
+        if not seen[start]:
+            pieces += 1
+            stack = [start]
+            while stack:
+                c = stack.pop()
+                if not seen[c]:
+                    seen[c] = True
+                    stack.extend(s >> 2 for s in across[4 * c:4 * c + 4])
     return pieces
 
 
@@ -270,26 +249,16 @@ def faces(d: LinkDiagram) -> list[list[tuple[int, int]]]:
     between slots k and k+1.  Face tracing follows the arc leaving slot
     k+1 and continues at the landing slot's quadrant.
     """
-    slots: dict[int, list[tuple[int, int]]] = {}
-    for ci, c in enumerate(d.crossings):
-        for k, a in enumerate(c.arcs):
-            slots.setdefault(a, []).append((ci, k))
-
-    def across(ci: int, k: int) -> tuple[int, int]:
-        a = d.crossings[ci].arcs[k]
-        s1, s2 = slots[a]
-        return s2 if s1 == (ci, k) else s1
-
-    seen: set[tuple[int, int]] = set()
+    across = _across(d)
+    seen = [False] * len(across)
     out: list[list[tuple[int, int]]] = []
-    for start in ((ci, k) for ci in range(len(d.crossings)) for k in range(4)):
-        corner = start
+    for start in range(len(across)):
+        s = start
         face = []
-        while corner not in seen:
-            seen.add(corner)
-            face.append(corner)
-            ci, k = corner
-            corner = across(ci, (k + 1) % 4)
+        while not seen[s]:
+            seen[s] = True
+            face.append(divmod(s, 4))
+            s = across[s + 1 if s & 3 != 3 else s - 3]
         if face:
             out.append(face)
     return out

@@ -13,14 +13,18 @@ import pytest
 from knotcert import (
     BraidWord,
     Crossing,
+    braid_closure,
     braids_equal,
+    component_count,
     contains_full_twist,
+    determinant,
     exclude_montesinos_knot,
     exclude_montesinos_link_two_components,
     exclude_seifert_link_two_components,
     exclude_torus_knot,
     exponent_sum,
     full_twist,
+    homfly,
     normal_form,
     parse_braid,
     permutation_of,
@@ -334,6 +338,18 @@ class TestFamilyWords:
         for (p, q, r) in [(3, 3, -7), (3, 5, 3), (5, 3, -2), (7, 7, 0)]:
             assert pretzel_quotient_braid(p, q, r) == quotient_braid(q, p, 2 * p + 2 * q + r)
 
+    def test_quotient_word_closes_like_the_plain_word(self):
+        """The spelling quotient_braid returns closes to the link of the
+        plain word, for even block powers as well as odd ones."""
+        block = (2, 3, 1, 2)
+        for k in range(2, 10):
+            for m in range(1, 4):
+                for t in range(4, 10):
+                    plain = BraidWord(4, block * k + (2, 3, 3, 2) * m + (1,) * t)
+                    got = [(component_count(d), determinant(d), homfly(v)) for v in
+                           (quotient_braid(k, m, t), plain) for d in [braid_closure(v)]]
+                    assert got[0] == got[1], (k, m, t)
+
     def test_quotient_word_validation(self):
         for args in [(0, 3, 5), (3, 0, 5), (3, 3, -1)]:
             with pytest.raises(ValueError):
@@ -479,10 +495,15 @@ class TestEdgeRule:
         lambda: torus_det_4x(667),
         lambda: exclude_montesinos_link_two_components(1.5, "x"),
         lambda: exclude_seifert_link_two_components(3, None),
+        lambda: exclude_montesinos_link_two_components(1, 10 ** 5000),
+        lambda: exclude_montesinos_link_two_components(10 ** 5000, 3),
+        lambda: exclude_seifert_link_two_components(1, 10 ** 5000),
+        lambda: exclude_seifert_link_two_components(10 ** 5000, 3),
         lambda: parse_braid("1", "3"),
     ], ids=["str-strands", "big-letter", "str-s", "big-sign", "big-odd-slope", "bool-twist",
             "float-torus-genus", "str-quotient-genus", "torus-alexander-size", "torus-det-size",
-            "link-bridge-types", "link-taxonomy-types", "parse-str-strands"])
+            "link-bridge-types", "link-taxonomy-types", "link-bridge-huge-q", "link-bridge-huge-p",
+            "link-taxonomy-huge-q", "link-taxonomy-huge-p", "parse-str-strands"])
     def test_outside_value_gets_a_short_value_error(self, call):
         with pytest.raises(ValueError) as exc:
             call()
@@ -499,10 +520,3 @@ class TestEdgeRule:
         """The largest torus braids the bound admits still compute."""
         assert len(torus_alexander(2, MAX_INPUT_LETTERS - 1)) == MAX_INPUT_LETTERS - 1
         assert torus_det_4x(MAX_INPUT_LETTERS // 3 - 1) == MAX_INPUT_LETTERS // 3 - 1
-
-    @pytest.mark.parametrize("p, q", [(1, 10 ** 5000), (10 ** 5000, 3)], ids=["huge-q", "huge-p"])
-    def test_huge_link_parameter_evidence_is_short(self, p, q):
-        """The taxonomy rule's evidence text names a huge component short."""
-        verdict = exclude_seifert_link_two_components(p, q)
-        assert verdict.conclusion == "excluded"
-        assert len(verdict.evidence["torus_link_case"]) < 200

@@ -110,6 +110,18 @@ class TestQuotientLinkRules:
         assert v.conclusion == "inconclusive"
         assert v.evidence["failed_step"] == "nontrivial-components"
 
+    @pytest.mark.parametrize("rule", [exclude_montesinos_link_two_components,
+                                      exclude_seifert_link_two_components],
+                             ids=["bridge", "taxonomy"])
+    def test_input_limit(self, rule):
+        """At most MAX_INPUT_LETTERS crossings in T(2,q) and T(2,2p+q)
+        together.  Both counts have the parity of q, so the sum is even and
+        the first refused is MAX_INPUT_LETTERS + 2."""
+        assert rule(1, MAX_INPUT_LETTERS // 2 - 1).conclusion == "excluded"
+        assert rule(-MAX_INPUT_LETTERS // 2, MAX_INPUT_LETTERS // 2 - 1).conclusion == "excluded"
+        with pytest.raises(ValueError, match="2002 crossings, over the input limit 2000"):
+            rule(1, MAX_INPUT_LETTERS // 2)
+
 
 class TestTorusKnotRule:
     def test_fires_on_odd_family_grid(self):

@@ -202,6 +202,22 @@ class TestPretzel:
             d = pretzel_diagram((p, q))
             assert determinant(d) == p + q
 
+    @pytest.mark.parametrize("twists, pd", [
+        ((-2, 3, 7), "X 22 0 1 18 + | X 19 1 0 23 + | X 20 18 2 3 + | X 3 2 4 5 + | "
+                     "X 5 4 19 21 + | X 6 7 22 20 + | X 8 9 7 6 + | X 10 11 9 8 + | "
+                     "X 12 13 11 10 + | X 14 15 13 12 + | X 16 17 15 14 + | X 21 23 17 16 +"),
+        ((3, 3, 3), "X 0 1 12 16 - | X 1 0 2 3 - | X 17 13 3 2 - | X 4 5 14 12 - | "
+                    "X 5 4 6 7 - | X 13 15 7 6 - | X 8 9 16 14 - | X 9 8 10 11 - | "
+                    "X 15 17 11 10 -"),
+        ((1, -1, 1, -1), "X 7 1 0 6 - | X 0 1 3 2 + | X 3 5 4 2 - | X 4 5 7 6 +"),
+        ((2,), "X 0 1 2 2 - | X 1 0 3 3 -"),
+        ((5, -3), "X 0 1 12 14 - | X 1 0 2 3 - | X 4 5 3 2 - | X 5 4 6 7 - | "
+                  "X 15 13 7 6 - | X 12 8 9 14 + | X 11 9 8 10 + | X 10 13 15 11 +"),
+    ], ids=["-2,3,7", "3,3,3", "1,-1,1,-1", "2", "5,-3"])
+    def test_pd_text_is_pinned(self, twists, pd):
+        """Arc labels and crossing order: region by region, top to bottom."""
+        assert to_pd_text(pretzel_diagram(twists)) == pd.replace(" | ", "\n") + "\n"
+
     def test_rejects_empty_and_zero(self):
         with pytest.raises(ValueError):
             pretzel_diagram(())
