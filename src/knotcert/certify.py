@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .braid import (_TWIST_HEAD, BraidWord, _check_integers, _check_quotient_powers,
                     _check_size, _shown, contains_full_twist, quotient_braid)
-from .diagram import _closure_tail_invariants, closure_signature_and_determinant
+from .diagram import _quotient_tail_invariants, closure_signature_and_determinant
 from .invariants import quotient_knot_genus, torus_genus
 
 __all__ = [
@@ -406,11 +406,14 @@ def _knot_slope_verdicts(family: _Family) -> dict[int, tuple[ExclusionVerdict, .
     matrix gives sigma and the determinant, and its genus gives s = 2 *
     genus (the Rasmussen invariant of a positive knot) for the Montesinos
     test and the genus for the torus test.  The only other word is the
-    tangle-move partner's, for the Montesinos chain.  The slopes' words
-    differ only in their s1 tails, so the word and the partner are built
-    once each, at the shortest tail, and one elimination of each gives
-    every slope.  The tails differ by even k, and the k more letters s1
-    are positive, so the genus grows by k/2.  Every tail is at least 5,
+    tangle-move partner's, for the Montesinos chain, with two blocks
+    fewer.  One streaming pass over the partner's letters and then the
+    word's two more blocks, ``diagram._quotient_tail_invariants``, gives
+    sigma and det of both at every slope: the slopes differ only in their
+    s1 tails, which that pass adds at each closing.  The word and the
+    partner are built once each, at the shortest tail, for the genus and
+    the twist head.  The tails differ by even k, and the k more letters
+    s1 are positive, so the genus grows by k/2.  Every tail is at least 5,
     so every slope's word and the shortest one share the head that shows
     the full twist.
     """
@@ -419,8 +422,7 @@ def _knot_slope_verdicts(family: _Family) -> dict[int, tuple[ExclusionVerdict, .
     extra = [r - odd[0] for r in odd]
     word, partner = quotient_braid(q, first, base), quotient_braid(q - 2, first, base)
     genus, partner_genus = _positive_word_genus(word), _positive_word_genus(partner)
-    knots = _closure_tail_invariants(word, extra)
-    partners = _closure_tail_invariants(partner, extra)
+    partners, knots = _quotient_tail_invariants([q - 2, q], first, [base + k for k in extra])
     verdicts = {}
     for r, k, (sigma, det), (sigma_partner, _) in zip(odd, extra, knots, partners):
         montesinos = _montesinos_knot_verdict(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 
-from ._matrix import symmetric_inertia
+from ._matrix import _exact, symmetric_inertia
 from .braid import BraidWord, _check_integers, _check_size, _shown
 
 __all__ = [
@@ -365,31 +365,18 @@ def closure_signature_and_determinant(w: BraidWord) -> tuple[int, int]:
     column the white faces are the regions above and below it, with
     incidence -sign(e); otherwise they are the regions of columns j-1 and
     j+1 at its height, with incidence +sign(e).  Rows and correction
-    follow ``goeritz``.  ValueError when w misses a generator (a split
-    closure) or its closure has more than one component.
-    """
-    return _closure_tail_invariants(w, [0])[0]
-
-
-def _closure_tail_invariants(w: BraidWord, tails: list[int]) -> list[tuple[int, int]]:
-    """Signature and determinant of the knot closing w s1^k for each k >= 0
-    in tails, from w's Goeritz rows M.  With white the even class, a tail
-    letter s1 joins the deleted region of column 0 to the last region t of
-    column 2: it adds 1 to M[t][t] and to the correction.  So det M is
-    linear in k, det M_k = det M_k0 + (k - k0) det M', and sigma(M_k) =
-    sigma(M') + sign(det M_k det M') for M' = M less row and column t
-    (Sylvester).  One elimination of M at the first tail k0, with t
-    pivoted last, gives det M_k0 and sigma(M') and det M' together.  A
+    follow ``goeritz``, and one ``symmetric_inertia`` pass reads them.  A
     knot's determinant is odd, so an even one is an AssertionError.
-    ValueError as in ``closure_signature_and_determinant`` for each w s1^k
-    (the split check is on w), for k > 0 with white odd, and for det M' = 0
-    when the tails differ."""
+    ValueError when w misses a generator (a split closure) or its closure
+    has more than one component.
+    """
     n = w.strands
     regions = [1] + [0] * (n - 1) + [1]
     for e in w.letters:
         regions[abs(e)] += 1
     if 0 in regions:
         raise ValueError(f"braid word misses generator {regions.index(0)}: split closure")
+    _check_knot(w.letters, n)
     white = 0 if 2 * sum(regions[0::2]) <= sum(regions) else 1
     # White column j's regions start at index first[j]; white region 0
     # gets index -1, so its row and column are deleted.
@@ -400,7 +387,6 @@ def _closure_tail_invariants(w: BraidWord, tails: list[int]) -> list[tuple[int, 
         count += regions[j]
     rows: dict[int, dict[int, int]] = {i: {} for i in range(count)}
     seen = [0] * (n + 1)  # letters passed so far in each column
-    at = list(range(n))  # start position of the strand now at each position
     correction = 0
     for e in w.letters:
         j = abs(e)
@@ -415,35 +401,131 @@ def _closure_tail_invariants(w: BraidWord, tails: list[int]) -> list[tuple[int, 
             f1 = first[j - 1] + (seen[j - 1] - 1) % regions[j - 1]
             f2 = first[j + 1] + (seen[j + 1] - 1) % regions[j + 1]
         seen[j] += 1
-        at[j - 1], at[j] = at[j], at[j - 1]
         if f1 != f2:
             _add_crossing(rows, f1, f2, eta)
-    t = first[2] + regions[2] - 1 if white == 0 and n > 1 else None
-    if t is None and any(tails):
-        raise ValueError("s1 tails need white to be the even column class")
-    for k in tails:
-        # The closure is a knot when the strand permutation is one n-cycle;
-        # each tail letter swaps the strands ending at positions 0 and 1.
-        perm = [at[1], at[0], *at[2:]] if k % 2 else at
-        length, pos = 1, perm[0]
-        while pos != 0:
-            length, pos = length + 1, perm[pos]
-        if length != n:
-            raise ValueError("signature is only computed for braids closing to a knot")
-    k0 = tails[0]
-    if t is not None:
-        rows[t][t] = rows[t].get(t, 0) + k0  # symmetric_inertia drops a zero entry
-    if all(k == k0 for k in tails):
-        inertias = [symmetric_inertia(rows)] * len(tails)
-    else:
-        (_, det0), (sig1, det1) = symmetric_inertia(rows, t)
-        if det1 == 0:
-            raise ValueError("s1 tails need a nonsingular matrix without the tail region")
-        dets = [det0 + (k - k0) * det1 for k in tails]
-        inertias = [(sig1 + (d * det1 > 0) - (d * det1 < 0), d) for d in dets]
-    if any(d % 2 == 0 for _, d in inertias):
+    sig, det = symmetric_inertia(rows)
+    return sig - correction, _odd(det)
+
+
+def _check_knot(letters: tuple[int, ...], strands: int):
+    """ValueError unless the braid word closes to a knot: its strand
+    permutation is one cycle."""
+    at = list(range(strands))  # start position of the strand now at each position
+    for e in letters:
+        j = abs(e)
+        at[j - 1], at[j] = at[j], at[j - 1]
+    length, pos = 1, at[0]
+    while pos != 0:
+        length, pos = length + 1, at[pos]
+    if length != len(at):
+        raise ValueError("signature is only computed for braids closing to a knot")
+
+
+def _odd(det: int) -> int:
+    """|det| of the Goeritz matrix of a knot closure, which is odd."""
+    if det % 2 == 0:
         raise AssertionError("a knot closure has an even determinant")
-    return [(s - correction - k, abs(d)) for (s, d), k in zip(inertias, tails)]
+    return abs(det)
+
+
+def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
+                              ) -> list[list[tuple[int, int]]]:
+    """Signature and determinant of the knot closing A^j B^middle s1^k,
+    A = s2 s3 s1 s2 and B = s2 s3^2 s2, for each block power j >= 1 in
+    the ascending list powers, then each tail k >= 0 in tails, from one
+    pass over the letters of the rotation B^middle s1^k A^j (same closure).
+
+    White is the even class: column 0 is the deleted region, column 4 a
+    hub, and column 2 one region per s2.  The frontier keeps the regions
+    not yet eliminated: the wrap region (before the first s2, so after
+    the last), the tail region (where each tail letter adds 1 to the
+    diagonal and to the correction), the hub, the current region, and
+    any complete region whose pivot is still zero.  Every other region
+    is eliminated once its closing s2 has passed.  Frontier entries are
+    the Schur complement times D, the determinant of the eliminated
+    block, so every update divides exactly by the old D (Bareiss).
+
+    After j blocks a copy of the frontier closes: the current region
+    merges into the wrap region, k0 = tails[0] joins the tail diagonal,
+    and ``symmetric_inertia`` with the tail region last gives det M,
+    sigma(M') and det M' for M' = M less that region.  det M_k = det M_k0
+    + (k - k0) det M', so Sylvester gives sigma(M_k) = sigma(M') +
+    sign(det M_k det M') when det M' != 0.  When det M' = 0, det M_k is
+    the same odd number for every real k, so no eigenvalue crosses zero
+    and sigma(M_k) = sigma(M_k0).  ValueError for a tail that closes to
+    a link; an even knot determinant is an AssertionError.
+    """
+    # A^2 and B are pure braids, so the closure's strand permutation is
+    # that of A^(j mod 2) s1^(k mod 2).
+    for j, k in {(j % 2, k % 2) for j in powers for k in tails}:
+        _check_knot((2, 3, 1, 2) * j + (1,) * k, 4)
+    wrap, hub, tail = 0, 1, None
+    rows: dict[int, dict[int, int]] = {wrap: {}, hub: {}}  # the frontier, times d
+    d = 1  # the determinant of the eliminated block
+    sig = black = 0  # sigma of the eliminated block; letters s1 and s3 read
+    cur, fresh, held = wrap, 2, []  # held: complete regions not yet eliminated
+
+    def close() -> list[tuple[int, int]]:
+        f = {i: dict(row) for i, row in rows.items()}
+        crow = f.pop(cur)
+        f[wrap][wrap] = f[wrap].get(wrap, 0) + crow.pop(cur, 0)
+        for i, v in crow.items():
+            del f[i][cur]
+            f[i][wrap] = f[i].get(wrap, 0) + v
+            f[wrap][i] = f[wrap].get(i, 0) + v
+        f[tail][tail] = f[tail].get(tail, 0) + tails[0] * d
+        (sig_m, det_m), (sig_minor, det_minor) = symmetric_inertia(f, tail)
+        # f is D times the Schur complement S of the eliminated block:
+        # sigma(f) = sign(D) sigma(S), det f = D^len(f) det S, det M = D det S.
+        flip = 1 if d > 0 else -1
+        sig_m, sig_minor = sig + flip * sig_m, sig + flip * sig_minor
+        det_m, det_minor = _exact(det_m, d ** (len(f) - 1)), _exact(det_minor, d ** (len(f) - 2))
+        values = []
+        for k in tails:
+            det_k = det_m + (k - tails[0]) * det_minor
+            if det_minor:
+                sig_k = sig_minor + (det_k * det_minor > 0) - (det_k * det_minor < 0)
+            else:
+                sig_k = sig_m
+            values.append((sig_k - black - k, _odd(det_k)))
+        return values
+
+    out = []
+    closings = {4 * (middle + j) for j in powers}
+    for count, e in enumerate((2, 3, 3, 2) * middle + (2, 3, 1, 2) * powers[-1], 1):
+        if e != 2:
+            black += 1
+            _add_crossing(rows, cur, hub if e == 3 else -1, d)
+        else:
+            # A new region starts; the one it ends is complete, and goes
+            # once its pivot is nonzero unless the closing needs it.
+            rows[fresh] = {}
+            _add_crossing(rows, cur, fresh, -d)
+            if cur not in (wrap, tail):
+                held.append(cur)
+            cur, fresh = fresh, fresh + 1
+            ready = [p for p in held if rows[p].get(p)]
+            while ready:
+                p = ready[0]
+                held.remove(p)
+                prow = rows.pop(p)
+                pivot = prow.pop(p)
+                sig += 1 if (pivot > 0) == (d > 0) else -1
+                for row in rows.values():
+                    x = row.pop(p, 0)
+                    for c in row.keys() | prow.keys() if x else list(row):
+                        v = _exact(pivot * row.get(c, 0) - x * prow.get(c, 0), d)
+                        if v:
+                            row[c] = v
+                        else:
+                            row.pop(c, None)
+                d = pivot
+                ready = [p for p in held if rows[p].get(p)]
+        if count == 4 * middle:  # B^middle is read: the current region holds the tail
+            tail = cur
+        elif count in closings:
+            out.append(close())
+    return out
 
 
 def determinant(d: LinkDiagram) -> int:

@@ -163,51 +163,46 @@ def _braid_loops(letters: tuple[int, ...]) -> list[tuple[int, int, int]]:
 
 def _symmetric_sig_det(rows: list[list[int]]) -> tuple[int, int]:
     """Signature and determinant of a symmetric integer matrix by exact
-    congruence diagonalization (symmetric row+column elimination)."""
-    a = [list(row) for row in rows]
+    congruence diagonalization (symmetric row+column elimination) in
+    Fractions.  Each step pivots on the sparsest row with a nonzero
+    diagonal; when every diagonal is zero, a row and its column are added
+    to another's first."""
+    a = {i: {j: Fraction(v) for j, v in enumerate(row) if v} for i, row in enumerate(rows)}
     signature = 0
     det = Fraction(1)
-
-    def eliminate(mat: list[list[Fraction]]):
-        nonlocal signature, det
-        k = len(mat)
-        if k == 0:
-            return
-        pivot = next((i for i in range(k) if mat[i][i] != 0), None)
-        if pivot is None:
-            spot = next(((i, j) for i in range(k) for j in range(i + 1, k)
-                         if mat[i][j] != 0), None)
+    while a:
+        pivots = [i for i, row in a.items() if i in row]
+        if not pivots:
+            spot = next(((i, j) for i, row in a.items() for j in row), None)
             if spot is None:
-                det *= 0
-                return
-            i, j = spot
-            for c in range(k):
-                mat[i][c] += mat[j][c]
-            for r in range(k):
-                mat[r][i] += mat[r][j]
-            eliminate(mat)
-            return
-        if pivot != 0:
-            mat[0], mat[pivot] = mat[pivot], mat[0]
-            for r in range(k):
-                mat[r][0], mat[r][pivot] = mat[r][pivot], mat[r][0]
-        top = mat[0]
-        d = top[0]
+                return signature, 0  # only zero rows remain
+            i, j = spot  # i != j, as every diagonal entry is zero
+            for c, v in a[j].items():  # row i += row j
+                a[i][c] = a[i].get(c, 0) + v
+            for row in a.values():  # column i += column j
+                if j in row:
+                    row[i] = row.get(i, 0) + row[j]
+            for row in a.values():
+                for c in [c for c, v in row.items() if not v]:
+                    del row[c]
+            continue
+        p = min(pivots, key=lambda i: len(a[i]))
+        top = a.pop(p)
+        d = top.pop(p)
         signature += 1 if d > 0 else -1
         det *= d
-        # The matrix stays symmetric, so mat[i][0] == top[i]; zero
-        # multipliers and zero pivot-row entries change nothing and are
-        # skipped, which keeps the sparse Seifert forms cheap.
-        support = [j for j in range(1, k) if top[j]]
-        rest = [row[1:] for row in mat[1:]]
-        for j in support:
-            f = Fraction(top[j]) / d
-            row = rest[j - 1]
-            for c in support:
-                row[c - 1] -= f * top[c]
-        eliminate(rest)
-
-    eliminate(a)
+        # The matrix stays symmetric, so row j's entry in column p is
+        # top[j]; only the rows and columns top reaches change.
+        for j, x in top.items():
+            row = a[j]
+            del row[p]
+            f = x / d
+            for c, y in top.items():
+                v = row.get(c, 0) - f * y
+                if v:
+                    row[c] = v
+                else:
+                    row.pop(c, None)
     assert det.denominator == 1
     return signature, abs(int(det))
 

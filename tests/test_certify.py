@@ -273,13 +273,13 @@ class TestCertifyNoSfs:
         assert [s.r for s in report.slopes] == [19, 21]
 
     def test_knot_slopes_read_the_word(self, monkeypatch):
-        """The odd slopes read sigma and det from one build of the quotient
-        word's Goeritz rows and one of its partner's, build no diagram, and
-        prove no full twist once the head's proof is cached.  Each build is
-        eliminated once, with the tail region pivoted last, and the genus
-        of every slope comes from the word at the shortest tail: (3,3) has
-        eight odd slopes and (2,3) two, and both cost two eliminations and
-        two quotient words."""
+        """The odd slopes read sigma and det from one streaming pass over
+        the partner's and then the word's letters, build no diagram, and
+        prove no full twist once the head's proof is cached.  The pass
+        closes twice, each closing one elimination with the tail region
+        pivoted last, and the genus of every slope comes from the word at
+        the shortest tail: (3,3) has eight odd slopes and (2,3) two, and
+        both cost one pass, two eliminations and two quotient words."""
         import knotcert.braid
         import knotcert.certify
         import knotcert.diagram
@@ -293,8 +293,8 @@ class TestCertifyNoSfs:
         calls = []
         monkeypatch.setattr(knotcert.certify, "closure_signature_and_determinant",
                             logged(calls, knotcert.certify.closure_signature_and_determinant))
-        monkeypatch.setattr(knotcert.certify, "_closure_tail_invariants",
-                            logged(calls, knotcert.certify._closure_tail_invariants))
+        monkeypatch.setattr(knotcert.certify, "_quotient_tail_invariants",
+                            logged(calls, knotcert.certify._quotient_tail_invariants))
         for name in ("braid_closure", "faces", "goeritz"):
             monkeypatch.setattr(knotcert.diagram, name,
                                 logged(calls, getattr(knotcert.diagram, name)))
@@ -305,7 +305,7 @@ class TestCertifyNoSfs:
             eliminations.clear()
             words.clear()
             certify_no_sfs(first, 3)
-            assert calls == ["_closure_tail_invariants"] * 2, first
+            assert calls == ["_quotient_tail_invariants"], first
             assert len(eliminations) == 2, first
             assert len(words) == 2, first
 
@@ -464,6 +464,16 @@ class TestSerialization:
         change to any verdict, evidence value or the serialization shows."""
         text = certify_no_sfs(p, q).to_json()
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
+
+    def test_grid_certificate_bytes_are_pinned(self):
+        """One SHA-256 prefix over the 200 certificates of p in 2..21 and
+        odd q in 3..21, p outer, each text followed by a newline, as
+        written by earlier versions."""
+        digest = hashlib.sha256()
+        for p in range(2, 22):
+            for q in range(3, 22, 2):
+                digest.update((certify_no_sfs(p, q).to_json() + "\n").encode())
+        assert digest.hexdigest()[:16] == "bfcf8217587afbe4"
 
     def test_every_grid_certificate_round_trips(self):
         for p in range(2, 10):

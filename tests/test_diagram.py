@@ -30,7 +30,7 @@ from knotcert import (
 )
 from knotcert.braid import MAX_INPUT_LETTERS, exponent_sum, quotient_braid
 from knotcert.certify import _positive_word_genus, _pretzel_family
-from knotcert.diagram import _closure_tail_invariants, _piece_count, is_positive
+from knotcert.diagram import _piece_count, _quotient_tail_invariants, is_positive
 
 from conftest import cycle_count, grid_knot_slope_words, logged
 from oracles import _symmetric_sig_det, braid_seifert_sigma, goeritz_det, torus_sigma
@@ -405,37 +405,54 @@ class TestClosureSignatureAndDeterminant:
                 closure_signature_and_determinant(w)
 
 
+def plain_quotient_word(block: int, middle: int, tail: int) -> BraidWord:
+    """A^block B^middle s1^tail, A = s2 s3 s1 s2 and B = s2 s3^2 s2, as written."""
+    return BraidWord(4, (2, 3, 1, 2) * block + (2, 3, 3, 2) * middle + (1,) * tail)
+
+
 class TestClosureTailInvariants:
-    """Each s1 tail read from one build of a word's Goeritz rows against a
-    fresh build of the longer word and against the diagram path."""
+    """The streaming pass over the quotient word, every block power and
+    tail against a fresh build of the whole word."""
+
+    def test_box_against_the_whole_word(self):
+        """A^j B^m s1^t for j in 1..15, m in 1..11, t in 2..29: every knot
+        closure agrees with closure_signature_and_determinant, one pass
+        per (j, m) for all its knot tails, and every link tail raises the
+        knot ValueError."""
+        for middle in range(1, 12):
+            for block in range(1, 16):
+                words = {t: plain_quotient_word(block, middle, t) for t in range(2, 30)}
+                knots = [t for t, w in words.items() if cycle_count(w) == 1]
+                expected = [closure_signature_and_determinant(words[t]) for t in knots]
+                if knots:
+                    assert _quotient_tail_invariants([block], middle, knots) == [expected]
+                for t in words.keys() - knots:
+                    with pytest.raises(ValueError, match="knot"):
+                        _quotient_tail_invariants([block], middle, [t])
 
     def test_certificate_tails(self):
-        """Every knot slope of every cell of certify --grid 2..15 3..15, from
-        the quotient word and the partner at the cell's shortest tail (also
-        checked on the diagram) and, through an odd number of tail letters,
-        from the link one letter shorter; the even slope between is a link
-        tail."""
+        """Every knot slope of every cell of certify --grid 2..15 3..15 and
+        its partner, from one pass per cell, against quotient_braid's
+        spelling of each word (and, at the shortest tail, the diagram);
+        the even slope above the shortest is a link tail."""
         for p in range(2, 16):
             for q in range(3, 16, 2):
                 family = _pretzel_family(p, q)
-                odd = [r for r in family.slopes if r % 2]
-                tails = [family.powers(r)[2] for r in odd]
-                block, middle, base = family.powers(odd[0])
-                for power in (block, block - 2):
-                    for start in (base, base - 1):
-                        w = quotient_braid(power, middle, start)
-                        got = _closure_tail_invariants(w, [t - start for t in tails])
-                        for t, value in zip(tails, got):
-                            longer = BraidWord(4, w.letters + (1,) * (t - start))
-                            assert value == closure_signature_and_determinant(longer), (p, q, t)
-                            if start == base:
-                                assert value == signature_and_determinant(braid_closure(longer))
-                        with pytest.raises(ValueError, match="knot"):
-                            _closure_tail_invariants(w, [base + 1 - start])
+                block, middle, _ = family.powers(0)
+                tails = [family.powers(r)[2] for r in family.slopes if r % 2]
+                got = _quotient_tail_invariants([block - 2, block], middle, tails)
+                for power, values in zip((block - 2, block), got):
+                    for t, value in zip(tails, values):
+                        w = quotient_braid(power, middle, t)
+                        assert value == closure_signature_and_determinant(w), (p, q, t)
+                        if t == tails[0]:
+                            assert value == signature_and_determinant(braid_closure(w))
+                with pytest.raises(ValueError, match="knot"):
+                    _quotient_tail_invariants([block - 2, block], middle, [tails[0] + 1])
 
     @staticmethod
-    def _longer(w, tails):
-        return [closure_signature_and_determinant(BraidWord(w.strands, w.letters + (1,) * k))
+    def _whole(block, middle, tails):
+        return [closure_signature_and_determinant(plain_quotient_word(block, middle, k))
                 for k in tails]
 
     @staticmethod
@@ -450,67 +467,65 @@ class TestClosureTailInvariants:
         [6], [0], [4, 0, 10], [2, 8], [10, 2, 6, 2, 10, 0], [4, 4, 4],
     ], ids=["single", "zero", "k0-inside", "k0-first", "unsorted-repeated", "repeated"])
     def test_tails_away_from_the_certificate(self, tails, monkeypatch):
-        """Tail lists no certificate asks for, shifted to the parity that
-        closes to a knot, against a fresh build of each longer word: any
-        tail list costs one elimination."""
+        """Tail lists no certificate asks for, shifted to the odd parity
+        that closes to a knot, at several block powers of one pass: each
+        closing costs one elimination, whatever the tails."""
         calls = self._counted_eliminations(monkeypatch)
-        words = (quotient_braid(3, 5, 4), quotient_braid(1, 1, 4), quotient_braid(5, 2, 6),
-                 BraidWord(4, (1, -2, 3, -1, -2, 3, 1, 3, -1)))
-        for w in words:
-            shifted = [k + (cycle_count(w) != 1) for k in tails]
-            expected = self._longer(w, shifted)
+        shifted = [k + 1 for k in tails]
+        for powers, middle in (([3], 5), ([1], 1), ([1, 5, 7], 2), ([3, 9], 3)):
+            expected = [self._whole(j, middle, shifted) for j in powers]
             calls.clear()
-            assert _closure_tail_invariants(w, shifted) == expected, (w, shifted)
-            assert len(calls) == 1, (w, shifted)
+            assert _quotient_tail_invariants(powers, middle, shifted) == expected, (powers, middle)
+            assert len(calls) == len(powers), (powers, middle)
 
     def test_odd_white_with_zero_tails(self, monkeypatch):
-        """White in the odd class allows only tail 0, however often it is
-        asked for; that is one elimination."""
-        w = quotient_braid(3, 3, 1)
-        expected = self._longer(w, [0])
+        """At tails 0 and 1 the odd columns are the smaller class, which
+        closure_signature_and_determinant takes as white; the pass keeps
+        the even class and agrees at the knot tail, however often it is
+        asked for, with one elimination.  Tail 0 closes to a link."""
+        expected = self._whole(3, 3, [1])
         calls = self._counted_eliminations(monkeypatch)
-        assert _closure_tail_invariants(w, [0, 0, 0]) == expected * 3
+        assert _quotient_tail_invariants([3], 3, [1, 1, 1]) == [expected * 3]
         assert len(calls) == 1
+        assert expected == [signature_and_determinant(braid_closure(quotient_braid(3, 3, 1)))]
+        with pytest.raises(ValueError, match="knot"):
+            _quotient_tail_invariants([3], 3, [0])
 
     def test_links_at_every_tail(self):
-        """An even block power with an even middle power closes to a link at
-        every tail, where det M' = 0: a link ValueError, never an
-        AssertionError."""
-        for block, middle in ((2, 2), (4, 2), (2, 4)):
-            w = quotient_braid(block, middle, 4)
+        """An even block power closes to a link at every tail, where
+        det M' can be 0: a link ValueError, never an AssertionError."""
+        for powers, middle in (([2], 2), ([4], 2), ([2], 4), ([2, 4], 1)):
             for tails in ([0], [1], [0, 2], [1, 5, 3], [2, 0, 2]):
                 with pytest.raises(ValueError, match="knot"):
-                    _closure_tail_invariants(w, tails)
+                    _quotient_tail_invariants(powers, middle, tails)
 
-    @pytest.mark.parametrize("fake, error", [
-        (lambda m, minor: (m, (minor[0], 0)), ValueError),
-        (lambda m, minor: ((m[0], m[1] + 1), minor), AssertionError),
-    ], ids=["singular", "even-determinant"])
-    def test_guards_of_the_elimination(self, fake, error, monkeypatch):
-        """A singular M' is a ValueError, and an even knot determinant an
-        AssertionError.  No knot tail reaches either, so the elimination's
-        result is faked here: M' made singular, or det M at the first tail
-        moved by one, which makes every tail's determinant even."""
+    @pytest.mark.parametrize("singular", [True, False], ids=["singular", "even-determinant"])
+    def test_guards_of_the_elimination(self, singular, monkeypatch):
+        """When det M' = 0 every tail gets the pair (sigma(M), det M) of
+        the first tail k0, and the knot's sigma moves only by the tail's
+        own correction; an even knot determinant is an AssertionError.
+        No knot tail reaches either, so the closing's elimination is
+        faked: M' made singular, or det M at k0 doubled, which makes every
+        tail's determinant even, since the tails differ by even k."""
         import knotcert.diagram
         inertia = knotcert.diagram.symmetric_inertia
         calls = []
 
         def faked(rows, last):
             calls.append(last)
-            return fake(*inertia(rows, last))
+            (sig, det), (minor_sig, minor_det) = inertia(rows, last)
+            if singular:
+                return (sig, det), (minor_sig, 0)
+            return (sig, 2 * det), (minor_sig, minor_det)
+        (k0_pair,), = _quotient_tail_invariants([3], 3, [1])
         monkeypatch.setattr(knotcert.diagram, "symmetric_inertia", faked)
-        with pytest.raises(error):
-            _closure_tail_invariants(quotient_braid(3, 3, 4), [1, 3])
+        if singular:
+            got, = _quotient_tail_invariants([3], 3, [1, 3, 11])
+            assert [(s + k - 1, d) for (s, d), k in zip(got, [1, 3, 11])] == [k0_pair] * 3
+        else:
+            with pytest.raises(AssertionError, match="even determinant"):
+                _quotient_tail_invariants([3], 3, [1, 3, 11])
         assert len(calls) == 1
-
-    def test_rejects_odd_white(self):
-        """Tail 1 makes the odd columns the smaller class: the word itself
-        is read, but no tail is."""
-        for w in (quotient_braid(3, 3, 1), BraidWord(2, (1,))):
-            expected = signature_and_determinant(braid_closure(w))
-            assert _closure_tail_invariants(w, [0]) == [expected]
-            with pytest.raises(ValueError, match="even column class"):
-                _closure_tail_invariants(w, [0, 2])
 
 
 def union_find_classes(pairs) -> int:

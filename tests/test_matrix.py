@@ -1,6 +1,6 @@
 """Sparse symmetric elimination against the dense oracle in oracles.py.
 
-_symmetric_sig_det diagonalizes by dense congruence and shares no code
+_symmetric_sig_det diagonalizes by congruence in Fractions and shares no code
 with knotcert._matrix; it returns the absolute value of the determinant.
 symmetric_inertia gets the same matrices as sparse rows of their nonzeros.
 """
