@@ -669,7 +669,11 @@ def pretzel_quotient_braid(first: int, q: int, r: int) -> BraidWord:
     """
     family = _pretzel_family(first, q)
     _check_integers("surgery slopes", r)
-    return quotient_braid(*family.powers(r))
+    block, middle, tail = family.powers(r)
+    if tail < 0:
+        raise ValueError(f"slope {_shown(r)} gives the quotient word of "
+                         f"P({first},{q},{q}) a negative tail {_shown(tail)}")
+    return quotient_braid(block, middle, tail)
 
 
 def check_input_size(first: int, q: int):

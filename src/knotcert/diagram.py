@@ -443,7 +443,11 @@ def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
     any complete region whose pivot is still zero.  Every other region
     is eliminated once its closing s2 has passed.  Frontier entries are
     the Schur complement times D, the determinant of the eliminated
-    block, so every update divides exactly by the old D (Bareiss).
+    block, so every update divides exactly by the old D (Bareiss).  The
+    frontier is a dense symmetric table indexed by slot: the wrap region
+    and the hub hold slots 0 and 1, every other region takes a freed slot,
+    cleared, or a new one, and an elimination computes the upper triangle
+    over the live slots and mirrors each entry.
 
     After j blocks a copy of the frontier closes: the current region
     merges into the wrap region, k0 = tails[0] joins the tail diagonal,
@@ -460,20 +464,20 @@ def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
     for j, k in {(j % 2, k % 2) for j in powers for k in tails}:
         _check_knot((2, 3, 1, 2) * j + (1,) * k, 4)
     wrap, hub, tail = 0, 1, None
-    rows: dict[int, dict[int, int]] = {wrap: {}, hub: {}}  # the frontier, times d
+    a = [[0, 0], [0, 0]]  # the frontier times d, by slot
+    live, free = [wrap, hub], []  # slots of regions in the frontier; slots to reuse
     d = 1  # the determinant of the eliminated block
     sig = black = 0  # sigma of the eliminated block; letters s1 and s3 read
-    cur, fresh, held = wrap, 2, []  # held: complete regions not yet eliminated
+    cur, held = wrap, []  # held: complete regions not yet eliminated
 
     def close() -> list[tuple[int, int]]:
-        f = {i: dict(row) for i, row in rows.items()}
-        crow = f.pop(cur)
-        f[wrap][wrap] = f[wrap].get(wrap, 0) + crow.pop(cur, 0)
-        for i, v in crow.items():
-            del f[i][cur]
-            f[i][wrap] = f[i].get(wrap, 0) + v
-            f[wrap][i] = f[wrap].get(i, 0) + v
-        f[tail][tail] = f[tail].get(tail, 0) + tails[0] * d
+        crow = a[cur]
+        f = {i: {j: a[i][j] for j in live if j != cur} for i in live if i != cur}
+        for i, row in f.items():
+            row[wrap] += crow[i]
+            f[wrap][i] += crow[i]
+        f[wrap][wrap] += crow[cur]
+        f[tail][tail] += tails[0] * d
         (sig_m, det_m), (sig_minor, det_minor) = symmetric_inertia(f, tail)
         # f is D times the Schur complement S of the eliminated block:
         # sigma(f) = sign(D) sigma(S), det f = D^len(f) det S, det M = D det S.
@@ -493,34 +497,50 @@ def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
     out = []
     closings = {4 * (middle + j) for j in powers}
     for count, e in enumerate((2, 3, 3, 2) * middle + (2, 3, 1, 2) * powers[-1], 1):
+        row = a[cur]
         if e != 2:
             black += 1
-            _add_crossing(rows, cur, hub if e == 3 else -1, d)
+            row[cur] += d
+            if e == 3:
+                a[hub][hub] += d
+                row[hub] -= d
+                a[hub][cur] -= d
         else:
             # A new region starts; the one it ends is complete, and goes
             # once its pivot is nonzero unless the closing needs it.
-            rows[fresh] = {}
-            _add_crossing(rows, cur, fresh, -d)
+            if free:
+                new = free.pop()
+                for i in live:
+                    a[new][i] = a[i][new] = 0
+            else:
+                new = len(a)
+                for r in a:
+                    r.append(0)
+                a.append([0] * (new + 1))
+            live.append(new)
+            row[cur] -= d
+            a[new][new] = -d
+            row[new] = a[new][cur] = d
             if cur not in (wrap, tail):
                 held.append(cur)
-            cur, fresh = fresh, fresh + 1
-            ready = [p for p in held if rows[p].get(p)]
+            cur = new
+            ready = [p for p in held if a[p][p]]
             while ready:
                 p = ready[0]
                 held.remove(p)
-                prow = rows.pop(p)
-                pivot = prow.pop(p)
+                live.remove(p)
+                free.append(p)
+                prow = a[p]
+                pivot = prow[p]
                 sig += 1 if (pivot > 0) == (d > 0) else -1
-                for row in rows.values():
-                    x = row.pop(p, 0)
-                    for c in row.keys() | prow.keys() if x else list(row):
-                        v = _exact(pivot * row.get(c, 0) - x * prow.get(c, 0), d)
-                        if v:
-                            row[c] = v
-                        else:
-                            row.pop(c, None)
+                for n, i in enumerate(live):
+                    row = a[i]
+                    x = row[p]
+                    for j in live[n:]:
+                        if x or row[j]:  # else the entry stays 0
+                            row[j] = a[j][i] = _exact(pivot * row[j] - x * prow[j], d)
                 d = pivot
-                ready = [p for p in held if rows[p].get(p)]
+                ready = [p for p in held if a[p][p]]
         if count == 4 * middle:  # B^middle is read: the current region holds the tail
             tail = cur
         elif count in closings:

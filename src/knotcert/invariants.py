@@ -129,9 +129,10 @@ def positive_genus(d: LinkDiagram) -> int:
 
 def quotient_knot_genus(first: int, q: int, r: int) -> int:
     """Genus of the quotient knot of r-surgery on P(first,q,q), first >= 2
-    and q >= 3 odd: 3(first + q) + (r - 3)/2 at every odd r when first is
-    odd; when first is even, 3(first + q) - 1 at r = 4q + 1 and
-    3(first + q) - 2 at r = 4q - 1, the only slopes the even cells admit."""
+    and q >= 3 odd: 3(first + q) + (r - 3)/2 at every odd r whose quotient
+    word has a tail 2(first + q) + r >= 0 when first is odd; when first is
+    even, 3(first + q) - 1 at r = 4q + 1 and 3(first + q) - 2 at r = 4q - 1,
+    the only slopes the even cells admit."""
     _check_integers("pretzel parameters and slopes", first, q, r)
     if first < 2 or q < 3 or q % 2 == 0:
         raise ValueError(
@@ -139,6 +140,9 @@ def quotient_knot_genus(first: int, q: int, r: int) -> int:
     if first % 2:
         if r % 2 == 0:
             raise ValueError(f"the quotient closes to a knot only for odd r, got {_shown(r)}")
+        if 2 * (first + q) + r < 0:
+            raise ValueError(f"slope {_shown(r)} gives the quotient word a negative tail "
+                             f"2(first+q)+r = {_shown(2 * (first + q) + r)}")
         return 3 * (first + q) + (r - 3) // 2
     if r == 4 * q + 1:
         return 3 * (first + q) - 1

@@ -331,8 +331,9 @@ class TestFamilyWords:
                 pretzel_quotient_braid(first, 3, 0)
         with pytest.raises(ValueError):
             pretzel_quotient_braid(3, 1, 0)
-        with pytest.raises(ValueError):
-            pretzel_quotient_braid(3, 3, -13)
+        for r in (-13, -39):
+            with pytest.raises(ValueError, match=f"slope {r} gives the quotient word of P"):
+                pretzel_quotient_braid(3, 3, r)
 
     def test_odd_word_is_the_quotient_word(self):
         for (p, q, r) in [(3, 3, -7), (3, 5, 3), (5, 3, -2), (7, 7, 0)]:
@@ -384,7 +385,7 @@ class TestFamilyWords:
             pretzel_quotient_braid(0, 3, 13)
         with pytest.raises(ValueError):
             pretzel_quotient_braid(2, 4, 13)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"slope 1 gives the quotient word of P\(2,5,5\)"):
             pretzel_quotient_braid(2, 5, 1)
 
     def test_odd_equals_full_twist_form(self):

@@ -152,6 +152,13 @@ class TestTorusKnotRule:
         assert v.conclusion == "inconclusive"
         assert v.evidence["failed_step"] == "admissible-slope"
 
+    def test_negative_tail_slope_is_inconclusive(self):
+        for r in (-39, -13):
+            v = exclude_torus_knot(3, 3, r)
+            assert v.conclusion == "inconclusive"
+            assert v.evidence["failed_step"] == "admissible-slope"
+            assert v.evidence["reason"].startswith(f"slope {r} gives the quotient word a negative tail")
+
     def test_word_without_visible_twist_is_inconclusive(self):
         # tail 2p+2q+r = 3 stays below the four letters a full twist needs
         assert pretzel_quotient_braid(3, 3, -9).letters[:len(_TWIST_HEAD)] != _TWIST_HEAD

@@ -431,24 +431,27 @@ class TestClosureTailInvariants:
                         _quotient_tail_invariants([block], middle, [t])
 
     def test_certificate_tails(self):
-        """Every knot slope of every cell of certify --grid 2..15 3..15 and
-        its partner, from one pass per cell, against quotient_braid's
-        spelling of each word (and, at the shortest tail, the diagram);
-        the even slope above the shortest is a link tail."""
-        for p in range(2, 16):
-            for q in range(3, 16, 2):
-                family = _pretzel_family(p, q)
-                block, middle, _ = family.powers(0)
-                tails = [family.powers(r)[2] for r in family.slopes if r % 2]
-                got = _quotient_tail_invariants([block - 2, block], middle, tails)
-                for power, values in zip((block - 2, block), got):
-                    for t, value in zip(tails, values):
-                        w = quotient_braid(power, middle, t)
-                        assert value == closure_signature_and_determinant(w), (p, q, t)
-                        if t == tails[0]:
-                            assert value == signature_and_determinant(braid_closure(w))
-                with pytest.raises(ValueError, match="knot"):
-                    _quotient_tail_invariants([block - 2, block], middle, [tails[0] + 1])
+        """Every knot slope of every cell of certify --grid 2..15 3..15, of
+        the cert-large cells (21,21) and (51,51), and of the input-limit
+        cells (165,165), (2,331) and (329,3), and its partner, from one
+        pass per cell, against quotient_braid's spelling of each word (and,
+        at the shortest tail of a cell in the box, the diagram); the even
+        slope above the shortest is a link tail.  The long words reuse and
+        add frontier slots the most."""
+        box = [(p, q) for p in range(2, 16) for q in range(3, 16, 2)]
+        for p, q in box + [(21, 21), (51, 51), (165, 165), (2, 331), (329, 3)]:
+            family = _pretzel_family(p, q)
+            block, middle, _ = family.powers(0)
+            tails = [family.powers(r)[2] for r in family.slopes if r % 2]
+            got = _quotient_tail_invariants([block - 2, block], middle, tails)
+            for power, values in zip((block - 2, block), got):
+                for t, value in zip(tails, values):
+                    w = quotient_braid(power, middle, t)
+                    assert value == closure_signature_and_determinant(w), (p, q, t)
+                    if t == tails[0] and p < 16 and q < 16:
+                        assert value == signature_and_determinant(braid_closure(w))
+            with pytest.raises(ValueError, match="knot"):
+                _quotient_tail_invariants([block - 2, block], middle, [tails[0] + 1])
 
     @staticmethod
     def _whole(block, middle, tails):
@@ -506,7 +509,9 @@ class TestClosureTailInvariants:
         own correction; an even knot determinant is an AssertionError.
         No knot tail reaches either, so the closing's elimination is
         faked: M' made singular, or det M at k0 doubled, which makes every
-        tail's determinant even, since the tails differ by even k."""
+        tail's determinant even, since the tails differ by even k.  The
+        middle powers 2 and 3 close with a negative and a positive D, so
+        sigma(M) is read through both signs of the frontier's scale."""
         import knotcert.diagram
         inertia = knotcert.diagram.symmetric_inertia
         calls = []
@@ -517,15 +522,16 @@ class TestClosureTailInvariants:
             if singular:
                 return (sig, det), (minor_sig, 0)
             return (sig, 2 * det), (minor_sig, minor_det)
-        (k0_pair,), = _quotient_tail_invariants([3], 3, [1])
+        k0_pairs = {middle: _quotient_tail_invariants([3], middle, [1])[0][0] for middle in (2, 3)}
         monkeypatch.setattr(knotcert.diagram, "symmetric_inertia", faked)
-        if singular:
-            got, = _quotient_tail_invariants([3], 3, [1, 3, 11])
-            assert [(s + k - 1, d) for (s, d), k in zip(got, [1, 3, 11])] == [k0_pair] * 3
-        else:
-            with pytest.raises(AssertionError, match="even determinant"):
-                _quotient_tail_invariants([3], 3, [1, 3, 11])
-        assert len(calls) == 1
+        for middle, k0_pair in k0_pairs.items():
+            if singular:
+                got, = _quotient_tail_invariants([3], middle, [1, 3, 11])
+                assert [(s + k - 1, d) for (s, d), k in zip(got, [1, 3, 11])] == [k0_pair] * 3
+            else:
+                with pytest.raises(AssertionError, match="even determinant"):
+                    _quotient_tail_invariants([3], middle, [1, 3, 11])
+        assert len(calls) == 2
 
 
 def union_find_classes(pairs) -> int:

@@ -106,6 +106,18 @@ class TestFamilyGenus:
         with pytest.raises(ValueError):
             quotient_knot_genus(3, 3, 2)
 
+    def test_odd_rejects_a_negative_tail(self):
+        """Below r = -2(p+q) the quotient word would need a negative tail;
+        the error names the slope, and the last slope with a word, tail 1,
+        gets the genus of that word's closure."""
+        for r in (-39, -13):
+            with pytest.raises(ValueError, match=f"slope {r} gives the quotient word a negative tail"):
+                quotient_knot_genus(3, 3, r)
+        for (p, q) in [(3, 3), (3, 5), (5, 3)]:
+            r = -2 * (p + q) + 1
+            assert quotient_knot_genus(p, q, r) == 2 * (p + q) - 1
+            assert positive_genus(braid_closure(pretzel_quotient_braid(p, q, r))) == 2 * (p + q) - 1
+
     def test_even_formula_matches_diagram(self):
         for (n, q) in [(1, 3), (2, 3), (1, 5)]:
             for r in (4 * q - 1, 4 * q + 1):
