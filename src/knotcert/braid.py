@@ -52,6 +52,8 @@ def _shown(value) -> str:
     try:
         if isinstance(value, int) and value.bit_length() > 128:
             return f"<{'negative ' * (value < 0)}{value.bit_length()}-bit integer>"
+        if type(value) is int:  # at most 39 digits, which reprlib would not cut
+            return int.__repr__(value)
         text = ({dict: "an object", list: "an array", object: "nothing"}.get(type(value))
                 or reprlib.repr(value))
     except ValueError:  # an int past CPython's digit limit inside, say, a tuple
@@ -117,13 +119,16 @@ class BraidWord:
         _check_integers("strand counts", n)
         if n < 1:
             raise ValueError(f"strand count must be >= 1, got {_shown(n)}")
-        object.__setattr__(self, "letters", tuple(self.letters))
-        for e in self.letters:
-            if isinstance(e, bool) or not isinstance(e, int) or e == 0:
-                raise ValueError(f"bad braid letter {_shown(e)}: letters are nonzero integers")
-            if abs(e) > n - 1:
-                raise ValueError(f"bad braid letter {_shown(e)}: needs generator index <= "
-                                 f"{_shown(n - 1)} on {_shown(n)} strands")
+        letters = tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        if letters and not (set(map(type, letters)) == {int} and 0 not in letters
+                            and -n < min(letters) and max(letters) < n):
+            for e in letters:  # name the first bad letter, if any: int subclasses pass
+                if isinstance(e, bool) or not isinstance(e, int) or e == 0:
+                    raise ValueError(f"bad braid letter {_shown(e)}: letters are nonzero integers")
+                if abs(e) > n - 1:
+                    raise ValueError(f"bad braid letter {_shown(e)}: needs generator index <= "
+                                     f"{_shown(n - 1)} on {_shown(n)} strands")
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.strands != other.strands:
@@ -136,7 +141,7 @@ class BraidWord:
 
     @property
     def is_positive(self) -> bool:
-        return all(e > 0 for e in self.letters)
+        return min(self.letters, default=1) > 0
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -125,8 +125,11 @@ class SlopeReport:
                                       for branch in _RULE_BRANCHES[v.rule]}
 
     def to_dict(self) -> dict:
+        return self._with_verdicts([v.to_dict() for v in self.verdicts])
+
+    def _with_verdicts(self, verdicts) -> dict:
         return {"r": self.r, "parity": self.parity, "admitted_by": self.admitted_by,
-                "verdicts": [v.to_dict() for v in self.verdicts], "excluded": self.excluded}
+                "verdicts": verdicts, "excluded": self.excluded}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,6 +155,9 @@ class CertificateReport:
         return CERTIFIED if self.certified else INCONCLUSIVE
 
     def to_dict(self) -> dict:
+        return self._with_slopes([s.to_dict() for s in self.slopes])
+
+    def _with_slopes(self, slopes: list) -> dict:
         family = self._pretzel()
         return {
             "schema_version": SCHEMA_VERSION,
@@ -159,7 +165,7 @@ class CertificateReport:
             "parameters": self.parameters,
             "assumptions": list(family.assumptions),
             "notes": list(family.notes),
-            "slopes": [s.to_dict() for s in self.slopes],
+            "slopes": slopes,
             "conclusion": self.conclusion,
         }
 
@@ -185,7 +191,17 @@ class CertificateReport:
         return report
 
     def to_json(self) -> str:
-        return _json_text(self.to_dict())
+        """to_dict() as JSON text, each verdict tuple written once however
+        many slopes hold it."""
+        written: dict[int, _Written] = {}  # by id(); self keeps every tuple alive
+        slopes = []
+        for s in self.slopes:
+            verdicts = written.get(id(s.verdicts))
+            if verdicts is None:
+                verdicts = written[id(s.verdicts)] = _Written(_json_text(
+                    [v.to_dict() for v in s.verdicts], _VERDICTS_INDENT))
+            slopes.append(s._with_verdicts(verdicts))
+        return _json_text(self._with_slopes(slopes))
 
     @staticmethod
     def from_json(text: str) -> "CertificateReport":
@@ -197,6 +213,11 @@ class CertificateReport:
 
 
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_VERDICTS_INDENT = "\n" + "  " * 3  # a slope's verdicts: top dict, slopes, slope dict
+
+
+class _Written(str):
+    """JSON text already written, which _json_text copies as is."""
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -204,7 +225,8 @@ def _json_text(value, indent: str = "\n") -> str:
     ``sort_keys=True``, byte for byte, for str, int, bool, None, list and
     dict with str keys; TypeError on anything else.  Written directly,
     since CPython skips its C encoder whenever an indent is set.  indent
-    is the line break and indentation before the value's closing bracket."""
+    is the line break and indentation before the value's closing bracket.
+    A _Written value is copied as is: it was written at this indent."""
     kind = type(value)
     if kind is str:
         return _json_string(value)
@@ -222,6 +244,8 @@ def _json_text(value, indent: str = "\n") -> str:
             return "[]"
         inner = indent + "  "
         return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + indent + "]"
+    if kind is _Written:
+        return value
     if value is None or kind is bool:
         return _JSON_CONSTANTS[value]
     raise TypeError(f"cannot write a {kind.__name__} as JSON")
@@ -407,10 +431,11 @@ def _knot_slope_verdicts(family: _Family) -> dict[int, tuple[ExclusionVerdict, .
     genus (the Rasmussen invariant of a positive knot) for the Montesinos
     test and the genus for the torus test.  The only other word is the
     tangle-move partner's, for the Montesinos chain, with two blocks
-    fewer.  One streaming pass over the partner's letters and then the
-    word's two more blocks, ``diagram._quotient_tail_invariants``, gives
-    sigma and det of both at every slope: the slopes differ only in their
-    s1 tails, which that pass adds at each closing.  The word and the
+    fewer.  One streaming pass over the partner's blocks and then the
+    word's two more, ``diagram._quotient_tail_invariants``, reading each
+    block in three steps, gives sigma and det of both at every slope: the
+    slopes differ only in their s1 tails, which that pass adds at each
+    closing.  The word and the
     partner are built once each, at the shortest tail, for the genus and
     the twist head.  The tails differ by even k, and the k more letters
     s1 are positive, so the genus grows by k/2.  Every tail is at least 5,
@@ -689,20 +714,16 @@ def certify_no_sfs(first: int, q: int) -> CertificateReport:
     The first parameter is any integer >= 2; q must be odd and >= 3
     (even q gives a link, not a knot).  The returned report is certified
     exactly when every candidate slope carries excluding verdicts on both
-    branches of the quotient-link dichotomy.
+    branches of the quotient-link dichotomy.  The odd family's two link
+    verdicts read only first and q, so they are built once, and every
+    nonzero even slope holds that one tuple; ``to_json`` writes it once.
     """
     family = _pretzel_family(first, q)
-    knot_verdicts = _knot_slope_verdicts(family)
-    slopes: list[SlopeReport] = []
-    for r in family.slopes:
-        if r == 0:
-            verdicts = (_toroidal_slope_verdict(),)
-        elif r % 2 == 0:
-            verdicts = (
-                exclude_montesinos_link_two_components(first, q),
-                exclude_seifert_link_two_components(first, q),
-            )
-        else:
-            verdicts = knot_verdicts[r]
-        slopes.append(SlopeReport(r, family.admitted_by, verdicts))
-    return CertificateReport(family.parameters, tuple(slopes))
+    verdicts = _knot_slope_verdicts(family)
+    even = [r for r in family.slopes if r % 2 == 0]  # the odd family's, 0 among them
+    if even:
+        verdicts.update(dict.fromkeys(even, (exclude_montesinos_link_two_components(first, q),
+                                             exclude_seifert_link_two_components(first, q))))
+        verdicts[0] = (_toroidal_slope_verdict(),)
+    return CertificateReport(family.parameters, tuple(
+        SlopeReport(r, family.admitted_by, verdicts[r]) for r in family.slopes))

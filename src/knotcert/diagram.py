@@ -433,13 +433,16 @@ def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
     """Signature and determinant of the knot closing A^j B^middle s1^k,
     A = s2 s3 s1 s2 and B = s2 s3^2 s2, for each block power j >= 1 in
     the ascending list powers, then each tail k >= 0 in tails, from one
-    pass over the letters of the rotation B^middle s1^k A^j (same closure).
+    pass over the blocks of the rotation B^middle s1^k A^j (same closure).
 
     White is the even class: column 0 is the deleted region, column 4 a
-    hub, and column 2 one region per s2.  The frontier keeps the regions
-    not yet eliminated: the wrap region (before the first s2, so after
-    the last), the tail region (where each tail letter adds 1 to the
-    diagonal and to the correction), the hub, the current region, and
+    hub, and column 2 one region per s2.  A block is read in three steps:
+    its first s2, its two middle letters as one diagonal update (+2d on
+    the current region; +2d on the hub and -2d between them for B's s3
+    s3, +d and -d for A's s3 s1), and its last s2.  The frontier keeps
+    the regions not yet eliminated: the wrap region (before the first s2,
+    so after the last), the tail region (where each tail letter adds 1 to
+    the diagonal and to the correction), the hub, the current region, and
     any complete region whose pivot is still zero.  Every other region
     is eliminated once its closing s2 has passed.  Frontier entries are
     the Schur complement times D, the determinant of the eliminated
@@ -495,19 +498,11 @@ def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
         return values
 
     out = []
-    closings = {4 * (middle + j) for j in powers}
-    for count, e in enumerate((2, 3, 3, 2) * middle + (2, 3, 1, 2) * powers[-1], 1):
-        row = a[cur]
-        if e != 2:
-            black += 1
-            row[cur] += d
-            if e == 3:
-                a[hub][hub] += d
-                row[hub] -= d
-                a[hub][cur] -= d
-        else:
-            # A new region starts; the one it ends is complete, and goes
-            # once its pivot is nonzero unless the closing needs it.
+    closings = {middle + j for j in powers}
+    for count, h in enumerate((2,) * middle + (1,) * powers[-1], 1):
+        for opening in (True, False):
+            # An s2: a new region starts; the one it ends is complete, and
+            # goes once its pivot is nonzero unless the closing needs it.
             if free:
                 new = free.pop()
                 for i in live:
@@ -518,15 +513,19 @@ def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
                     r.append(0)
                 a.append([0] * (new + 1))
             live.append(new)
+            row = a[cur]
             row[cur] -= d
             a[new][new] = -d
             row[new] = a[new][cur] = d
-            if cur not in (wrap, tail):
+            if cur != wrap and cur != tail:
                 held.append(cur)
             cur = new
-            ready = [p for p in held if a[p][p]]
-            while ready:
-                p = ready[0]
+            while True:  # eliminate the first held region with a nonzero pivot
+                for p in held:
+                    if a[p][p]:
+                        break
+                else:
+                    break
                 held.remove(p)
                 live.remove(p)
                 free.append(p)
@@ -538,10 +537,18 @@ def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
                     x = row[p]
                     for j in live[n:]:
                         if x or row[j]:  # else the entry stays 0
-                            row[j] = a[j][i] = _exact(pivot * row[j] - x * prow[j], d)
+                            value, rest = divmod(pivot * row[j] - x * prow[j], d)
+                            if rest:
+                                raise AssertionError("Bareiss step left a remainder")
+                            row[j] = a[j][i] = value
                 d = pivot
-                ready = [p for p in held if a[p][p]]
-        if count == 4 * middle:  # B^middle is read: the current region holds the tail
+            if opening:  # the middle letters: s3 s3 (h = 2) or s3 s1 (h = 1)
+                row = a[cur]
+                row[cur] += 2 * d
+                a[hub][hub] += h * d
+                row[hub] = a[hub][cur] = row[hub] - h * d
+        black += 2
+        if count == middle:  # B^middle is read: the current region holds the tail
             tail = cur
         elif count in closings:
             out.append(close())

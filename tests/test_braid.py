@@ -5,6 +5,7 @@ insertion/deletion, adjacent-generator rotation, far commutation) and
 check that the Garside normal form never changes.
 """
 
+import enum
 import random
 
 import oracles
@@ -122,6 +123,30 @@ class TestWordLaws:
             BraidWord(True, ())
         with pytest.raises(ValueError):
             BraidWord(3, (True, 2))
+
+    class Letter(enum.IntEnum):
+        S2 = 2
+
+    @pytest.mark.parametrize("bad, message", [
+        (0, "bad braid letter 0: letters are nonzero integers"),
+        (True, "bad braid letter True: letters are nonzero integers"),
+        (1.5, "bad braid letter 1.5: letters are nonzero integers"),
+        ("1", "bad braid letter '1': letters are nonzero integers"),
+        (4, "bad braid letter 4: needs generator index <= 3 on 4 strands"),
+        (-4, "bad braid letter -4: needs generator index <= 3 on 4 strands"),
+        (10 ** 5000, "bad braid letter <16610-bit integer>: needs generator index <= 3 "
+                     "on 4 strands"),
+    ], ids=["zero", "bool", "float", "str", "n", "minus-n", "huge"])
+    def test_bad_letter_message(self, bad, message):
+        """The first bad letter is named, whichever check refuses it; int
+        subclasses other than bool pass, and any iterable of letters does."""
+        with pytest.raises(ValueError) as exc:
+            BraidWord(4, (1, -3, bad, 0, 5))
+        assert str(exc.value) == message
+        w = BraidWord(4, [1, self.Letter.S2, -3])
+        assert w.letters == (1, 2, -3) and type(w.letters[1]) is self.Letter
+        assert not w.is_positive and BraidWord(4, (self.Letter.S2, 3)).is_positive
+        assert BraidWord(4).is_positive
 
     def test_product_requires_matching_strands(self):
         with pytest.raises(ValueError):

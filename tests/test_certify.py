@@ -5,6 +5,7 @@ parameters where it must refuse to fire (inconclusive with a named failed
 step), and on inputs it must reject outright.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -590,10 +591,14 @@ class TestJsonText:
     """_json_text writes what the json module writes with indent=2 and sorted keys."""
 
     def test_every_grid_certificate_matches_json_dumps(self):
+        """Both through _json_text and through to_json, which writes each
+        verdict tuple once."""
         for p in range(2, 16):
             for q in range(3, 16, 2):
-                data = certify_no_sfs(p, q).to_dict()
-                assert _json_text(data) == json.dumps(data, indent=2, sort_keys=True), (p, q)
+                report = certify_no_sfs(p, q)
+                data = report.to_dict()
+                expected = json.dumps(data, indent=2, sort_keys=True)
+                assert _json_text(data) == expected and report.to_json() == expected, (p, q)
 
     def test_random_values_match_json_dumps(self, rng):
         for _ in range(10000):
@@ -606,3 +611,54 @@ class TestJsonText:
     def test_other_types_are_refused(self, value):
         with pytest.raises(TypeError):
             _json_text(value)
+
+
+class TestSharedVerdicts:
+    """An odd cell's even slopes hold one verdict pair, and to_json writes
+    each verdict tuple once: its text must land at exactly the slopes that
+    hold that tuple."""
+
+    @staticmethod
+    def dumped(report) -> str:
+        return json.dumps(report.to_dict(), indent=2, sort_keys=True)
+
+    @staticmethod
+    def with_link_verdicts(report, tuples):
+        """report with tuples[i] as the verdicts of its i-th nonzero even slope."""
+        even = [s.r for s in report.slopes if s.r % 2 == 0 and s.r]
+        return CertificateReport(report.parameters, tuple(
+            dataclasses.replace(s, verdicts=tuples[even.index(s.r)]) if s.r in even else s
+            for s in report.slopes))
+
+    def test_even_slopes_hold_one_pair(self):
+        report = certify_no_sfs(3, 5)
+        pairs = [s.verdicts for s in report.slopes if s.r % 2 == 0 and s.r]
+        assert len(pairs) == 8 and all(v is pairs[0] for v in pairs)
+        assert [v.rule for v in pairs[0]] == ["montesinos-link-bridge", "seifert-link-taxonomy"]
+        written = [s["verdicts"] for s in report.to_dict()["slopes"] if s["r"] % 2 == 0 and s["r"]]
+        assert written[0] == written[1] and written[0] is not written[1]
+
+    def test_equal_but_distinct_verdicts(self):
+        report = self.with_link_verdicts(certify_no_sfs(3, 5), [
+            (exclude_montesinos_link_two_components(3, 5), exclude_seifert_link_two_components(3, 5))
+            for _ in range(8)])
+        assert report.to_json() == self.dumped(report) == certify_no_sfs(3, 5).to_json()
+
+    def test_different_verdicts(self):
+        """Five distinct tuples, two of them at several slopes and
+        interleaved: the cell's pair, another pair, an empty one, the
+        cell's pair reversed and another cell's pair."""
+        pair = certify_no_sfs(3, 5).slopes[0].verdicts
+        other = (exclude_seifert_link_two_components(5, 7), exclude_montesinos_knot(10, -4))
+        tuples = [pair, other, (), pair[::-1], other, pair, certify_no_sfs(5, 3).slopes[0].verdicts,
+                  other]
+        report = self.with_link_verdicts(certify_no_sfs(3, 5), tuples)
+        text = report.to_json()
+        assert text == self.dumped(report)
+        assert [len(s["verdicts"]) for s in json.loads(text)["slopes"] if s["r"] % 2 == 0
+                and s["r"]] == [len(t) for t in tuples]
+
+    def test_loaded_report(self):
+        text = certify_no_sfs(7, 3).to_json()
+        report = CertificateReport.from_json(text)
+        assert report.to_json() == self.dumped(report) == text
