@@ -9,8 +9,7 @@ from typing import Mapping
 __all__ = ["symmetric_inertia"]
 
 
-def symmetric_inertia(rows: Mapping[int, Mapping[int, int]], last: int | None = None
-                      ) -> tuple[int, int] | tuple[tuple[int, int], tuple[int, int]]:
+def symmetric_inertia(rows: Mapping[int, Mapping[int, int]]) -> tuple[int, int]:
     """Signature and determinant of a symmetric integer matrix given as
     sparse rows ``{i: {j: value}}``; an absent entry is zero.
 
@@ -34,15 +33,6 @@ def symmetric_inertia(rows: Mapping[int, Mapping[int, int]], last: int | None = 
     determinant is the product of the pivots over the product of all
     lambda, one exact division at the end.  ValueError when an entry's
     column has no row or the matrix is not symmetric.
-
-    With ``last``, the same pass also gives the inertia of M' = M less
-    row and column ``last``: that row is updated like any other but is
-    neither a pivot nor half of a 2x2 block until every other row is
-    eliminated or zero in M', and its lambda is kept apart.  The
-    elimination up to that point is one of M', so it gives sigma(M') and
-    det M'; what is left in row ``last`` is then its Schur value, and the
-    elimination goes on to M.  Returns ((sigma(M), det M), (sigma(M'),
-    det M')).
     """
     a = {i: {j: v for j, v in row.items() if v} for i, row in rows.items()}
     for i, row in a.items():
@@ -51,20 +41,16 @@ def symmetric_inertia(rows: Mapping[int, Mapping[int, int]], last: int | None = 
                 raise ValueError(f"entry ({i}, {j}) lies in a column with no row")
             if a[j].get(i) != v:
                 raise ValueError("matrix is not symmetric")
-    if last is not None and last not in a:
-        raise ValueError(f"row {last} to drop is not a row of the matrix")
     heap = [(len(row), i) for i, row in a.items()]
     heapq.heapify(heap)
     sig = 0
     num = den = 1  # det = num / den: pivots and gcds over row multipliers
-    last_m = last_h = 1  # the multipliers and gcds of row `last`
-    minor = None
     while a:
         if heap:
             degree, p = heapq.heappop(heap)
             row = a.get(p)
-            if row is None or p == last or p not in row or len(row) != degree:
-                continue  # a stale key, or the row held back
+            if row is None or p not in row or len(row) != degree:
+                continue  # a stale key
             prow = a.pop(p)
             e = prow.pop(p)
             sig += 1 if e > 0 else -1
@@ -75,24 +61,13 @@ def symmetric_inertia(rows: Mapping[int, Mapping[int, int]], last: int | None = 
                 m, k = abs(e) // g, (v if e > 0 else -v) // g
                 h = _combine(a, r, m, ((k, prow),))
                 den, num = den * m, num * h
-                if r == last:
-                    last_m, last_h = last_m * m, last_h * h
                 heapq.heappush(heap, (len(a[r]), r))
             continue
-        fewest = min(((len(row), i) for i, row in a.items()
-                      if i != last and len(row) > (last in row)), default=None)
+        fewest = min(((len(row), i) for i, row in a.items() if row), default=None)
         if fewest is None:
-            if last is None:
-                num = 0  # only zero rows remain
-                break
-            # Every row of M' is gone, or zero in M': take the minor, then
-            # let row `last` pivot.
-            minor = (sig, num * last_m, den * last_h) if len(a) == 1 else (sig, 0, 1)
-            heapq.heappush(heap, (len(a[last]), last))
-            last = None
-            continue
+            return sig, 0  # only zero rows remain
         i = fewest[1]
-        j = min(c for c in a[i] if c != last)
+        j = min(a[i])
         irow, jrow = a.pop(i), a.pop(j)
         bij, bji = irow.pop(j), jrow.pop(i)
         num *= -bij * bji
@@ -103,13 +78,8 @@ def symmetric_inertia(rows: Mapping[int, Mapping[int, int]], last: int | None = 
             g = gcd(m, kj, ki)
             h = _combine(a, r, m // g, ((kj // g, jrow), (ki // g, irow)))
             den, num = den * (m // g), num * h
-            if r == last:
-                last_m, last_h = last_m * (m // g), last_h * h
             heapq.heappush(heap, (len(a[r]), r))
-    if minor is None:
-        return sig, _exact(num, den)
-    minor_sig, minor_num, minor_den = minor
-    return (sig, _exact(num, den)), (minor_sig, _exact(minor_num, minor_den))
+    return sig, _exact(num, den)
 
 
 def _exact(num: int, den: int) -> int:

@@ -378,6 +378,7 @@ def torus_knot_genus_conflict(determinant_value: int, genus_value: int) -> tuple
     comparison itself must not over-fire: feeding it the determinant and
     genus of an actual T(4,x) closure reports no conflict.
     """
+    _check_integers("determinant and genus", determinant_value, genus_value)
     x = determinant_value
     candidate_genus = torus_genus(4, x)
     evidence = {
@@ -430,17 +431,16 @@ def _knot_slope_verdicts(family: _Family) -> dict[int, tuple[ExclusionVerdict, .
     matrix gives sigma and the determinant, and its genus gives s = 2 *
     genus (the Rasmussen invariant of a positive knot) for the Montesinos
     test and the genus for the torus test.  The only other word is the
-    tangle-move partner's, for the Montesinos chain, with two blocks
-    fewer.  One streaming pass over the partner's blocks and then the
-    word's two more, ``diagram._quotient_tail_invariants``, reading each
-    block in three steps, gives sigma and det of both at every slope: the
-    slopes differ only in their s1 tails, which that pass adds at each
-    closing.  The word and the
-    partner are built once each, at the shortest tail, for the genus and
-    the twist head.  The tails differ by even k, and the k more letters
-    s1 are positive, so the genus grows by k/2.  Every tail is at least 5,
-    so every slope's word and the shortest one share the head that shows
-    the full twist.
+    tangle-move partner's, with two blocks fewer, for the Montesinos
+    chain.  The slopes differ only in their s1 tails, so one streaming
+    pass over the partner's blocks and the word's two more,
+    ``diagram._quotient_tail_invariants``, gives sigma and det of both at
+    every slope, each closing finished with the pass's own Bareiss step.
+    The word and the partner are built once each, at the shortest tail,
+    for the genus and the twist head.  The tails differ by even k, and
+    the k more letters s1 are positive, so the genus grows by k/2.  Every
+    tail is at least 5, so every slope's word and the shortest one share
+    the head that shows the full twist.
     """
     odd = [r for r in family.slopes if r % 2]  # ascending, and the tail is base + r - odd[0]
     q, first, base = family.powers(odd[0])

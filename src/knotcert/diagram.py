@@ -428,6 +428,84 @@ def _odd(det: int) -> int:
     return abs(det)
 
 
+def _eliminate(a: list[list[int]], live: list[int], held: list[int], free: list[int],
+               d: int, sig: int) -> tuple[int, int]:
+    """Bareiss-eliminate from the frontier a, d times the Schur complement
+    of the eliminated block, the first slot of held with a nonzero pivot,
+    moved from held and live to free, until none is left: each live entry
+    becomes (a_pp a_ij - a_ip a_pj) / d, checked exact, upper triangle
+    mirrored, and d becomes a_pp.  Returns d and the block's sigma."""
+    while True:
+        for p in held:
+            if a[p][p]:
+                break
+        else:
+            return d, sig
+        held.remove(p)
+        live.remove(p)
+        free.append(p)
+        prow = a[p]
+        pivot = prow[p]
+        sig += 1 if (pivot > 0) == (d > 0) else -1
+        for n, i in enumerate(live):
+            row = a[i]
+            x = row[p]
+            for j in live[n:]:
+                if x or row[j]:  # else the entry stays 0
+                    value, rest = divmod(pivot * row[j] - x * prow[j], d)
+                    if rest:
+                        raise AssertionError("Bareiss step left a remainder")
+                    row[j] = a[j][i] = value
+        d = pivot
+
+
+def _add_slot(a: list[list[int]], live: list[int], i: int, j: int):
+    """Add row j of the frontier a to row i, then column j to column i, over
+    the live slots: a congruence, or, with slot j then dropped, i and j as one."""
+    for s in live:
+        a[i][s] += a[j][s]
+    for s in live:
+        a[s][i] += a[s][j]
+
+
+def _frontier_inertia(f: list[list[int]], live: list[int], d: int, sig: int, tail: int
+                      ) -> tuple[int, int, int]:
+    """sigma(M'), det M' and det M, M' being M less the tail slot, where M
+    has an eliminated block of determinant d and signature sig and f is d
+    times its Schur complement on the live slots (both consumed).
+    ``_eliminate`` takes the other slots with nonzero pivots; once none is
+    left, det M' is the last d and the tail entry is det M.  When every
+    pivot left is 0 but two such slots meet, the second is added to the
+    first, a congruence of M' with pivot 2 a_ij != 0; when only zero rows
+    of M' remain, det M' = 0, and det M is -b^2 / d for one row with tail
+    entry b, 0 for more."""
+    rest = [i for i in live if i != tail]
+    while True:
+        d, sig = _eliminate(f, live, rest, [], d, sig)
+        if not rest:
+            return sig, d, f[tail][tail]
+        meet = next(((i, j) for i in rest for j in rest if f[i][j]), None)
+        if meet is None:  # only zero rows of M' remain
+            return sig, 0, _exact(-f[rest[0]][tail] ** 2, d) if len(rest) == 1 else 0
+        _add_slot(f, live, *meet)
+
+
+def _frontier_tails(f: list[list[int]], live: list[int], d: int, sig: int, tail: int,
+                    tails: list[int]) -> list[tuple[int, int]]:
+    """sigma(M_k) and |det M_k| for each k in tails, M_k being M of
+    ``_frontier_inertia`` plus k on the tail diagonal: det M_k = det M +
+    k det M', so sigma(M_k) = sigma(M') + sign(det M_k det M') (Sylvester;
+    if det M' = 0, no eigenvalue crosses 0 while det M_k stays the same).
+    A knot's determinant is odd, so an even one is an AssertionError."""
+    sig_minor, det_minor, det_m = _frontier_inertia(f, live, d, sig, tail)
+    values = []
+    for k in tails:
+        det_k = det_m + k * det_minor
+        sign = (det_k * det_minor > 0) - (det_k * det_minor < 0)
+        values.append((sig_minor + sign, _odd(det_k)))
+    return values
+
+
 def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
                               ) -> list[list[tuple[int, int]]]:
     """Signature and determinant of the knot closing A^j B^middle s1^k,
@@ -444,23 +522,16 @@ def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
     so after the last), the tail region (where each tail letter adds 1 to
     the diagonal and to the correction), the hub, the current region, and
     any complete region whose pivot is still zero.  Every other region
-    is eliminated once its closing s2 has passed.  Frontier entries are
-    the Schur complement times D, the determinant of the eliminated
-    block, so every update divides exactly by the old D (Bareiss).  The
-    frontier is a dense symmetric table indexed by slot: the wrap region
-    and the hub hold slots 0 and 1, every other region takes a freed slot,
-    cleared, or a new one, and an elimination computes the upper triangle
-    over the live slots and mirrors each entry.
+    goes by ``_eliminate`` once its closing s2 has passed.  The frontier
+    is a dense symmetric table of D times the Schur complement, D the
+    determinant of the eliminated block, indexed by slot: the wrap region
+    and the hub hold slots 0 and 1, and every other region takes a freed
+    slot, cleared, or a new one.
 
     After j blocks a copy of the frontier closes: the current region
-    merges into the wrap region, k0 = tails[0] joins the tail diagonal,
-    and ``symmetric_inertia`` with the tail region last gives det M,
-    sigma(M') and det M' for M' = M less that region.  det M_k = det M_k0
-    + (k - k0) det M', so Sylvester gives sigma(M_k) = sigma(M') +
-    sign(det M_k det M') when det M' != 0.  When det M' = 0, det M_k is
-    the same odd number for every real k, so no eigenvalue crosses zero
-    and sigma(M_k) = sigma(M_k0).  ValueError for a tail that closes to
-    a link; an even knot determinant is an AssertionError.
+    merges into the wrap region, and ``_frontier_tails`` finishes the
+    elimination with the same Bareiss step, the tail region last.
+    ValueError for a tail that closes to a link.
     """
     # A^2 and B are pure braids, so the closure's strand permutation is
     # that of A^(j mod 2) s1^(k mod 2).
@@ -470,32 +541,8 @@ def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
     a = [[0, 0], [0, 0]]  # the frontier times d, by slot
     live, free = [wrap, hub], []  # slots of regions in the frontier; slots to reuse
     d = 1  # the determinant of the eliminated block
-    sig = black = 0  # sigma of the eliminated block; letters s1 and s3 read
+    sig = 0  # sigma of the eliminated block; the correction is 2 a block, 1 a tail letter
     cur, held = wrap, []  # held: complete regions not yet eliminated
-
-    def close() -> list[tuple[int, int]]:
-        crow = a[cur]
-        f = {i: {j: a[i][j] for j in live if j != cur} for i in live if i != cur}
-        for i, row in f.items():
-            row[wrap] += crow[i]
-            f[wrap][i] += crow[i]
-        f[wrap][wrap] += crow[cur]
-        f[tail][tail] += tails[0] * d
-        (sig_m, det_m), (sig_minor, det_minor) = symmetric_inertia(f, tail)
-        # f is D times the Schur complement S of the eliminated block:
-        # sigma(f) = sign(D) sigma(S), det f = D^len(f) det S, det M = D det S.
-        flip = 1 if d > 0 else -1
-        sig_m, sig_minor = sig + flip * sig_m, sig + flip * sig_minor
-        det_m, det_minor = _exact(det_m, d ** (len(f) - 1)), _exact(det_minor, d ** (len(f) - 2))
-        values = []
-        for k in tails:
-            det_k = det_m + (k - tails[0]) * det_minor
-            if det_minor:
-                sig_k = sig_minor + (det_k * det_minor > 0) - (det_k * det_minor < 0)
-            else:
-                sig_k = sig_m
-            values.append((sig_k - black - k, _odd(det_k)))
-        return values
 
     out = []
     closings = {middle + j for j in powers}
@@ -520,38 +567,19 @@ def _quotient_tail_invariants(powers: list[int], middle: int, tails: list[int]
             if cur != wrap and cur != tail:
                 held.append(cur)
             cur = new
-            while True:  # eliminate the first held region with a nonzero pivot
-                for p in held:
-                    if a[p][p]:
-                        break
-                else:
-                    break
-                held.remove(p)
-                live.remove(p)
-                free.append(p)
-                prow = a[p]
-                pivot = prow[p]
-                sig += 1 if (pivot > 0) == (d > 0) else -1
-                for n, i in enumerate(live):
-                    row = a[i]
-                    x = row[p]
-                    for j in live[n:]:
-                        if x or row[j]:  # else the entry stays 0
-                            value, rest = divmod(pivot * row[j] - x * prow[j], d)
-                            if rest:
-                                raise AssertionError("Bareiss step left a remainder")
-                            row[j] = a[j][i] = value
-                d = pivot
+            d, sig = _eliminate(a, live, held, free, d, sig)
             if opening:  # the middle letters: s3 s3 (h = 2) or s3 s1 (h = 1)
                 row = a[cur]
                 row[cur] += 2 * d
                 a[hub][hub] += h * d
                 row[hub] = a[hub][cur] = row[hub] - h * d
-        black += 2
         if count == middle:  # B^middle is read: the current region holds the tail
             tail = cur
-        elif count in closings:
-            out.append(close())
+        elif count in closings:  # close a copy: the current region is the wrap region
+            f = [row[:] for row in a]
+            _add_slot(f, live, wrap, cur)
+            values = _frontier_tails(f, [i for i in live if i != cur], d, sig, tail, tails)
+            out.append([(s - 2 * count - k, det) for (s, det), k in zip(values, tails)])
     return out
 
 

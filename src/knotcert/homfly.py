@@ -71,7 +71,7 @@ class LaurentPoly2:
         return bool(self.coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             other = LaurentPoly2({(0, 0): other})
         if not isinstance(other, LaurentPoly2):
             return NotImplemented

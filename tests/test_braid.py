@@ -37,6 +37,7 @@ from knotcert import (
     torus_braid,
     torus_det_4x,
     torus_genus,
+    torus_knot_genus_conflict,
 )
 from knotcert.braid import MAX_INPUT_LETTERS, MAX_INPUT_STRANDS, PermutationBraid, _shown
 
@@ -526,10 +527,16 @@ class TestEdgeRule:
         lambda: exclude_seifert_link_two_components(1, 10 ** 5000),
         lambda: exclude_seifert_link_two_components(10 ** 5000, 3),
         lambda: parse_braid("1", "3"),
+        lambda: torus_knot_genus_conflict(5, "x"),
+        lambda: torus_knot_genus_conflict(5, 1.5),
+        lambda: torus_knot_genus_conflict(5, True),
+        lambda: torus_knot_genus_conflict(2.5, 3),
     ], ids=["str-strands", "big-letter", "str-s", "big-sign", "big-odd-slope", "bool-twist",
             "float-torus-genus", "str-quotient-genus", "torus-alexander-size", "torus-det-size",
             "link-bridge-types", "link-taxonomy-types", "link-bridge-huge-q", "link-bridge-huge-p",
-            "link-taxonomy-huge-q", "link-taxonomy-huge-p", "parse-str-strands"])
+            "link-taxonomy-huge-q", "link-taxonomy-huge-p", "parse-str-strands",
+            "str-conflict-genus", "float-conflict-genus", "bool-conflict-genus",
+            "float-conflict-det"])
     def test_outside_value_gets_a_short_value_error(self, call):
         with pytest.raises(ValueError) as exc:
             call()

@@ -28,9 +28,11 @@ from knotcert import (
     torus_braid,
     writhe,
 )
+from knotcert._matrix import symmetric_inertia
 from knotcert.braid import MAX_INPUT_LETTERS, exponent_sum, quotient_braid
 from knotcert.certify import _positive_word_genus, _pretzel_family
-from knotcert.diagram import _piece_count, _quotient_tail_invariants, is_positive
+from knotcert.diagram import (
+    _frontier_tails, _piece_count, _quotient_tail_invariants, is_positive)
 
 from conftest import cycle_count, grid_knot_slope_words, logged
 from oracles import _symmetric_sig_det, braid_seifert_sigma, goeritz_det, torus_sigma
@@ -472,24 +474,26 @@ class TestClosureTailInvariants:
     def test_tails_away_from_the_certificate(self, tails, monkeypatch):
         """Tail lists no certificate asks for, shifted to the odd parity
         that closes to a knot, at several block powers of one pass: each
-        closing costs one elimination, whatever the tails."""
+        closing finishes with the pass's own Bareiss step, whatever the
+        tails, and no symmetric_inertia call is made."""
         calls = self._counted_eliminations(monkeypatch)
         shifted = [k + 1 for k in tails]
         for powers, middle in (([3], 5), ([1], 1), ([1, 5, 7], 2), ([3, 9], 3)):
             expected = [self._whole(j, middle, shifted) for j in powers]
             calls.clear()
             assert _quotient_tail_invariants(powers, middle, shifted) == expected, (powers, middle)
-            assert len(calls) == len(powers), (powers, middle)
+            assert calls == [], (powers, middle)
 
     def test_odd_white_with_zero_tails(self, monkeypatch):
         """At tails 0 and 1 the odd columns are the smaller class, which
         closure_signature_and_determinant takes as white; the pass keeps
         the even class and agrees at the knot tail, however often it is
-        asked for, with one elimination.  Tail 0 closes to a link."""
+        asked for, with no symmetric_inertia call.  Tail 0 closes to a
+        link."""
         expected = self._whole(3, 3, [1])
         calls = self._counted_eliminations(monkeypatch)
         assert _quotient_tail_invariants([3], 3, [1, 1, 1]) == [expected * 3]
-        assert len(calls) == 1
+        assert calls == []
         assert expected == [signature_and_determinant(braid_closure(quotient_braid(3, 3, 1)))]
         with pytest.raises(ValueError, match="knot"):
             _quotient_tail_invariants([3], 3, [0])
@@ -503,35 +507,32 @@ class TestClosureTailInvariants:
                     _quotient_tail_invariants(powers, middle, tails)
 
     @pytest.mark.parametrize("singular", [True, False], ids=["singular", "even-determinant"])
-    def test_guards_of_the_elimination(self, singular, monkeypatch):
-        """When det M' = 0 every tail gets the pair (sigma(M), det M) of
-        the first tail k0, and the knot's sigma moves only by the tail's
-        own correction; an even knot determinant is an AssertionError.
-        No knot tail reaches either, so the closing's elimination is
-        faked: M' made singular, or det M at k0 doubled, which makes every
-        tail's determinant even, since the tails differ by even k.  The
-        middle powers 2 and 3 close with a negative and a positive D, so
-        sigma(M) is read through both signs of the frontier's scale."""
-        import knotcert.diagram
-        inertia = knotcert.diagram.symmetric_inertia
-        calls = []
-
-        def faked(rows, last):
-            calls.append(last)
-            (sig, det), (minor_sig, minor_det) = inertia(rows, last)
-            if singular:
-                return (sig, det), (minor_sig, 0)
-            return (sig, 2 * det), (minor_sig, minor_det)
-        k0_pairs = {middle: _quotient_tail_invariants([3], middle, [1])[0][0] for middle in (2, 3)}
-        monkeypatch.setattr(knotcert.diagram, "symmetric_inertia", faked)
-        for middle, k0_pair in k0_pairs.items():
-            if singular:
-                got, = _quotient_tail_invariants([3], middle, [1, 3, 11])
-                assert [(s + k - 1, d) for (s, d), k in zip(got, [1, 3, 11])] == [k0_pair] * 3
-            else:
+    def test_guards_of_the_elimination(self, singular):
+        """The closing's two guards on hand frontiers, which no knot tail
+        reaches: when det M' = 0 every tail k gets the sigma and det of
+        M_0, whose M' is the singular [[1, 1], [1, 1]], and an even knot
+        determinant, det M_k = 2 + 2k here, is an AssertionError.  Each
+        frontier is D times M_0 for the block-diagonal [D] + M_0 with its
+        first pivot eliminated, at D = -3 and D = 5, so sigma is read
+        through both signs of the frontier's scale."""
+        m = [[1, 1, 1], [1, 1, 0], [1, 0, 0]] if singular else [[2, 2], [2, 3]]
+        tail, tails = len(m) - 1, [1, 3, 11]
+        for scale in (-3, 5):
+            f = [[scale * v for v in row] for row in m]
+            live, sign = list(range(len(m))), 1 if scale > 0 else -1
+            if not singular:
                 with pytest.raises(AssertionError, match="even determinant"):
-                    _quotient_tail_invariants([3], middle, [1, 3, 11])
-        assert len(calls) == 2
+                    _frontier_tails(f, live, scale, sign, tail, tails)
+                continue
+            expected = []
+            for k in tails:
+                full = [[scale] + [0] * len(m)] + [[0] + row for row in m]
+                full[-1][-1] += k
+                sig, det = symmetric_inertia(
+                    {i: {j: v for j, v in enumerate(row) if v} for i, row in enumerate(full)})
+                expected.append((sig, abs(det)))
+            assert _frontier_tails(f, live, scale, sign, tail, tails) == expected
+            assert expected == expected[:1] * 3, scale
 
 
 def union_find_classes(pairs) -> int:

@@ -62,6 +62,16 @@ class TestAnchors:
                             (8, 0): -5, (8, 2): -5, (8, 4): -1, (10, 0): 1})
         assert homfly(torus_braid(3, 4)) == t34
 
+    def test_equality_with_other_values_returns(self):
+        """== and != answer for any value that is not a polynomial or an
+        int; a bool is not taken as the constant 0 or 1."""
+        trefoil, unknot = homfly(torus_braid(2, 3)), homfly(BraidWord(2, (1,)))
+        for p in (trefoil, unknot):
+            for other in (True, False, "x", None, 1.5):
+                assert not p == other, (p, other)
+                assert p != other, (p, other)
+        assert unknot == 1 and trefoil != 1
+
     def test_figure_eight_is_amphichiral(self):
         w = BraidWord(3, (1, -2, 1, -2))
         p = homfly(w)

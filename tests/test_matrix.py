@@ -2,13 +2,17 @@
 
 _symmetric_sig_det diagonalizes by congruence in Fractions and shares no code
 with knotcert._matrix; it returns the absolute value of the determinant.
-symmetric_inertia gets the same matrices as sparse rows of their nonzeros.
+symmetric_inertia gets the same matrices as sparse rows of their nonzeros,
+and is in turn the reference for the closing of the streaming quotient-word
+pass, diagram._frontier_inertia, which eliminates with its own Bareiss step.
 """
 
 import pytest
 
-from knotcert._matrix import symmetric_inertia
+from knotcert._matrix import _exact, symmetric_inertia
+from knotcert.diagram import _frontier_inertia
 
+from conftest import logged
 from oracles import _symmetric_sig_det
 
 
@@ -147,11 +151,35 @@ def _without(m: list[list[int]], t: int) -> list[list[int]]:
     return [[v for j, v in enumerate(row) if j != t] for i, row in enumerate(m) if i != t]
 
 
-def test_last_row_mode_matches_two_eliminations(rng):
-    """The elimination that pivots row t last against plain eliminations
-    of M and of M' = M less row and column t: random matrices with many
-    zero diagonals (M' often needs 2x2 blocks, or is singular), row t's
-    diagonal zero about half the time."""
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _closing(m: list[list[int]], t: int, scale: int = 1):
+    """((sigma(M), det M), (sigma(M'), det M')) for M' = M less row and
+    column t, from diagram._frontier_inertia on the frontier scale * M
+    with d = scale and sigma = sign(scale): that of the block-diagonal
+    matrix [scale] + M once its first pivot is eliminated.  The closing
+    gives sigma(M) only through sigma(M') + sign(det M det M'), which is
+    all a tail needs; when both determinants are 0 it is None here."""
+    sign = _sign(scale)
+    f = [[scale * v for v in row] for row in m]
+    sig_minor, det_minor, det_m = _frontier_inertia(f, list(range(len(m))), scale, sign, t)
+    sig_minor -= sign
+    det_m, det_minor = _exact(det_m, scale), _exact(det_minor, scale)
+    sig_m = sig_minor + _sign(det_m * det_minor) if det_m or det_minor else None
+    return (sig_m, det_m), (sig_minor, det_minor)
+
+
+def test_last_row_mode_matches_two_eliminations(rng, monkeypatch):
+    """The frontier closing, which eliminates row t last, against plain
+    eliminations of M and of M' = M less row and column t: random
+    matrices with many zero diagonals (M' often stalls on zero pivots and
+    needs a congruence, or is singular), row t's diagonal zero about half
+    the time, at frontier scales of both signs."""
+    import knotcert.diagram
+    merges = []
+    monkeypatch.setattr(knotcert.diagram, "_add_slot", logged(merges, knotcert.diagram._add_slot))
     seen = set()
     for _ in range(1500):
         n = rng.randint(1, 9)
@@ -159,21 +187,25 @@ def test_last_row_mode_matches_two_eliminations(rng):
         t = rng.randrange(n)
         if rng.random() < 0.5:
             m[t][t] = 0
-        minor = _without(m, t)
-        expected = symmetric_inertia(_rows(m)), symmetric_inertia(_rows(minor))
-        assert symmetric_inertia(_rows(m), t) == expected, (m, t)
+        expected = symmetric_inertia(_rows(m)), symmetric_inertia(_rows(_without(m, t)))
+        if expected[0][1] == expected[1][1] == 0:
+            expected = (None, 0), expected[1]
+        for scale in (1, -3, 2):
+            merges.clear()
+            assert _closing(m, t, scale) == expected, (m, t, scale)
         if expected[1][1] == 0:
             seen.add("singular M'")
-        elif n > 1 and all(minor[i][i] == 0 for i in range(n - 1)):
-            seen.add("M' of 2x2 blocks only")
+        if merges:
+            seen.add("stall")
         if m[t][t] == 0:
             seen.add("zero diagonal at t")
     assert len(seen) == 3, seen
 
 
 @pytest.mark.parametrize("m, t, expected", [
-    # M' = [[0, 1], [1, 0]] is one 2x2 block; row 2 is left with the
-    # Schur value -2, so det M = -1 * -2 and sigma(M) = 0 - 1
+    # M' = [[0, 1], [1, 0]] stalls: row 1 is added to row 0, whose pivot
+    # is then 2; row 2 is left with the Schur value -2 times D = -2, so
+    # det M = 2 and sigma(M) = 0 - 1
     ([[0, 1, 1],
       [1, 0, 1],
       [1, 1, 0]], 2, ((-1, 2), (0, -1))),
@@ -181,17 +213,13 @@ def test_last_row_mode_matches_two_eliminations(rng):
     ([[1, 1, 1],
       [1, 1, 0],
       [1, 0, 0]], 2, ((1, -1), (1, 0))),
-    # the one row of M' is zero: M' is singular, M a 2x2 block
+    # the one row of M' is zero: M' is singular, det M = -3^2
     ([[0, 3],
       [3, 5]], 1, ((0, -9), (0, 0))),
     # M' is empty: det 1, and M is the Schur value alone
     ([[-4]], 0, ((-1, -4), (0, 1))),
 ])
 def test_last_row_mode_by_hand(m, t, expected):
-    assert symmetric_inertia(_rows(m), t) == expected
+    for scale in (1, -3, 2):
+        assert _closing(m, t, scale) == expected, scale
     assert (symmetric_inertia(_rows(m)), symmetric_inertia(_rows(_without(m, t)))) == expected
-
-
-def test_last_row_must_be_a_row():
-    with pytest.raises(ValueError, match="not a row"):
-        symmetric_inertia({0: {0: 1}}, 1)
