@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 from .braid import (_TWIST_HEAD, BraidWord, _check_integers, _check_quotient_powers,
                     _check_size, _shown, contains_full_twist, quotient_braid)
-from .diagram import _quotient_tail_invariants, closure_signature_and_determinant
+from .diagram import _quotient_tail_invariants
 from .invariants import quotient_knot_genus, torus_genus
 
 __all__ = [
@@ -398,9 +398,11 @@ def exclude_torus_knot(first: int, q: int, r: int) -> ExclusionVerdict:
     torus candidates are T(4,x); the determinant of the closure must be
     the homology order |r| of the surgery, which forces x = |r|; the
     genus of the closure (positive braid formula, cross-checked against
-    the closed form) differs from the genus of T(4,|r|).  The full twist
-    is the word's 12-letter head, whose Garside normal form is computed
-    once per process; a word without that head is inconclusive.
+    the closed form) differs from the genus of T(4,|r|).  The determinant
+    comes from one streaming pass over the word's blocks, as in
+    ``certify_no_sfs``.  The full twist is the word's 12-letter head, whose
+    Garside normal form is computed once per process; a word without that
+    head is inconclusive.
     """
     rule = "torus-knot-det-genus"
     family = _pretzel_family(first, q)
@@ -419,9 +421,10 @@ def exclude_torus_knot(first: int, q: int, r: int) -> ExclusionVerdict:
             "failed_step": "admissible-slope",
             "reason": str(exc),
         })
-    word = quotient_braid(*family.powers(r))
-    return _torus_knot_verdict(first, q, r, word, _positive_word_genus(word),
-                               closure_signature_and_determinant(word)[1])
+    block, middle, tail = family.powers(r)
+    word = quotient_braid(block, middle, tail)
+    [[(_, det)]] = _quotient_tail_invariants([block], middle, [tail])
+    return _torus_knot_verdict(first, q, r, word, _positive_word_genus(word), det)
 
 
 def _knot_slope_verdicts(family: _Family) -> dict[int, tuple[ExclusionVerdict, ...]]:
@@ -502,10 +505,9 @@ def _torus_knot_verdict(first: int, q: int, r: int, word: BraidWord, genus_direc
 
 def _positive_word_genus(word: BraidWord) -> int:
     """Genus of the knot closing a positive braid word that uses every
-    generator, as ``closure_signature_and_determinant`` checks first for
-    the words passed here.  Seifert's algorithm on the closure leaves one
-    circle per strand and is minimal on positive diagrams, so the genus
-    is (letters - strands + 1) / 2."""
+    generator, as every quotient word does.  Seifert's algorithm on the
+    closure leaves one circle per strand and is minimal on positive
+    diagrams, so the genus is (letters - strands + 1) / 2."""
     if not word.is_positive:
         raise ValueError("genus formula requires a positive braid word")
     return (len(word) - word.strands + 1) // 2

@@ -14,9 +14,11 @@ matches their coloring type; the determinant of that same matrix is the
 link determinant.  The sign conventions are pinned by the
 anchor values sigma(right trefoil) = -2 and sigma(unknot) = 0.
 
-For a braid closure the checkerboard regions are known from the word
-alone; ``closure_signature_and_determinant`` builds the same kind of
-Goeritz matrix from the word, with no diagram and no face trace.
+For the quotient words of the certificates the checkerboard regions are
+known from the word alone, and ``_quotient_tail_invariants`` eliminates
+their Goeritz matrix in one streaming pass, with no diagram and no face
+trace; ``closure_signature_and_determinant`` gates any other braid word
+and reads the diagram path.
 """
 
 from __future__ import annotations
@@ -264,14 +266,6 @@ def faces(d: LinkDiagram) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _add_crossing(rows: dict[int, dict[int, int]], i: int, j: int, eta: int):
-    """Add a crossing between distinct white faces i and j, with incidence
-    eta, to the Goeritz rows; index -1 is the deleted face."""
-    for x, y, v in ((i, i, eta), (j, j, eta), (i, j, -eta), (j, i, -eta)):
-        if x >= 0 and y >= 0:
-            rows[x][y] = rows[x].get(y, 0) + v
-
-
 @dataclasses.dataclass(frozen=True)
 class GoeritzData:
     """Checkerboard data: the reduced white-face matrix (white face 0
@@ -337,7 +331,10 @@ def goeritz(d: LinkDiagram) -> GoeritzData:
         f1 = face_of[(ci, white_corners[0])]
         f2 = face_of[(ci, white_corners[1])]
         if f1 != f2:
-            _add_crossing(rows, white_index[f1], white_index[f2], eta)
+            i, j = white_index[f1], white_index[f2]
+            for x, y, v in ((i, i, eta), (j, j, eta), (i, j, -eta), (j, i, -eta)):
+                if x >= 0 and y >= 0:
+                    rows[x][y] = rows[x].get(y, 0) + v
     matrix = {i: {j: v for j, v in row.items() if v} for i, row in rows.items()}
     return GoeritzData(matrix=matrix, correction=correction)
 
@@ -355,56 +352,18 @@ def signature_and_determinant(d: LinkDiagram) -> tuple[int, int]:
 
 
 def closure_signature_and_determinant(w: BraidWord) -> tuple[int, int]:
-    """Signature and determinant of the knot closing w, from a Goeritz
-    matrix read off the word, with no diagram built.
-
-    Column j lies between strands j and j+1; the letters +-j cut it into
-    one cyclic region per letter, region i running from its i-th letter
-    to the next, and columns 0 and n are one region each.  Colour is the
-    column's parity and white the smaller class.  At a letter in a white
-    column the white faces are the regions above and below it, with
-    incidence -sign(e); otherwise they are the regions of columns j-1 and
-    j+1 at its height, with incidence +sign(e).  Rows and correction
-    follow ``goeritz``, and one ``symmetric_inertia`` pass reads them.  A
-    knot's determinant is odd, so an even one is an AssertionError.
-    ValueError when w misses a generator (a split closure) or its closure
-    has more than one component.
-    """
-    n = w.strands
-    regions = [1] + [0] * (n - 1) + [1]
-    for e in w.letters:
-        regions[abs(e)] += 1
-    if 0 in regions:
-        raise ValueError(f"braid word misses generator {regions.index(0)}: split closure")
-    _check_knot(w.letters, n)
-    white = 0 if 2 * sum(regions[0::2]) <= sum(regions) else 1
-    # White column j's regions start at index first[j]; white region 0
-    # gets index -1, so its row and column are deleted.
-    first = [0] * (n + 1)
-    count = -1
-    for j in range(white, n + 1, 2):
-        first[j] = count
-        count += regions[j]
-    rows: dict[int, dict[int, int]] = {i: {} for i in range(count)}
-    seen = [0] * (n + 1)  # letters passed so far in each column
-    correction = 0
-    for e in w.letters:
-        j = abs(e)
-        sign = 1 if e > 0 else -1
-        if j % 2 == white:
-            eta = -sign
-            m, k = seen[j], regions[j]
-            f1, f2 = first[j] + (m - 1) % k, first[j] + m % k
-        else:
-            eta = sign
-            correction += sign  # sign(e) == eta exactly here
-            f1 = first[j - 1] + (seen[j - 1] - 1) % regions[j - 1]
-            f2 = first[j + 1] + (seen[j + 1] - 1) % regions[j + 1]
-        seen[j] += 1
-        if f1 != f2:
-            _add_crossing(rows, f1, f2, eta)
-    sig, det = symmetric_inertia(rows)
-    return sig - correction, _odd(det)
+    """Signature and determinant of the knot closing w, read by the diagram
+    path, ``signature_and_determinant(braid_closure(w))``, once w passes two
+    gates: ValueError when w misses a generator (a split closure) or its
+    closure has more than one component.  A knot's determinant is odd, so
+    an even one is an AssertionError."""
+    used = {abs(e) for e in w.letters}
+    missing = [j for j in range(1, w.strands) if j not in used]
+    if missing:
+        raise ValueError(f"braid word misses generator {missing[0]}: split closure")
+    _check_knot(w.letters, w.strands)
+    sig, det = signature_and_determinant(braid_closure(w))
+    return sig, _odd(det)
 
 
 def _check_knot(letters: tuple[int, ...], strands: int):

@@ -36,9 +36,11 @@ from knotcert.braid import MAX_INPUT_LETTERS
 from knotcert.certify import (
     _TWIST_HEAD,
     EXCLUDED,
+    INCONCLUSIVE,
     SCHEMA_VERSION,
     _json_text,
     _montesinos_knot_verdict,
+    _torus_knot_verdict,
 )
 
 from conftest import grid_knot_slope_words, logged
@@ -74,6 +76,17 @@ class TestMontesinosKnotRule:
         v = _montesinos_knot_verdict(3, 26, -18, 18, -14)
         assert v.evidence["chain"]["s_plus_sigma"] == [6, 10]
         assert v.conclusion == "excluded"
+
+    @pytest.mark.parametrize("s_partner, sigma_partner, message", [
+        (18, -10, r"chain enclosure \[10, 14\] misses the direct sum 4"),
+        (20, -20, "must drop s by 8, got 6"),
+    ], ids=["sigma-outside-window", "s-drop"])
+    def test_move_bookkeeping_guards(self, s_partner, sigma_partner, message):
+        """A partner whose sigma puts the chain enclosure off the direct
+        sum, or whose s is not 8 below the knot's, is an internal error,
+        not a verdict; no quotient knot reaches either guard."""
+        with pytest.raises(AssertionError, match=message):
+            _montesinos_knot_verdict(3, 26, -22, s_partner, sigma_partner)
 
     def test_rejects_odd_values(self):
         with pytest.raises(ValueError, match="even integers"):
@@ -166,6 +179,38 @@ class TestTorusKnotRule:
         v = exclude_torus_knot(3, 3, -9)
         assert v.conclusion == "inconclusive"
         assert v.evidence["failed_step"] == "full-twist"
+
+    @pytest.mark.parametrize("genus, det, evidence", [
+        (20, 9, {"failed_step": "determinant-homology", "determinant": 9, "homology_order": 7}),
+        (21, 7, {"failed_step": "genus-cross-check", "genus_direct": 21,
+                 "genus_closed_form": 20}),
+    ], ids=["determinant", "genus"])
+    def test_cross_checks_stop_the_verdict(self, genus, det, evidence):
+        """The quotient knot of 7-surgery on P(3,3,3) has det 7 and genus
+        20, and excludes; a determinant other than |r| or a direct genus
+        other than the closed form stops the verdict at its step, which no
+        quotient knot reaches."""
+        word = pretzel_quotient_braid(3, 3, 7)
+        assert _torus_knot_verdict(3, 3, 7, word, 20, 7).conclusion == EXCLUDED
+        v = _torus_knot_verdict(3, 3, 7, word, genus, det)
+        assert (v.conclusion, v.evidence) == (INCONCLUSIVE, evidence)
+
+    def test_reads_the_streaming_pass(self, monkeypatch):
+        """The determinant comes from one streaming pass over the quotient
+        word's blocks, with no diagram, Goeritz matrix or symmetric_inertia
+        call, in both families."""
+        import knotcert.certify
+        import knotcert.diagram
+        calls = []
+        monkeypatch.setattr(knotcert.certify, "_quotient_tail_invariants",
+                            logged(calls, knotcert.certify._quotient_tail_invariants))
+        for name in ("braid_closure", "goeritz", "symmetric_inertia"):
+            monkeypatch.setattr(knotcert.diagram, name,
+                                logged(calls, getattr(knotcert.diagram, name)))
+        for first, q, r in ((3, 3, 7), (2, 3, 13)):
+            calls.clear()
+            assert exclude_torus_knot(first, q, r).conclusion == EXCLUDED, (first, q, r)
+            assert calls == ["_quotient_tail_invariants"], (first, q, r)
 
     def test_twist_head_is_the_full_twist(self):
         head = BraidWord(4, _TWIST_HEAD)
@@ -300,8 +345,6 @@ class TestCertifyNoSfs:
         monkeypatch.setattr(knotcert.certify, "quotient_braid",
                             logged(words, knotcert.certify.quotient_braid))
         calls = []
-        monkeypatch.setattr(knotcert.certify, "closure_signature_and_determinant",
-                            logged(calls, knotcert.certify.closure_signature_and_determinant))
         monkeypatch.setattr(knotcert.certify, "_quotient_tail_invariants",
                             logged(calls, knotcert.certify._quotient_tail_invariants))
         for name in ("braid_closure", "faces", "goeritz"):
@@ -326,11 +369,16 @@ class TestCertifyNoSfs:
 
     @pytest.mark.parametrize("first, q", [(3, 3), (5, 3), (2, 3), (4, 5)])
     def test_torus_verdicts_match_the_direct_entry_point(self, first, q):
+        """Both read the streaming pass, so the determinant is also checked
+        against the diagram path, at the cell's first odd slope."""
         report = certify_no_sfs(first, q)
-        for slope in report.slopes:
-            if slope.r % 2:
-                torus = next(v for v in slope.verdicts if v.rule == "torus-knot-det-genus")
-                assert torus == exclude_torus_knot(first, q, slope.r), slope.r
+        torus = {slope.r: next(v for v in slope.verdicts if v.rule == "torus-knot-det-genus")
+                 for slope in report.slopes if slope.r % 2}
+        for r, verdict in torus.items():
+            assert verdict == exclude_torus_knot(first, q, r), r
+        r = min(torus)
+        word = pretzel_quotient_braid(first, q, r)
+        assert torus[r].evidence["determinant"] == determinant(braid_closure(word)) == abs(r)
 
     def test_validation(self):
         with pytest.raises(ValueError):
