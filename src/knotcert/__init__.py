@@ -31,13 +31,13 @@ from .certify import (
     exclude_seifert_link_two_components,
     exclude_torus_knot,
     pretzel_quotient_braid,
+    quotient_knot_genus,
     torus_knot_genus_conflict,
 )
 from .diagram import (
     Crossing,
     LinkDiagram,
     braid_closure,
-    closure_signature_and_determinant,
     component_count,
     determinant,
     faces,
@@ -54,7 +54,6 @@ from .homfly import LaurentPoly2, det_from_homfly, homfly, mfw_bound
 from .invariants import (
     det_from_alexander,
     positive_genus,
-    quotient_knot_genus,
     torus_alexander,
     torus_det_4x,
     torus_genus,
@@ -75,7 +74,6 @@ __all__ = [
     "braid_closure",
     "braids_equal",
     "certify_no_sfs",
-    "closure_signature_and_determinant",
     "component_count",
     "contains_full_twist",
     "exclude_montesinos_knot",

@@ -28,6 +28,7 @@ verdict's evidence is recomputed from the invariant engines on demand.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -38,7 +39,7 @@ from typing import NamedTuple
 from .braid import (_TWIST_HEAD, BraidWord, _check_integers, _check_quotient_powers,
                     _check_size, _shown, contains_full_twist, quotient_braid)
 from .diagram import _quotient_tail_invariants
-from .invariants import quotient_knot_genus, torus_genus
+from .invariants import torus_genus
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -54,7 +55,7 @@ __all__ = [
     "exclude_seifert_link_two_components",
     "exclude_torus_knot",
     "torus_knot_genus_conflict",
-    "check_input_size",
+    "quotient_knot_genus",
     "certify_no_sfs",
 ]
 
@@ -95,6 +96,10 @@ class ExclusionVerdict:
             raise ValueError(f"unknown conclusion {_shown(self.conclusion)}")
 
     def to_dict(self) -> dict:
+        """The verdict as JSON values, sharing no dict or list with it."""
+        return copy.deepcopy(self._fields())
+
+    def _fields(self) -> dict:
         return {"rule": self.rule, "conclusion": self.conclusion, "evidence": self.evidence}
 
     @staticmethod
@@ -162,7 +167,7 @@ class CertificateReport:
         return {
             "schema_version": SCHEMA_VERSION,
             "family": family.name,
-            "parameters": self.parameters,
+            "parameters": dict(self.parameters),
             "assumptions": list(family.assumptions),
             "notes": list(family.notes),
             "slopes": slopes,
@@ -173,7 +178,8 @@ class CertificateReport:
     def from_dict(d: dict) -> "CertificateReport":
         """Rebuild the report that the recorded p and q fix, with the
         recorded verdicts (parsed, not replayed), and compare the file with
-        its to_dict() once.  Raises ValueError naming the first difference."""
+        its to_dict() once, through the recorded evidence, not a copy of it.
+        Raises ValueError naming the first difference."""
         if type(d) is not dict:
             raise ValueError(f"a certificate must be an object, got {_shown(d)}")
         if d.get("schema_version") != SCHEMA_VERSION:
@@ -185,7 +191,8 @@ class CertificateReport:
         report = CertificateReport(family.parameters, tuple(
             SlopeReport(r, family.admitted_by, _recorded_verdicts(d.get("slopes"), i))
             for i, r in enumerate(family.slopes)))
-        difference = _first_difference(report.to_dict(), d)
+        difference = _first_difference(report._with_slopes([
+            s._with_verdicts([v._fields() for v in s.verdicts]) for s in report.slopes]), d)
         if difference:
             raise ValueError(f"certificate{difference[0]}: {difference[1]}")
         return report
@@ -199,7 +206,7 @@ class CertificateReport:
             verdicts = written.get(id(s.verdicts))
             if verdicts is None:
                 verdicts = written[id(s.verdicts)] = _Written(_json_text(
-                    [v.to_dict() for v in s.verdicts], _VERDICTS_INDENT))
+                    [v._fields() for v in s.verdicts], _VERDICTS_INDENT))
             slopes.append(s._with_verdicts(verdicts))
         return _json_text(self._with_slopes(slopes))
 
@@ -415,7 +422,7 @@ def exclude_torus_knot(first: int, q: int, r: int) -> ExclusionVerdict:
     # The closed-form genus the test needs is known at every odd slope of
     # an odd first parameter but only at 4q-1 and 4q+1 of an even one.
     try:
-        quotient_knot_genus(first, q, r)
+        genus = family.genus(r)
     except ValueError as exc:
         return ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "admissible-slope",
@@ -424,7 +431,7 @@ def exclude_torus_knot(first: int, q: int, r: int) -> ExclusionVerdict:
     block, middle, tail = family.powers(r)
     word = quotient_braid(block, middle, tail)
     [[(_, det)]] = _quotient_tail_invariants([block], middle, [tail])
-    return _torus_knot_verdict(first, q, r, word, _positive_word_genus(word), det)
+    return _torus_knot_verdict(first, q, r, word, _positive_word_genus(word), genus, det)
 
 
 def _knot_slope_verdicts(family: _Family) -> dict[int, tuple[ExclusionVerdict, ...]]:
@@ -455,17 +462,18 @@ def _knot_slope_verdicts(family: _Family) -> dict[int, tuple[ExclusionVerdict, .
     for r, k, (sigma, det), (sigma_partner, _) in zip(odd, extra, knots, partners):
         montesinos = _montesinos_knot_verdict(
             q - 2, 2 * (genus + k // 2), sigma, 2 * (partner_genus + k // 2), sigma_partner)
-        verdicts[r] = montesinos, _torus_knot_verdict(first, q, r, word, genus + k // 2, det)
+        verdicts[r] = montesinos, _torus_knot_verdict(
+            first, q, r, word, genus + k // 2, family.genus(r), det)
     return verdicts
 
 
 def _torus_knot_verdict(first: int, q: int, r: int, word: BraidWord, genus_direct: int,
-                        det: int) -> ExclusionVerdict:
-    """The torus-knot verdict of odd slope r, from the genus and the
-    determinant of its quotient knot and a word whose head is the head of
-    its quotient word.  The full twist is proved once per process, on the
-    head that ``quotient_braid`` spells it with; a word starting with that
-    head is the full twist times a positive braid."""
+                        genus_closed_form: int, det: int) -> ExclusionVerdict:
+    """The torus-knot verdict of odd slope r, from its quotient knot's
+    determinant, its genus both from the word and in closed form, and a
+    word whose head is its quotient word's.  The full twist is proved once
+    per process, on the head that ``quotient_braid`` spells it with; a
+    word starting with that head is the full twist times a positive braid."""
     rule = "torus-knot-det-genus"
     if word.letters[:len(_TWIST_HEAD)] != _TWIST_HEAD or not _twist_head_contains_full_twist():
         return ExclusionVerdict(rule, INCONCLUSIVE, {
@@ -480,7 +488,6 @@ def _torus_knot_verdict(first: int, q: int, r: int, word: BraidWord, genus_direc
             "determinant": det,
             "homology_order": det_homology,
         })
-    genus_closed_form = quotient_knot_genus(first, q, r)
     if genus_direct != genus_closed_form:
         return ExclusionVerdict(rule, INCONCLUSIVE, {
             "failed_step": "genus-cross-check",
@@ -634,7 +641,7 @@ _RECOMPUTE_NOTE = (
 class _Family(NamedTuple):
     """What P(first,q,q) fixes: its family name and recorded parameters,
     its candidate slopes and the result that admits them, the quotient-word
-    powers at slope r, and the report header."""
+    powers and the quotient knot's genus at slope r, and the report header."""
 
     name: str
     parameters: dict
@@ -648,6 +655,25 @@ class _Family(NamedTuple):
         """Block, middle and tail powers of the quotient word of r-surgery,
         (s2 s3 s1 s2)^q (s2 s3^2 s2)^first s1^tail."""
         return self.parameters["q"], self.parameters["p"], self.tail_at_zero + r
+
+    def genus(self, r: int) -> int:
+        """Closed-form genus of the quotient knot of integer slope r:
+        3(first + q) + (r - 3)/2 at every odd r whose quotient word has a
+        tail 2(first + q) + r >= 0 when first is odd; when first is even,
+        3(first + q) - 1 at r = 4q + 1 and 3(first + q) - 2 at r = 4q - 1,
+        the only slopes the even cells admit.  ValueError at any other r."""
+        first, q = self.parameters["p"], self.parameters["q"]
+        if first % 2:
+            if r % 2 == 0:
+                raise ValueError(f"the quotient closes to a knot only for odd r, got {_shown(r)}")
+            if self.tail_at_zero + r < 0:
+                raise ValueError(f"slope {_shown(r)} gives the quotient word a negative tail "
+                                 f"2(first+q)+r = {_shown(self.tail_at_zero + r)}")
+            return 3 * (first + q) + (r - 3) // 2
+        if r not in self.slopes:
+            raise ValueError(f"an even first parameter admits only the slopes 4q-1 and 4q+1, "
+                             f"got r={_shown(r)} with q={_shown(q)}")
+        return 3 * (first + q) - (1 if r == 4 * q + 1 else 2)
 
 
 def _pretzel_family(first: int, q: int) -> _Family:
@@ -703,11 +729,12 @@ def pretzel_quotient_braid(first: int, q: int, r: int) -> BraidWord:
     return quotient_braid(block, middle, tail)
 
 
-def check_input_size(first: int, q: int):
-    """Reject P(first,q,q) with ValueError unless it is a valid cell whose
-    quotient braid words have at most braid.MAX_INPUT_LETTERS letters:
-    6(first+q)+8 for an odd first, 6(first+q)+1 for an even one."""
-    _pretzel_family(first, q)
+def quotient_knot_genus(first: int, q: int, r: int) -> int:
+    """Genus of the quotient knot of r-surgery on P(first,q,q), in closed
+    form (``_Family.genus``).  ValueError for a cell ``certify_no_sfs``
+    refuses, and for a slope whose quotient is no knot of the family."""
+    _check_integers("surgery slopes", r)
+    return _pretzel_family(first, q).genus(r)
 
 
 def certify_no_sfs(first: int, q: int) -> CertificateReport:

@@ -19,7 +19,7 @@ import pathlib
 import sys
 
 from .braid import BraidWord, _shown, normal_form, parse_braid
-from .certify import CertificateReport, _json_text, certify_no_sfs, check_input_size
+from .certify import CertificateReport, _json_text, _pretzel_family, certify_no_sfs
 from .diagram import (
     LinkDiagram,
     braid_closure,
@@ -191,10 +191,10 @@ def _cmd_certify_grid(args: argparse.Namespace) -> int:
     last_odd_q = q_range[-1] if q_range[-1] % 2 else q_range[-1] - 1
     if last_odd_q < q_range.start:
         raise ValueError("grid contains no odd-q cells to certify")
-    # The longest quotient word is at the last odd q, in the last row or,
-    # when that row is even-family, in the odd row just above it.
+    # The family refuses a cell past the input limit.  The longest quotient word
+    # is at the last odd q, in the last row or, if that is even-family, the one above.
     for first in p_range[-2:]:
-        check_input_size(first, last_odd_q)
+        _pretzel_family(first, last_odd_q)
     if args.out:
         pathlib.Path(args.out).mkdir(parents=True, exist_ok=True)
     cells = []

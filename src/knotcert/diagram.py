@@ -17,8 +17,8 @@ anchor values sigma(right trefoil) = -2 and sigma(unknot) = 0.
 For the quotient words of the certificates the checkerboard regions are
 known from the word alone, and ``_quotient_tail_invariants`` eliminates
 their Goeritz matrix in one streaming pass, with no diagram and no face
-trace; ``closure_signature_and_determinant`` gates any other braid word
-and reads the diagram path.
+trace; any other braid word reads the diagram path,
+``signature_and_determinant(braid_closure(w))``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "faces",
     "goeritz",
     "signature_and_determinant",
-    "closure_signature_and_determinant",
     "determinant",
     "to_pd_text",
     "from_pd_text",
@@ -58,10 +57,11 @@ class Crossing:
     sign: int
 
     def __post_init__(self):
+        if type(self.arcs) is not tuple or len(self.arcs) != 4:
+            raise ValueError("a crossing has a tuple of exactly four incident arcs")
+        _check_integers("crossing arcs and signs", *self.arcs, self.sign)
         if self.sign not in (1, -1):
             raise ValueError(f"crossing sign must be +1 or -1, got {_shown(self.sign)}")
-        if len(self.arcs) != 4:
-            raise ValueError("a crossing has exactly four incident arcs")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -72,6 +72,7 @@ class LinkDiagram:
     free_loops: int = 0
 
     def __post_init__(self):
+        _check_integers("free loop counts", self.free_loops)
         if self.free_loops < 0:
             raise ValueError("free loop count cannot be negative")
         counts: dict[int, int] = {}
@@ -341,29 +342,15 @@ def goeritz(d: LinkDiagram) -> GoeritzData:
 
 def signature_and_determinant(d: LinkDiagram) -> tuple[int, int]:
     """Signature and determinant of the knot presented by the diagram, both
-    read from one Goeritz matrix (Gordon-Litherland)."""
+    read from one Goeritz matrix (Gordon-Litherland).  A knot's
+    determinant is odd, so an even one is an AssertionError."""
     if component_count(d) != 1:
         raise ValueError("signature is only computed for single-component diagrams")
     if not d.crossings:
         return 0, 1
     data = goeritz(d)
     sig, det = symmetric_inertia(data.matrix)
-    return sig - data.correction, abs(det)
-
-
-def closure_signature_and_determinant(w: BraidWord) -> tuple[int, int]:
-    """Signature and determinant of the knot closing w, read by the diagram
-    path, ``signature_and_determinant(braid_closure(w))``, once w passes two
-    gates: ValueError when w misses a generator (a split closure) or its
-    closure has more than one component.  A knot's determinant is odd, so
-    an even one is an AssertionError."""
-    used = {abs(e) for e in w.letters}
-    missing = [j for j in range(1, w.strands) if j not in used]
-    if missing:
-        raise ValueError(f"braid word misses generator {missing[0]}: split closure")
-    _check_knot(w.letters, w.strands)
-    sig, det = signature_and_determinant(braid_closure(w))
-    return sig, _odd(det)
+    return sig - data.correction, _odd(det)
 
 
 def _check_knot(letters: tuple[int, ...], strands: int):
@@ -381,9 +368,9 @@ def _check_knot(letters: tuple[int, ...], strands: int):
 
 
 def _odd(det: int) -> int:
-    """|det| of the Goeritz matrix of a knot closure, which is odd."""
+    """|det| of a knot's Goeritz matrix, which is odd."""
     if det % 2 == 0:
-        raise AssertionError("a knot closure has an even determinant")
+        raise AssertionError("a knot has an even determinant")
     return abs(det)
 
 

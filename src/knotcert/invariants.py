@@ -1,8 +1,7 @@
 """Closed-form knot invariants.
 
-Torus knot Alexander polynomials, determinants and genera, the genus of
-positive knot diagrams, and the closed-form genus of the pretzel quotient
-knots.
+Torus knot Alexander polynomials, determinants and genera, and the genus
+of positive knot diagrams.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ __all__ = [
     "det_from_alexander",
     "torus_det_4x",
     "positive_genus",
-    "quotient_knot_genus",
     "torus_genus",
 ]
 
@@ -125,31 +123,6 @@ def positive_genus(d: LinkDiagram) -> int:
     if (c - circles + 1) % 2:
         raise AssertionError("crossings - circles + 1 must be even for a knot")
     return (c - circles + 1) // 2
-
-
-def quotient_knot_genus(first: int, q: int, r: int) -> int:
-    """Genus of the quotient knot of r-surgery on P(first,q,q), first >= 2
-    and q >= 3 odd: 3(first + q) + (r - 3)/2 at every odd r whose quotient
-    word has a tail 2(first + q) + r >= 0 when first is odd; when first is
-    even, 3(first + q) - 1 at r = 4q + 1 and 3(first + q) - 2 at r = 4q - 1,
-    the only slopes the even cells admit."""
-    _check_integers("pretzel parameters and slopes", first, q, r)
-    if first < 2 or q < 3 or q % 2 == 0:
-        raise ValueError(
-            f"P(first,q,q) needs first >= 2 and q >= 3 odd, got ({_shown(first)}, {_shown(q)})")
-    if first % 2:
-        if r % 2 == 0:
-            raise ValueError(f"the quotient closes to a knot only for odd r, got {_shown(r)}")
-        if 2 * (first + q) + r < 0:
-            raise ValueError(f"slope {_shown(r)} gives the quotient word a negative tail "
-                             f"2(first+q)+r = {_shown(2 * (first + q) + r)}")
-        return 3 * (first + q) + (r - 3) // 2
-    if r == 4 * q + 1:
-        return 3 * (first + q) - 1
-    if r == 4 * q - 1:
-        return 3 * (first + q) - 2
-    raise ValueError(f"an even first parameter admits only the slopes 4q-1 and 4q+1, "
-                     f"got r={_shown(r)} with q={_shown(q)}")
 
 
 def torus_genus(a: int, b: int) -> int:

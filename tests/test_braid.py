@@ -14,6 +14,7 @@ import pytest
 from knotcert import (
     BraidWord,
     Crossing,
+    LinkDiagram,
     braid_closure,
     braids_equal,
     component_count,
@@ -531,12 +532,18 @@ class TestEdgeRule:
         lambda: torus_knot_genus_conflict(5, 1.5),
         lambda: torus_knot_genus_conflict(5, True),
         lambda: torus_knot_genus_conflict(2.5, 3),
+        lambda: quotient_knot_genus(10 ** 5000, 3, 1),
+        lambda: LinkDiagram((), free_loops=1.5),
+        lambda: LinkDiagram((), free_loops="x"),
+        lambda: Crossing(5, 1),
+        lambda: Crossing((0, 1, 2, 3), True),
     ], ids=["str-strands", "big-letter", "str-s", "big-sign", "big-odd-slope", "bool-twist",
             "float-torus-genus", "str-quotient-genus", "torus-alexander-size", "torus-det-size",
             "link-bridge-types", "link-taxonomy-types", "link-bridge-huge-q", "link-bridge-huge-p",
             "link-taxonomy-huge-q", "link-taxonomy-huge-p", "parse-str-strands",
             "str-conflict-genus", "float-conflict-genus", "bool-conflict-genus",
-            "float-conflict-det"])
+            "float-conflict-det", "huge-quotient-genus", "float-free-loops", "str-free-loops",
+            "int-arcs", "bool-sign"])
     def test_outside_value_gets_a_short_value_error(self, call):
         with pytest.raises(ValueError) as exc:
             call()

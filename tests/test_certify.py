@@ -191,8 +191,8 @@ class TestTorusKnotRule:
         other than the closed form stops the verdict at its step, which no
         quotient knot reaches."""
         word = pretzel_quotient_braid(3, 3, 7)
-        assert _torus_knot_verdict(3, 3, 7, word, 20, 7).conclusion == EXCLUDED
-        v = _torus_knot_verdict(3, 3, 7, word, genus, det)
+        assert _torus_knot_verdict(3, 3, 7, word, 20, 20, 7).conclusion == EXCLUDED
+        v = _torus_knot_verdict(3, 3, 7, word, genus, 20, det)
         assert (v.conclusion, v.evidence) == (INCONCLUSIVE, evidence)
 
     def test_reads_the_streaming_pass(self, monkeypatch):
@@ -491,11 +491,20 @@ def tampered(data, path: tuple, value):
 
 class TestSerialization:
     def test_report_round_trip(self):
+        """Also: an edit to to_dict() output, of the report, a slope or a
+        verdict, never reaches the report, another slope or the next to_json()."""
         report = certify_no_sfs(3, 3)
         text = report.to_json()
         back = CertificateReport.from_json(text)
         assert back == report
         assert back.to_json() == text
+        data = report.to_dict()
+        data["parameters"]["p"] = 0
+        data["slopes"][0]["verdicts"][0]["evidence"]["components"] = "edited"
+        assert "edited" not in json.dumps(data["slopes"][1:])
+        report.slopes[1].to_dict()["verdicts"][0]["evidence"]["components"] = "edited"
+        report.slopes[2].verdicts[0].to_dict()["evidence"]["components"] = "edited"
+        assert report.to_json() == text and report.parameters["p"] == 3
 
     def test_tampered_conclusion_is_rejected(self):
         data = json.loads(certify_no_sfs(3, 3).to_json())

@@ -13,7 +13,6 @@ from knotcert import (
     BraidWord,
     LinkDiagram,
     braid_closure,
-    closure_signature_and_determinant,
     component_count,
     determinant,
     faces,
@@ -335,20 +334,25 @@ def negated(w: BraidWord) -> BraidWord:
     return BraidWord(w.strands, tuple(-e for e in w.letters))
 
 
+def closure_invariants(w: BraidWord) -> tuple[int, int]:
+    """Signature and determinant of the knot closing w, by the diagram path."""
+    return signature_and_determinant(braid_closure(w))
+
+
 class TestClosureSignatureAndDeterminant:
-    """The word gates, then the diagram path (braid_closure, faces,
-    goeritz), against the Seifert form oracle, which takes positive words
-    and, through the mirror, negative ones; mixed-sign words against their
+    """The diagram path of a braid word (braid_closure, faces, goeritz)
+    against the Seifert form oracle, which takes positive words and,
+    through the mirror, negative ones; mixed-sign words against their
     mirror."""
 
     def assert_matches_seifert_form(self, w: BraidWord):
         sig, det = braid_seifert_sigma(w.letters)
-        assert closure_signature_and_determinant(w) == (sig, det), w.letters
-        assert closure_signature_and_determinant(negated(w)) == (-sig, det), w.letters
+        assert closure_invariants(w) == (sig, det), w.letters
+        assert closure_invariants(negated(w)) == (-sig, det), w.letters
 
     def assert_mirror_pair(self, w: BraidWord):
-        sig, det = closure_signature_and_determinant(w)
-        assert closure_signature_and_determinant(negated(w)) == (-sig, det), w.letters
+        sig, det = closure_invariants(w)
+        assert closure_invariants(negated(w)) == (-sig, det), w.letters
 
     def test_random_mixed_sign_knot_words(self, random_knot_word):
         for _ in range(60):
@@ -383,23 +387,23 @@ class TestClosureSignatureAndDeterminant:
         its partner, with the word genus against the diagram's."""
         for p, q, r, word, partner in grid_knot_slope_words():
             for w in (word, partner):
-                assert closure_signature_and_determinant(w) == braid_seifert_sigma(w.letters)
+                assert closure_invariants(w) == braid_seifert_sigma(w.letters)
                 assert _positive_word_genus(w) == positive_genus(braid_closure(w)), (p, q, r)
 
     def test_unknot(self):
-        assert closure_signature_and_determinant(BraidWord(1, ())) == (0, 1)
-        assert signature_and_determinant(braid_closure(BraidWord(1, ()))) == (0, 1)
-        assert closure_signature_and_determinant(BraidWord(2, (1,))) == (0, 1)
+        assert closure_invariants(BraidWord(1, ())) == (0, 1)
+        assert closure_invariants(BraidWord(2, (1,))) == (0, 1)
 
     def test_rejects_word_missing_a_generator(self):
-        with pytest.raises(ValueError, match="misses generator 2"):
-            closure_signature_and_determinant(BraidWord(4, (1, 1, 1, 3, 3, 3)))
+        """A word missing a generator closes to a split link."""
+        with pytest.raises(ValueError, match="single-component"):
+            closure_invariants(BraidWord(4, (1, 1, 1, 3, 3, 3)))
 
     def test_rejects_links(self):
         for w in (torus_braid(2, 4), BraidWord(3, (1,) * 10 + (2, 2)), BraidWord(4, (1, 2, 3, 1))):
             assert cycle_count(w) > 1
-            with pytest.raises(ValueError, match="knot"):
-                closure_signature_and_determinant(w)
+            with pytest.raises(ValueError, match="single-component"):
+                closure_invariants(w)
 
 
 def plain_quotient_word(block: int, middle: int, tail: int) -> BraidWord:
@@ -419,7 +423,7 @@ class TestClosureTailInvariants:
             for block in range(1, 16):
                 words = {t: plain_quotient_word(block, middle, t) for t in range(2, 30)}
                 knots = [t for t, w in words.items() if cycle_count(w) == 1]
-                expected = [closure_signature_and_determinant(words[t]) for t in knots]
+                expected = [closure_invariants(words[t]) for t in knots]
                 if knots:
                     assert _quotient_tail_invariants([block], middle, knots) == [expected]
                 for t in words.keys() - knots:
@@ -442,13 +446,13 @@ class TestClosureTailInvariants:
             for power, values in zip((block - 2, block), got):
                 for t, value in zip(tails, values):
                     w = quotient_braid(power, middle, t)
-                    assert value == closure_signature_and_determinant(w), (p, q, t)
+                    assert value == closure_invariants(w), (p, q, t)
             with pytest.raises(ValueError, match="knot"):
                 _quotient_tail_invariants([block - 2, block], middle, [tails[0] + 1])
 
     @staticmethod
     def _whole(block, middle, tails):
-        return [closure_signature_and_determinant(plain_quotient_word(block, middle, k))
+        return [closure_invariants(plain_quotient_word(block, middle, k))
                 for k in tails]
 
     @staticmethod
@@ -703,3 +707,11 @@ class TestSignatureDomain:
     def test_rejects_links(self):
         with pytest.raises(ValueError):
             signature_and_determinant(braid_closure(torus_braid(2, 4)))
+
+    def test_even_determinant_is_an_internal_error(self, monkeypatch):
+        """A knot's determinant is odd, so an even one from the
+        elimination is an AssertionError, not a result."""
+        import knotcert.diagram
+        monkeypatch.setattr(knotcert.diagram, "symmetric_inertia", lambda rows: (0, 4))
+        with pytest.raises(AssertionError, match="even determinant"):
+            signature_and_determinant(braid_closure(torus_braid(2, 3)))

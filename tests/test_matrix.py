@@ -171,7 +171,7 @@ def _closing(m: list[list[int]], t: int, scale: int = 1):
     return (sig_m, det_m), (sig_minor, det_minor)
 
 
-def test_last_row_mode_matches_two_eliminations(rng, monkeypatch):
+def test_frontier_inertia_matches_two_eliminations(rng, monkeypatch):
     """The frontier closing, which eliminates row t last, against plain
     eliminations of M and of M' = M less row and column t: random
     matrices with many zero diagonals (M' often stalls on zero pivots and
@@ -219,7 +219,7 @@ def test_last_row_mode_matches_two_eliminations(rng, monkeypatch):
     # M' is empty: det 1, and M is the Schur value alone
     ([[-4]], 0, ((-1, -4), (0, 1))),
 ])
-def test_last_row_mode_by_hand(m, t, expected):
+def test_frontier_inertia_by_hand(m, t, expected):
     for scale in (1, -3, 2):
         assert _closing(m, t, scale) == expected, scale
     assert (symmetric_inertia(_rows(m)), symmetric_inertia(_rows(_without(m, t)))) == expected
