@@ -209,14 +209,12 @@ def exponent_sum(w: BraidWord) -> int:
 
 def permutation_of(w: BraidWord) -> PermutationBraid:
     """Underlying permutation: start position of a strand to its end position."""
-    img = list(range(w.strands))
+    img, inv = list(range(w.strands)), list(range(w.strands))
     for e in w.letters:
         i = abs(e) - 1
-        for x in range(w.strands):
-            if img[x] == i:
-                img[x] = i + 1
-            elif img[x] == i + 1:
-                img[x] = i
+        x, y = inv[i], inv[i + 1]
+        img[x], img[y] = i + 1, i
+        inv[i], inv[i + 1] = y, x
     return PermutationBraid(tuple(img))
 
 
@@ -260,21 +258,28 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     right beside their inverses, each followed by one leftward pass of
     in-place left weightings, which stops at the first pair where no
     generator moves and leaves only the incoming factor possibly trivial.
+    A weighting that makes its left factor D ends the pass too: x D =
+    D tau(x), so that D goes straight to the infimum and the factors left
+    of it are conjugated by D (tau: s_i -> s_{n-2-i}) lazily: each is tau
+    of what it stores while its stamp and the parity of such Ds differ.
     """
     n = w.strands
     if n == 1:
         return GarsideNormalForm(1, 0, ())
     last = n - 1
-    identity = list(range(n))
-    negative_runs = 0
-    factors: list[tuple[list[int], list[int]]] = []
+    identity, delta = list(range(n)), list(range(last, -1, -1))
+    negative_runs = deltas = 0
+    factors: list[list] = []  # [perm, inv, stamp]
     for positive, perm, inv in _runs(w):
         if not positive:
             negative_runs += 1
             perm, inv = perm[::-1], [last - v for v in inv]
-        factors.append((perm, inv))
+        factors.append([perm, inv, deltas % 2])
         for k in range(len(factors) - 1, 0, -1):
-            (a, a_inv), (b, b_inv) = factors[k - 1], factors[k]
+            f, (b, b_inv, _) = factors[k - 1], factors[k]
+            if f[2] != deltas % 2:  # the deferred conjugation by D, done on reaching it
+                f[:] = [last - v for v in f[0][::-1]], [last - v for v in f[1][::-1]], deltas % 2
+            a, a_inv, _ = f
             moved, i = False, 0
             while i < last:
                 # s_i starts b and a s_i is still a permutation braid: move it
@@ -291,15 +296,21 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
                     i += 1
             if not moved:
                 break
+            if a == delta:  # D leaves for the infimum; restamp the factors right of it
+                del factors[k - 1]
+                deltas += 1
+                for right in factors[k - 1:]:
+                    right[2] = deltas % 2
+                break
         if factors[-1][0] == identity:
             factors.pop()
     lead = 0
-    while lead < len(factors) and factors[lead][0] == identity[::-1]:
+    while lead < len(factors) and factors[lead][0] == delta:
         lead += 1
-    flip = negative_runs % 2
-    return GarsideNormalForm(n, lead - negative_runs, tuple(
-        PermutationBraid(tuple(last - v for v in reversed(f)) if flip else tuple(f))
-        for f, _ in factors[lead:]))
+    flip = (deltas + negative_runs) % 2
+    return GarsideNormalForm(n, lead + deltas - negative_runs, tuple(
+        PermutationBraid(tuple(last - v for v in reversed(f)) if stamp != flip else tuple(f))
+        for f, _, stamp in factors[lead:]))
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:

@@ -732,9 +732,12 @@ def pretzel_quotient_braid(first: int, q: int, r: int) -> BraidWord:
 def quotient_knot_genus(first: int, q: int, r: int) -> int:
     """Genus of the quotient knot of r-surgery on P(first,q,q), in closed
     form (``_Family.genus``).  ValueError for a cell ``certify_no_sfs``
-    refuses, and for a slope whose quotient is no knot of the family."""
+    refuses, and for a slope with no such knot or too long a quotient word."""
     _check_integers("surgery slopes", r)
-    return _pretzel_family(first, q).genus(r)
+    family = _pretzel_family(first, q)
+    genus = family.genus(r)  # the slope's own rules first, then its word's length
+    _check_quotient_powers(*family.powers(r))
+    return genus
 
 
 def certify_no_sfs(first: int, q: int) -> CertificateReport:

@@ -40,7 +40,8 @@ from knotcert import (
     torus_genus,
     torus_knot_genus_conflict,
 )
-from knotcert.braid import MAX_INPUT_LETTERS, MAX_INPUT_STRANDS, PermutationBraid, _shown
+from knotcert.braid import (MAX_INPUT_LETTERS, MAX_INPUT_STRANDS, GarsideNormalForm,
+                            PermutationBraid, _shown)
 
 from conftest import cycle_count
 
@@ -248,6 +249,11 @@ class TestNormalForm:
         assert [f.mapping for f in nf.factors] == mappings
 
 
+def mixed_letters(rng: random.Random, strands: int, share: float, length: int) -> list[int]:
+    """length random letters on strands strands, each negative with probability share."""
+    return [rng.randint(1, strands - 1) * (-1 if rng.random() < share else 1) for _ in range(length)]
+
+
 class TestNormalFormAgainstOracle:
     """Run-grouped, in-place left weighting against the letter-at-a-time
     tuple oracle of tests/oracles.py."""
@@ -288,6 +294,33 @@ class TestNormalFormAgainstOracle:
     def test_long_negative_word_on_many_strands(self, rng):
         self.check(40, [rng.randint(1, 39) * (-1 if rng.random() < 0.8 else 1)
                         for _ in range(150)])
+
+    def test_mixed_words_that_make_half_twists_mid_pass(self, rng):
+        """A negative run enters as the near-D factor D A^-1, and the pass
+        often turns the factor to its left into D, which leaves for the
+        infimum and conjugates every factor left of it by D."""
+        for strands in range(3, 9):
+            for share in (0.3, 0.5, 0.7):
+                for _ in range(4):
+                    self.check(strands, mixed_letters(rng, strands, share, rng.randint(10, 60)))
+
+    def test_positive_words_holding_half_twists(self, rng):
+        for strands in range(2, 7):
+            for k in (1, 2, 3):
+                self.check(strands, torus_braid(strands, k * strands).letters)
+            self.check(strands, full_twist(strands).letters + tuple(mixed_letters(rng, strands, 0.5, 20)))
+
+    def test_conjugation_by_the_half_twist(self, rng):
+        """normal_form(D w D^-1) is the D-conjugate of normal_form(w): the
+        same infimum, and each factor m becomes i -> n-1-m[n-1-i]."""
+        for strands in range(2, 9):
+            delta = GarsideNormalForm(strands, 1, ()).to_word()
+            for share in (0.0, 0.4, 0.7, 1.0):
+                w = BraidWord(strands, tuple(mixed_letters(rng, strands, share, rng.randint(0, 50))))
+                nf, conjugated = normal_form(w), normal_form(delta * w * delta.inverse())
+                assert conjugated.infimum == nf.infimum
+                assert [f.mapping for f in conjugated.factors] == \
+                    [tuple(strands - 1 - v for v in reversed(f.mapping)) for f in nf.factors]
 
 
 class TestFullTwist:
@@ -488,6 +521,16 @@ class TestPermutationBraid:
         mappings.append(tuple(near_delta))
         for m in mappings:
             assert PermutationBraid(m).reduced_word() == oracles.reduced_word(m)
+
+    def test_permutation_of_at_the_input_limit(self, rng):
+        """One swap of the inverse per letter, against the strand scan."""
+        n = MAX_INPUT_STRANDS
+        w = BraidWord(n, tuple(mixed_letters(rng, n, 0.5, MAX_INPUT_LETTERS)))
+        img = list(range(n))
+        for e in w.letters:
+            i = abs(e) - 1
+            img = [i + 1 if v == i else i if v == i + 1 else v for v in img]
+        assert permutation_of(w).mapping == tuple(img)
 
 
 class TestEdgeRule:

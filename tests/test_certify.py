@@ -29,10 +29,11 @@ from knotcert import (
     normal_form,
     positive_genus,
     pretzel_quotient_braid,
+    quotient_knot_genus,
     torus_braid,
     torus_knot_genus_conflict,
 )
-from knotcert.braid import MAX_INPUT_LETTERS
+from knotcert.braid import MAX_INPUT_LETTERS, _shown
 from knotcert.certify import (
     _TWIST_HEAD,
     EXCLUDED,
@@ -246,6 +247,18 @@ class TestTorusKnotRule:
         for entry in (exclude_torus_knot, pretzel_quotient_braid):
             with pytest.raises(ValueError, match="2001 letters, over the input limit"):
                 entry(3, 3, 1965)
+
+    @pytest.mark.parametrize("r", [10**50 + 1, 10**5000 + 1], ids=["167-bit", "16610-bit"])
+    def test_genus_refuses_a_slope_over_the_input_limit(self, r):
+        """quotient_knot_genus refuses the slopes whose quotient word the
+        torus-knot test and the word builder refuse, with their message,
+        the letter count named by its bit length through braid._shown."""
+        messages = set()
+        for entry in (quotient_knot_genus, exclude_torus_knot, pretzel_quotient_braid):
+            with pytest.raises(ValueError) as exc:
+                entry(3, 3, r)
+            messages.add(str(exc.value))
+        assert messages == {f"quotient word of {_shown(36 + r)} letters, over the input limit 2000"}
 
     @pytest.mark.parametrize("r", [1.5, "1", True, "x" * 10**6],
                              ids=["float", "str", "bool", "long-str"])
