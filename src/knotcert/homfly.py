@@ -3,8 +3,8 @@
 A braid word maps into the Hecke algebra H_n spanned by permutation basis
 elements g_w, with generators obeying g_i^2 = z*g_i + 1 (so the inverse is
 g_i - z).  In this scaling every product of generators and inverses keeps
-integer polynomial coefficients in z.  Each g_w is stored under the inverse
-of w's one-line tuple, so a generator swaps two adjacent entries of the key.
+integer polynomial coefficients in z.  An element is a dense list with one
+slot per permutation (see ``_tables``), and a generator is a table lookup.
 The Markov trace tr is computed level by level: each w in S_n either fixes
 the last strand or factors uniquely as v * (descending cycle through the
 last strand), and peeling that cycle multiplies the coefficient by the
@@ -28,7 +28,10 @@ Franks and Williams.
 
 from __future__ import annotations
 
+from functools import cache
+from itertools import permutations, repeat
 from math import comb, factorial
+from operator import add, itemgetter, lshift, sub
 
 from .braid import BraidWord, _check_integers, _shown, exponent_sum
 
@@ -90,40 +93,48 @@ class LaurentPoly2:
         return f"LaurentPoly2({self.coeffs!r})"
 
 
-def _times_generator(terms: dict, i: int, bits: int, inverse: bool = False) -> dict:
-    """Right-multiply sum c*g_w by g = g_{i+1}, or by its inverse g - z (i is 0-based).
+@cache
+def _tables(n: int) -> tuple[tuple, tuple]:
+    """Slot tables of S_n: a (swap, descents, ascents) triple per generator, and the peels.
 
-    A term is keyed by u, the inverse of w's one-line tuple: u[x] is the
-    position of x in w, so ws swaps u[i] and u[i+1].  g_w * g is g_{ws} at
-    an ascent of w (u[i] < u[i+1]) and g_{ws} + z*g_w at a descent; the
-    inverse subtracts z*g_w, which cancels the descent term and leaves
-    -z*g_w at an ascent.  Packed, z*c is ``c << bits``.  A key whose sum
-    reaches 0 is dropped; ``_trace_terms`` passes zero coefficients in, so
-    the key may not be there.
+    Slot s holds g_w for w the inverse of u, the s-th tuple of
+    ``permutations(range(n))`` (the identity is slot 0); slot n! is a zero
+    sentinel.  Each table is an ``itemgetter`` over the n! + 1 slots.  For
+    g = g_{i+1}, swap reads u with u[i] and u[i+1] swapped, descents reads u
+    where u[i] > u[i+1] and the sentinel elsewhere, and ascents the reverse.
+    Peel j reads, in S_(n-1) order, the u that hold n - 1 at position j.
     """
-    out: dict = {}
-    for u, c in terms.items():
-        a, b = u[i], u[i + 1]
-        us = u[:i] + (b, a) + u[i + 2:]
-        s = out.get(us, 0) + c
-        if s:
-            out[us] = s
-        else:
-            out.pop(us, None)
-        if (a < b) == inverse:
-            s = out.get(u, 0) + (-(c << bits) if inverse else c << bits)
-            if s:
-                out[u] = s
-            else:
-                out.pop(u, None)
-    return out
+    perms = list(permutations(range(n)))
+    slot = {u: s for s, u in enumerate(perms)}
+    end = len(perms)
+    gens = tuple(
+        (itemgetter(*(slot[u[:i] + (u[i + 1], u[i]) + u[i + 2:]] for u in perms), end),
+         itemgetter(*(s if u[i] > u[i + 1] else end for s, u in enumerate(perms)), end),
+         itemgetter(*(s if u[i] < u[i + 1] else end for s, u in enumerate(perms)), end))
+        for i in range(n - 1))
+    peels = tuple(itemgetter(*(slot[v[:j] + (n - 1,) + v[j:]]
+                               for v in permutations(range(n - 1))), end) for j in range(n))
+    return gens, peels
 
 
-def _packed_image(w: BraidWord) -> tuple[dict[tuple[int, ...], int], int]:
+def _times(c, gen: tuple, bits: int, inverse: bool = False) -> list[int]:
+    """Right-multiply a dense image c by g = g_{i+1}, or by its inverse g - z.
+
+    In the slot of u, u[x] is the position of x in w, so ws swaps u[i] and
+    u[i+1].  g_w * g is g_{ws} at an ascent of w (u[i] < u[i+1]) and
+    g_{ws} + z*g_w at a descent; the inverse subtracts z*g_w, which cancels
+    the descent term and leaves -z*g_w at an ascent.  Packed, z*c is ``c << bits``.
+    """
+    swap, descents, ascents = gen
+    op, extra = (sub, ascents) if inverse else (add, descents)
+    return list(map(op, swap(c), map(lshift, extra(c), repeat(bits))))
+
+
+def _packed_image(w: BraidWord) -> tuple[list[int], int]:
     """Image of a braid word with each coefficient packed into one int, and the width.
 
-    Terms are keyed as in ``_times_generator``.  Before the trace every
-    coefficient is a polynomial in z with nonnegative exponents; it is
+    The image is dense, one coefficient per slot of ``_tables``.  Before the
+    trace every coefficient is a polynomial in z with nonnegative exponents; it is
     stored as its value at z = 2^bits (Kronecker packing).
     The width bits = letters + n^2 + 2 is exact here and in ``_trace_terms``.
     Right multiplication by g or g - z sends each term c*g_w to at most two
@@ -134,9 +145,9 @@ def _packed_image(w: BraidWord) -> tuple[dict[tuple[int, ...], int], int]:
     2^(letters + n^2) < 2^(bits-1): a packed polynomial is 0 only when it is,
     and ``_unpack`` reads its digits back exactly.
 
-    The image has at most n! terms, each a polynomial of z-degree at most
+    The image has n! slots, each a polynomial of z-degree at most
     len(letters), so each packed coefficient has at most about
-    len(letters) * bits bits, and every letter touches each term once.
+    len(letters) * bits bits, and every letter touches each slot once.
     Their product is the work checked against MAX_TRACE_WORK.
     """
     if w.strands > MAX_TRACE_STRANDS:
@@ -148,10 +159,11 @@ def _packed_image(w: BraidWord) -> tuple[dict[tuple[int, ...], int], int]:
         raise ValueError(
             f"Hecke computations are guarded to n! * letters^2 * bits <= {MAX_TRACE_WORK}; "
             f"a {len(w.letters)}-letter word on {_shown(w.strands)} strands needs {_shown(work)}")
-    terms = {tuple(range(w.strands)): 1}
+    gens = _tables(w.strands)[0]
+    c = [1] + [0] * factorial(w.strands)
     for e in w.letters:
-        terms = _times_generator(terms, abs(e) - 1, bits, inverse=e < 0)
-    return terms, bits
+        c = _times(c, gens[abs(e) - 1], bits, inverse=e < 0)
+    return c, bits
 
 
 def _unpack(packed: int, bits: int) -> dict[int, int]:
@@ -166,29 +178,26 @@ def _unpack(packed: int, bits: int) -> dict[int, int]:
     return out
 
 
-def _trace_terms(terms: dict, n: int, bits: int) -> dict[int, int]:
-    """Trace of a packed image as {k: packed coefficient}: a term (u, k) has k
-    unpeeled levels, and the normalized trace sums ((1 - a^2)/z)^k times these."""
-    level = {(u, 0): c for u, c in terms.items()}
-    while n > 1:
-        groups: dict[tuple[int, int], dict] = {}
-        for (u, k), c in level.items():
-            # w = v . (cycle j -> j+1 -> ... -> n-1 -> j), where j = w[n-1]
-            # is where u holds n-1: peel one strand, or count one more
-            # unpeeled level when the last strand is fixed.  Dropping entry
-            # j of u leaves the key of v.
-            j = u.index(n - 1)
-            group = groups.setdefault((j, k + (j == n - 1)), {})
-            v = u[:j] + u[j + 1:]
-            group[v] = group.get(v, 0) + c
-        level = {}
-        for (j, k), term in groups.items():
-            for i in range(n - 3, j - 1, -1):
-                term = _times_generator(term, i, bits)
-            for v, c in term.items():
-                level[v, k] = level.get((v, k), 0) + c
-        n -= 1
-    return {k: c for (_u, k), c in level.items() if c}
+def _trace_terms(image: list[int], n: int, bits: int) -> dict[int, int]:
+    """Trace of a packed image as {k: packed coefficient}: vector k sums the terms
+    with k unpeeled levels, and the normalized trace sums ((1 - a^2)/z)^k times these."""
+    level = {0: image}
+    for m in range(n, 1, -1):
+        gens, peels = _tables(m - 1)[0], _tables(m)[1]
+        summed: dict[int, list[int]] = {}
+        for k, c in level.items():
+            # w = v . (cycle j -> j+1 -> ... -> m-1 -> j), where j = w[m-1]
+            # is where u holds m-1: peel one strand, or count one more
+            # unpeeled level when the last strand is fixed.  Peel j reads
+            # these terms under the keys of v.
+            for j, peel in enumerate(peels):
+                v = peel(c)
+                for i in range(m - 3, j - 1, -1):
+                    v = _times(v, gens[i], bits)
+                key = k + (j == m - 1)
+                summed[key] = list(map(add, summed[key], v)) if key in summed else v
+        level = summed
+    return {k: c[0] for k, c in level.items() if c[0]}
 
 
 def homfly(w: BraidWord) -> LaurentPoly2:

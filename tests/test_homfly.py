@@ -5,8 +5,17 @@ and the right trefoil to 2a^2 + a^2 z^2 - a^4, so the skein relation reads
 a^{-1} P(L+) - a P(L-) = z P(L0).
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+from itertools import permutations
+from math import factorial
+
 import oracles
 import pytest
+
+import knotcert
 
 from knotcert import (
     BraidWord,
@@ -25,7 +34,8 @@ from knotcert.braid import PermutationBraid
 from knotcert.homfly import (
     MAX_TRACE_WORK,
     _packed_image,
-    _times_generator,
+    _tables,
+    _times,
     _trace_terms,
     _unpack,
 )
@@ -79,13 +89,14 @@ class TestAnchors:
 
 
 def hecke_image(w: BraidWord) -> dict:
-    """{one-line permutation: z-polynomial} of w's packed Hecke image.  The
-    package keys a term by the inverse of the one-line tuple; this inverts
-    the keys back."""
-    terms, bits = _packed_image(w)
+    """{one-line permutation: z-polynomial} of the nonzero terms of w's packed
+    Hecke image.  Slot s of the package's dense image holds the term keyed
+    by the s-th tuple of permutations(range(n)), the inverse of the one-line
+    tuple; this inverts the keys back."""
+    image, bits = _packed_image(w)
     return {tuple(sorted(range(len(u)), key=u.__getitem__)):
             oracles.Poly({(0, j): c for j, c in _unpack(packed, bits).items()})
-            for u, packed in terms.items()}
+            for u, packed in zip(permutations(range(w.strands)), image) if packed}
 
 
 def hecke_product(u: BraidWord, v: BraidWord) -> dict:
@@ -123,7 +134,8 @@ class TestHeckeAlgebra:
             _packed_image(BraidWord(8, (1,)))
         with pytest.raises(ValueError, match="strands"):
             homfly(BraidWord(8, (1,)))
-        # The work bound: sigma1^k has two terms, so the longest accepted power is cheap.
+        # The work bound: every letter touches all 720 slots, but sigma1^k keeps
+        # two nonzero terms, so the longest accepted power is still cheap.
         k = max(k for k in range(2001) if 720 * k * k * (k + 38) <= MAX_TRACE_WORK)
         _packed_image(BraidWord(6, (1,) * k))
         with pytest.raises(ValueError, match="letters"):
@@ -132,13 +144,59 @@ class TestHeckeAlgebra:
             homfly(BraidWord(6, (1, 2, 3, 4, 5) * 400))
 
 
+class TestSlotTables:
+    """The permutation-slot tables of every strand count the trace accepts."""
+
+    def test_generator_swaps_pair_an_ascent_with_a_descent(self):
+        for n in range(1, 7):
+            end, perms = factorial(n), list(permutations(range(n)))
+            slots = range(end + 1)  # slot end is the zero sentinel
+            gens = _tables(n)[0]
+            assert len(gens) == n - 1
+            for i, (swap, descents, ascents) in enumerate(gens):
+                swap, descents, ascents = swap(slots), descents(slots), ascents(slots)
+                assert swap[end] == descents[end] == ascents[end] == end
+                for s, u in enumerate(perms):
+                    t = swap[s]
+                    assert t != s and swap[t] == s
+                    assert perms[t] == u[:i] + (u[i + 1], u[i]) + u[i + 2:]
+                    descent = u[i] > u[i + 1]
+                    assert descents[s] == (s if descent else end)
+                    assert ascents[s] == (end if descent else s)
+                    assert (descents[t] == t) != descent
+
+    def test_peels_cover_each_slot_once(self):
+        for m in range(1, 7):
+            end, perms = factorial(m), list(permutations(range(m)))
+            peels = _tables(m)[1]
+            assert len(peels) == m
+            read = []
+            for j, peel in enumerate(peels):
+                slots = peel(range(end + 1))
+                assert slots[-1] == end
+                for v, s in zip(permutations(range(m - 1)), slots):
+                    assert perms[s] == v[:j] + (m - 1,) + v[j:]
+                read += slots[:-1]
+            assert sorted(read) == list(range(end))
+
+    def test_import_builds_no_table(self):
+        src = str(pathlib.Path(knotcert.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import knotcert; from knotcert.homfly import _tables; "
+                "assert _tables.cache_info().currsize == 0")
+        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 def traced_coefficients(w: BraidWord, bits: int) -> list[int]:
     """Every coefficient of the image and of the trace terms, packed at a given width."""
-    terms = {tuple(range(w.strands)): 1}
+    gens = _tables(w.strands)[0]
+    image = [1] + [0] * factorial(w.strands)
     for e in w.letters:
-        terms = _times_generator(terms, abs(e) - 1, bits, inverse=e < 0)
-    packed = list(terms.values())
-    packed += _trace_terms(terms, w.strands, bits).values()
+        image = _times(image, gens[abs(e) - 1], bits, inverse=e < 0)
+    packed = image + list(_trace_terms(image, w.strands, bits).values())
     return [c for p in packed for c in _unpack(p, bits).values()]
 
 
