@@ -22,6 +22,8 @@ from __future__ import annotations
 import dataclasses
 import reprlib
 from collections.abc import Iterator
+from functools import cache
+from itertools import permutations
 
 __all__ = [
     "MAX_INPUT_STRANDS",
@@ -43,6 +45,8 @@ __all__ = [
 # Bounds on input, checked before anything of that size is built.
 MAX_INPUT_STRANDS = 256
 MAX_INPUT_LETTERS = 2000
+# normal_form runs on slot tables (see ``_slot_table``) up to this many strands.
+_TABLE_STRANDS = 5
 
 
 def _shown(value) -> str:
@@ -87,8 +91,11 @@ class PermutationBraid:
     mapping: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.mapping)
-        if sorted(self.mapping) != list(range(n)):
+        mapping = tuple(self.mapping)
+        object.__setattr__(self, "mapping", mapping)
+        _check_integers("permutation entries", *mapping)
+        n = len(mapping)
+        if sorted(mapping) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {_shown(self.mapping)}")
 
     def reduced_word(self) -> list[int]:
@@ -131,6 +138,8 @@ class BraidWord:
                                      f"{_shown(n - 1)} on {_shown(n)} strands")
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
+        if not isinstance(other, BraidWord):
+            return NotImplemented
         if self.strands != other.strands:
             raise ValueError(
                 f"strand counts differ: {_shown(self.strands)} vs {_shown(other.strands)}")
@@ -262,10 +271,98 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     D tau(x), so that D goes straight to the infimum and the factors left
     of it are conjugated by D (tau: s_i -> s_{n-2-i}) lazily: each is tau
     of what it stores while its stamp and the parity of such Ds differ.
+
+    On at most ``_TABLE_STRANDS`` strands each factor is a slot of
+    ``_slot_table`` and every step a lookup; from six strands up it is a
+    permutation list and its inverse.
     """
     n = w.strands
     if n == 1:
         return GarsideNormalForm(1, 0, ())
+    return _table_normal_form(w) if n <= _TABLE_STRANDS else _list_normal_form(w)
+
+
+@cache
+def _slot_table(n: int) -> tuple:
+    """Tables over the n! permutation braids u, slot s being the s-th of
+    ``permutations(range(n))``, built on first use: u s_i and s_i u per i,
+    end and start descent masks, tau(u), D A^-1 for a negative run A^-1
+    read as u, the lowest set bit of each mask, and u's PermutationBraid."""
+    perms = list(permutations(range(n)))
+    slot = {u: s for s, u in enumerate(perms)}
+    gens = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n)) for i in range(n - 1)]
+    starts = tuple(sum(1 << i for i in range(n - 1) if u[i] > u[i + 1]) for u in perms)
+    return (
+        tuple(tuple(slot[tuple(g[v] for v in u)] for u in perms) for g in gens),
+        tuple(tuple(slot[tuple(u[x] for x in g)] for u in perms) for g in gens),
+        tuple(starts[slot[tuple(sorted(range(n), key=u.__getitem__))]] for u in perms),
+        starts,
+        tuple(slot[tuple(n - 1 - v for v in reversed(u))] for u in perms),
+        tuple(slot[u[::-1]] for u in perms),
+        tuple((m & -m).bit_length() - 1 for m in range(1 << (n - 1))),
+        tuple(map(PermutationBraid, perms)))
+
+
+def _slot_runs(w: BraidWord, right, ends) -> Iterator[tuple[bool, int]]:
+    """``_runs`` on slots: (positive, slot of the run's permutation)."""
+    n = w.strands
+    flip, positive, s = False, None, 0
+    for e in w.letters:
+        i = n - 1 - abs(e) if flip else abs(e) - 1
+        if positive != (e > 0) or ends[s] >> i & 1:
+            if positive is not None:
+                yield positive, s
+            positive, s = e > 0, 0
+            if e < 0:
+                flip = not flip
+                i = n - 2 - i
+        s = right[i][s]
+    if positive is not None:
+        yield positive, s
+
+
+def _table_normal_form(w: BraidWord) -> GarsideNormalForm:
+    """``_list_normal_form`` on slots: a weighting moves the lowest s_i that
+    starts b and does not end a while there is one."""
+    n = w.strands
+    right, left, ends, starts, tau, negated, lowest, braids = _slot_table(n)
+    delta = len(braids) - 1
+    negative_runs = deltas = parity = 0
+    slots, stamps = [], []  # each factor's slot and parity stamp
+    for positive, b in _slot_runs(w, right, ends):
+        if not positive:
+            negative_runs += 1
+            b = negated[b]
+        slots.append(b)
+        stamps.append(parity)
+        for k in range(len(slots) - 2, -1, -1):
+            if stamps[k] != parity:
+                slots[k], stamps[k] = tau[slots[k]], parity
+            a = slots[k]
+            while m := starts[b] & ~ends[a]:
+                i = lowest[m]
+                a, b = right[i][a], left[i][b]
+            if a == slots[k]:
+                break
+            slots[k + 1] = b
+            if a == delta:
+                del slots[k], stamps[k]
+                deltas += 1
+                parity ^= 1
+                stamps[k:] = [parity] * (len(stamps) - k)
+                break
+            slots[k] = b = a
+        if not slots[-1]:
+            del slots[-1], stamps[-1]
+    lead = next((k for k, s in enumerate(slots) if s != delta), len(slots))
+    flip = (deltas + negative_runs) % 2
+    return GarsideNormalForm(n, lead + deltas - negative_runs, tuple(
+        braids[tau[s] if stamp != flip else s] for s, stamp in zip(slots[lead:], stamps[lead:])))
+
+
+def _list_normal_form(w: BraidWord) -> GarsideNormalForm:
+    """``normal_form`` on two or more strands, each factor a permutation and its inverse."""
+    n = w.strands
     last = n - 1
     identity, delta = list(range(n)), list(range(last, -1, -1))
     negative_runs = deltas = 0

@@ -40,8 +40,9 @@ from knotcert import (
     torus_genus,
     torus_knot_genus_conflict,
 )
-from knotcert.braid import (MAX_INPUT_LETTERS, MAX_INPUT_STRANDS, GarsideNormalForm,
-                            PermutationBraid, _shown)
+from knotcert.braid import (_TABLE_STRANDS, MAX_INPUT_LETTERS, MAX_INPUT_STRANDS,
+                            GarsideNormalForm, PermutationBraid, _list_normal_form, _shown,
+                            _table_normal_form)
 
 from conftest import cycle_count
 
@@ -154,6 +155,11 @@ class TestWordLaws:
     def test_product_requires_matching_strands(self):
         with pytest.raises(ValueError):
             BraidWord(3, (1,)) * BraidWord(4, (1,))
+
+    def test_product_with_a_non_word_is_a_type_error(self):
+        for other in (2, (1,), "1"):
+            with pytest.raises(TypeError):
+                BraidWord(3, (1,)) * other
 
     def test_inverse_reverses_and_negates(self):
         w = BraidWord(4, (1, -2, 3))
@@ -321,6 +327,34 @@ class TestNormalFormAgainstOracle:
                 assert conjugated.infimum == nf.infimum
                 assert [f.mapping for f in conjugated.factors] == \
                     [tuple(strands - 1 - v for v in reversed(f.mapping)) for f in nf.factors]
+
+
+class TestTablePathAgainstListPath:
+    """The slot-table normal form against the list one, on every strand
+    count the table path takes."""
+
+    def check(self, strands: int, letters):
+        w = BraidWord(strands, tuple(letters))
+        assert _table_normal_form(w) == _list_normal_form(w), w
+
+    def test_mixed_words(self, rng):
+        for strands in range(2, _TABLE_STRANDS + 1):
+            for share in (0.0, 0.3, 0.5, 0.7, 1.0):
+                for _ in range(12):
+                    self.check(strands, mixed_letters(rng, strands, share, rng.randint(0, 80)))
+
+    def test_words_that_make_half_twists_mid_pass(self, rng):
+        """A word u D: the incoming D weights the last factor of u up to D,
+        which leaves for the infimum with u's other factors left of it;
+        and D w D^-1, whose negative runs enter as near-D factors."""
+        for strands in range(3, _TABLE_STRANDS + 1):
+            delta = GarsideNormalForm(strands, 1, ()).to_word()
+            self.check(strands, (1,) + delta.letters)
+            for share in (0.0, 0.3, 0.5, 0.7, 1.0):
+                letters = mixed_letters(rng, strands, share, rng.randint(1, 40))
+                u = BraidWord(strands, tuple(letters))
+                self.check(strands, (u * delta).letters)
+                self.check(strands, (delta * u * delta.inverse()).letters)
 
 
 class TestFullTwist:
@@ -499,6 +533,16 @@ class TestTorusBraid:
 
 
 class TestPermutationBraid:
+    def test_mapping_is_a_tuple_of_integers(self):
+        p = PermutationBraid([1, 0])
+        assert p.mapping == (1, 0) and p == PermutationBraid((1, 0))
+        assert hash(p) == hash(PermutationBraid((1, 0)))
+        for bad in ((0, "a"), (1.0, 0), (True, False)):
+            with pytest.raises(ValueError, match="permutation entries must be integers"):
+                PermutationBraid(bad)
+        with pytest.raises(ValueError, match="not a permutation"):
+            PermutationBraid((0, 2))
+
     def test_reduced_word_rebuilds(self, rng):
         for _ in range(10):
             img = list(range(5))

@@ -30,7 +30,7 @@ from knotcert import (
     torus_alexander,
     torus_braid,
 )
-from knotcert.braid import PermutationBraid
+from knotcert.braid import _TABLE_STRANDS, PermutationBraid, _slot_table
 from knotcert.homfly import (
     MAX_TRACE_WORK,
     _packed_image,
@@ -184,10 +184,50 @@ class TestSlotTables:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import knotcert; from knotcert.homfly import _tables; "
-                "assert _tables.cache_info().currsize == 0")
+                "from knotcert.braid import _slot_table; "
+                "assert _tables.cache_info().currsize == _slot_table.cache_info().currsize == 0")
         proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestBraidSlotTables:
+    """The slot tables of the normal form's table path, against the mappings
+    the list path swaps; the import test above covers them too."""
+
+    def test_products_with_generators(self):
+        for n in range(1, _TABLE_STRANDS + 1):
+            perms = list(permutations(range(n)))
+            rights, lefts, *_, braids = _slot_table(n)
+            assert [b.mapping for b in braids] == perms
+            assert len(rights) == len(lefts) == n - 1
+            for i, (right, left) in enumerate(zip(rights, lefts)):
+                for s, u in enumerate(perms):
+                    assert right[s] != s and right[right[s]] == s
+                    assert left[s] != s and left[left[s]] == s
+                    # u s_i swaps the values i and i+1, s_i u the positions i and i+1
+                    assert perms[right[s]] == tuple({i: i + 1, i + 1: i}.get(v, v) for v in u)
+                    assert perms[left[s]] == u[:i] + (u[i + 1], u[i]) + u[i + 2:]
+
+    def test_descent_masks(self):
+        for n in range(1, _TABLE_STRANDS + 1):
+            _, _, ends, starts, _, _, lowest, _ = _slot_table(n)
+            for s, u in enumerate(permutations(range(n))):
+                inv = [u.index(v) for v in range(n)]
+                assert ends[s] == sum(1 << i for i in range(n - 1) if inv[i] > inv[i + 1])
+                assert starts[s] == sum(1 << i for i in range(n - 1) if u[i] > u[i + 1])
+            assert all(lowest[m] == min(i for i in range(n) if m >> i & 1)
+                       for m in range(1, 1 << (n - 1)))
+
+    def test_conjugation_by_the_half_twist(self):
+        for n in range(1, _TABLE_STRANDS + 1):
+            perms = list(permutations(range(n)))
+            *_, tau, negated, _, _ = _slot_table(n)
+            assert tau[0] == 0 and tau[-1] == len(perms) - 1
+            for s, u in enumerate(perms):
+                assert tau[tau[s]] == s
+                assert perms[tau[s]] == tuple(n - 1 - v for v in reversed(u))
+                assert perms[negated[s]] == u[::-1]
 
 
 def traced_coefficients(w: BraidWord, bits: int) -> list[int]:
