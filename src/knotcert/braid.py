@@ -24,6 +24,7 @@ import reprlib
 from collections.abc import Iterator
 from functools import cache
 from itertools import permutations
+from operator import itemgetter
 
 __all__ = [
     "MAX_INPUT_STRANDS",
@@ -45,8 +46,9 @@ __all__ = [
 # Bounds on input, checked before anything of that size is built.
 MAX_INPUT_STRANDS = 256
 MAX_INPUT_LETTERS = 2000
-# normal_form runs on slot tables (see ``_slot_table``) up to this many strands.
-_TABLE_STRANDS = 5
+# normal_form and the Hecke trace run on tables over the n! slots of S_n (see
+# ``_symmetric_group``) up to this many strands; S_7 would have 5,040 slots.
+_TABLE_STRANDS = 6
 
 
 def _shown(value) -> str:
@@ -177,14 +179,8 @@ class GarsideNormalForm:
 
     def to_word(self) -> BraidWord:
         """Some braid word with this normal form (half twists spelled out)."""
-        letters: list[int] = []
-        delta = _half_twist_letters(self.strands)
-        k = self.infimum
-        if k >= 0:
-            letters.extend(delta * k)
-        else:
-            inv = [-e for e in reversed(delta)]
-            letters.extend(inv * (-k))
+        delta, k = _half_twist_letters(self.strands), self.infimum
+        letters = delta * k if k >= 0 else [-e for e in reversed(delta)] * -k
         for f in self.factors:
             letters.extend(i + 1 for i in f.reduced_word())
         return BraidWord(self.strands, tuple(letters))
@@ -228,10 +224,7 @@ def permutation_of(w: BraidWord) -> PermutationBraid:
 
 
 def _half_twist_letters(n: int) -> list[int]:
-    letters: list[int] = []
-    for k in range(n - 1, 0, -1):
-        letters.extend(range(1, k + 1))
-    return letters
+    return [i for k in range(n - 1, 0, -1) for i in range(1, k + 1)]
 
 
 def _runs(w: BraidWord) -> Iterator[tuple[bool, list[int], list[int]]]:
@@ -272,8 +265,8 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
     of it are conjugated by D (tau: s_i -> s_{n-2-i}) lazily: each is tau
     of what it stores while its stamp and the parity of such Ds differ.
 
-    On at most ``_TABLE_STRANDS`` strands each factor is a slot of
-    ``_slot_table`` and every step a lookup; from six strands up it is a
+    On at most ``_TABLE_STRANDS`` (six) strands each factor is a slot of
+    ``_slot_table`` and every step a lookup; from seven strands up it is a
     permutation list and its inverse.
     """
     n = w.strands
@@ -283,24 +276,30 @@ def normal_form(w: BraidWord) -> GarsideNormalForm:
 
 
 @cache
-def _slot_table(n: int) -> tuple:
-    """Tables over the n! permutation braids u, slot s being the s-th of
-    ``permutations(range(n))``, built on first use: u s_i and s_i u per i,
-    end and start descent masks, tau(u), D A^-1 for a negative run A^-1
-    read as u, the lowest set bit of each mask, and u's PermutationBraid."""
-    perms = list(permutations(range(n)))
+def _symmetric_group(n: int) -> tuple:
+    """S_n for both engines, built on first use: the permutations u in
+    ``permutations(range(n))`` order (slot s is the s-th), the slot of each,
+    the slots of u s_i and s_i u per i, and the end and start descent masks."""
+    perms = tuple(permutations(range(n)))
     slot = {u: s for s, u in enumerate(perms)}
-    gens = [tuple(range(i)) + (i + 1, i) + tuple(range(i + 2, n)) for i in range(n - 1)]
+    swaps = (itemgetter(*range(i), i + 1, i, *range(i + 2, n)) for i in range(n - 1))
+    left = tuple(tuple(map(slot.__getitem__, map(swap, perms))) for swap in swaps)
+    inverse = tuple(slot[tuple(map(u.index, range(n)))] for u in perms)
+    right = tuple(tuple(inverse[row[t]] for t in inverse) for row in left)  # u s_i = (s_i u^-1)^-1
     starts = tuple(sum(1 << i for i in range(n - 1) if u[i] > u[i + 1]) for u in perms)
-    return (
-        tuple(tuple(slot[tuple(g[v] for v in u)] for u in perms) for g in gens),
-        tuple(tuple(slot[tuple(u[x] for x in g)] for u in perms) for g in gens),
-        tuple(starts[slot[tuple(sorted(range(n), key=u.__getitem__))]] for u in perms),
-        starts,
-        tuple(slot[tuple(n - 1 - v for v in reversed(u))] for u in perms),
-        tuple(slot[u[::-1]] for u in perms),
-        tuple((m & -m).bit_length() - 1 for m in range(1 << (n - 1))),
-        tuple(map(PermutationBraid, perms)))
+    return perms, slot, right, left, tuple(starts[t] for t in inverse), starts
+
+
+@cache
+def _slot_table(n: int) -> tuple:
+    """``_symmetric_group(n)``'s products and masks, then tau, the negative-run
+    factor, each mask's lowest set bit and each slot's PermutationBraid."""
+    perms, slot, *shared = _symmetric_group(n)
+    # tau(u) is u[::-1] with each entry v read as n - 1 - v, which reverses slot order
+    negated = tuple(slot[u[::-1]] for u in perms)
+    return (*shared, tuple(len(perms) - 1 - s for s in negated), negated,
+            tuple((m & -m).bit_length() - 1 for m in range(1 << (n - 1))),
+            tuple(map(PermutationBraid, perms)))
 
 
 def _slot_runs(w: BraidWord, right, ends) -> Iterator[tuple[bool, int]]:

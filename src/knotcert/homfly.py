@@ -29,11 +29,12 @@ Franks and Williams.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations, repeat
+from itertools import repeat
 from math import comb, factorial
 from operator import add, itemgetter, lshift, sub
 
-from .braid import BraidWord, _check_integers, _shown, exponent_sum
+from .braid import (_TABLE_STRANDS, BraidWord, _check_integers, _shown, _symmetric_group,
+                    exponent_sum)
 
 __all__ = [
     "MAX_TRACE_STRANDS",
@@ -44,7 +45,7 @@ __all__ = [
     "det_from_homfly",
 ]
 
-MAX_TRACE_STRANDS = 6
+MAX_TRACE_STRANDS = _TABLE_STRANDS
 # Bound on n! * letters^2 * bits, which estimates the bit operations that
 # build the packed image (see ``_packed_image``).  It admits every word of
 # at most 3 strands up to the 2,000-letter input limit, and 444 letters on
@@ -97,23 +98,21 @@ class LaurentPoly2:
 def _tables(n: int) -> tuple[tuple, tuple]:
     """Slot tables of S_n: a (swap, descents, ascents) triple per generator, and the peels.
 
-    Slot s holds g_w for w the inverse of u, the s-th tuple of
-    ``permutations(range(n))`` (the identity is slot 0); slot n! is a zero
-    sentinel.  Each table is an ``itemgetter`` over the n! + 1 slots.  For
-    g = g_{i+1}, swap reads u with u[i] and u[i+1] swapped, descents reads u
-    where u[i] > u[i+1] and the sentinel elsewhere, and ascents the reverse.
-    Peel j reads, in S_(n-1) order, the u that hold n - 1 at position j.
+    Slot s holds g_w for w the inverse of u, the s-th permutation of
+    ``braid._symmetric_group(n)``; slot n! is a zero sentinel.  Each table is
+    an ``itemgetter`` over the n! + 1 slots.  For g = g_{i+1}, swap reads s_i u
+    (u[i] and u[i+1] swapped), descents reads u where s_i starts u and the
+    sentinel elsewhere, and ascents the reverse.  Peel j reads, in S_(n-1)
+    order, the u that hold n - 1 at position j.
     """
-    perms = list(permutations(range(n)))
-    slot = {u: s for s, u in enumerate(perms)}
+    perms, slot, _, left, _, starts = _symmetric_group(n)
     end = len(perms)
-    gens = tuple(
-        (itemgetter(*(slot[u[:i] + (u[i + 1], u[i]) + u[i + 2:]] for u in perms), end),
-         itemgetter(*(s if u[i] > u[i + 1] else end for s, u in enumerate(perms)), end),
-         itemgetter(*(s if u[i] < u[i + 1] else end for s, u in enumerate(perms)), end))
-        for i in range(n - 1))
+    gens = tuple((itemgetter(*left[i], end),
+                  itemgetter(*(s if m >> i & 1 else end for s, m in enumerate(starts)), end),
+                  itemgetter(*(end if m >> i & 1 else s for s, m in enumerate(starts)), end))
+                 for i in range(n - 1))
     peels = tuple(itemgetter(*(slot[v[:j] + (n - 1,) + v[j:]]
-                               for v in permutations(range(n - 1))), end) for j in range(n))
+                               for v in _symmetric_group(n - 1)[0]), end) for j in range(n))
     return gens, peels
 
 

@@ -2,10 +2,15 @@
 
 Randomized tests draw from the ``rng`` fixture, which is reseeded per test
 from the ``--rng-seed`` command line option, so any failing run can be
-reproduced by passing the same seed.  The acceptance suite reports one
-pass/fail line per criterion in the terminal summary.
+reproduced by passing the same seed.  A watchdog ends the run, with every
+thread's traceback and exit status 1, when one test takes longer than
+WATCHDOG_SECONDS, so a loop that never ends fails the suite instead of
+hanging it.  The acceptance suite reports one pass/fail line per criterion
+in the terminal summary.
 """
 
+import faulthandler
+import os
 import random
 import re
 import zlib
@@ -16,12 +21,30 @@ from knotcert import BraidWord, permutation_of, quotient_braid
 from knotcert.certify import _pretzel_family
 
 DEFAULT_SEED = 20260819
+WATCHDOG_SECONDS = 60
+_watchdog_fd = 2
 
 
 def pytest_addoption(parser):
     parser.addoption(
         "--rng-seed", type=int, default=DEFAULT_SEED, metavar="N",
         help="seed for randomized property tests (default: %(default)s)")
+
+
+def pytest_configure(config):
+    """Keep a copy of stderr for the watchdog: pytest captures fd 2 while a
+    test runs, and the watchdog's exit would leave that capture unprinted."""
+    global _watchdog_fd
+    _watchdog_fd = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def watchdog():
+    """Dump every thread's traceback, the test's own frame among them, and
+    exit with status 1 if the test runs longer than WATCHDOG_SECONDS."""
+    faulthandler.dump_traceback_later(WATCHDOG_SECONDS, exit=True, file=_watchdog_fd)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

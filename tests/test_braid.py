@@ -343,6 +343,13 @@ class TestTablePathAgainstListPath:
                 for _ in range(12):
                     self.check(strands, mixed_letters(rng, strands, share, rng.randint(0, 80)))
 
+    def test_six_strand_words_of_the_benchmark_size(self, rng):
+        """140 letters on six strands, the size of the benchmark's equality words."""
+        assert _TABLE_STRANDS == 6
+        for share in (0.0, 0.3, 0.5, 0.7, 1.0):
+            for _ in range(4):
+                self.check(6, mixed_letters(rng, 6, share, 140))
+
     def test_words_that_make_half_twists_mid_pass(self, rng):
         """A word u D: the incoming D weights the last factor of u up to D,
         which leaves for the infimum with u's other factors left of it;

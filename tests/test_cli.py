@@ -22,6 +22,8 @@ from knotcert.cli import (
 )
 from knotcert.braid import MAX_INPUT_LETTERS, MAX_INPUT_STRANDS
 
+from conftest import WATCHDOG_SECONDS
+
 TREFOIL = ["--braid", "1 1 1", "-n", "2"]
 
 
@@ -230,7 +232,7 @@ class TestCertify:
         try:
             proc = subprocess.run(
                 [sys.executable, "-m", "knotcert.cli", "certify", "3", "3"],
-                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=WATCHDOG_SECONDS / 2)
         finally:
             os.close(write_end)
         assert proc.stderr == b""

@@ -40,6 +40,8 @@ from knotcert.homfly import (
     _unpack,
 )
 
+from conftest import WATCHDOG_SECONDS
+
 A_INV = oracles.Poly.term(1, -1, 0)
 A = oracles.Poly.term(1, 1, 0)
 Z = oracles.Poly.term(1, 0, 1)
@@ -144,6 +146,16 @@ class TestHeckeAlgebra:
             homfly(BraidWord(6, (1, 2, 3, 4, 5) * 400))
 
 
+def run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports this package; it must exit 0."""
+    src = str(pathlib.Path(knotcert.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=WATCHDOG_SECONDS / 2,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestSlotTables:
     """The permutation-slot tables of every strand count the trace accepts."""
 
@@ -180,15 +192,21 @@ class TestSlotTables:
             assert sorted(read) == list(range(end))
 
     def test_import_builds_no_table(self):
-        src = str(pathlib.Path(knotcert.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import knotcert; from knotcert.homfly import _tables; "
-                "from knotcert.braid import _slot_table; "
-                "assert _tables.cache_info().currsize == _slot_table.cache_info().currsize == 0")
-        proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                              capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+        run_fresh("import knotcert; from knotcert.homfly import _tables; "
+                  "from knotcert.braid import _slot_table, _symmetric_group; "
+                  "assert _tables.cache_info().currsize == _slot_table.cache_info().currsize "
+                  "== _symmetric_group.cache_info().currsize == 0")
+
+    def test_both_engines_share_one_enumeration(self):
+        """homfly, then normal_form, on one six-strand word in a fresh
+        process: the trace builds S_n for n = 0..6 (S_(n-1) for the peels),
+        and the normal form finds S_6 already built."""
+        run_fresh("from knotcert import BraidWord, homfly, normal_form; "
+                  "from knotcert.braid import _symmetric_group as group; "
+                  "w = BraidWord(6, (1, -2, 3, -4, 5, 2, -1)); homfly(w); "
+                  "before = group.cache_info(); normal_form(w); after = group.cache_info(); "
+                  "assert before.misses == before.currsize == 7, before; "
+                  "assert (after.misses, after.hits) == (7, before.hits + 1), after")
 
 
 class TestBraidSlotTables:
